@@ -10,7 +10,6 @@ from .domain import (
     encode,
     gen_gaussian_dataset,
     load_csv,
-    rare_category_filter,
     uniform_bin_edges,
 )
 from .evaluation import EvalReport, aggregate, evaluate
@@ -49,7 +48,6 @@ from .synthesis import (
     SynthConfig,
     SynthResult,
     compute_weights,
-    run_fixed_round,
     run_margnet,
     split_budget,
 )

@@ -25,7 +25,8 @@ from scipy.special import gammainc
 from .domain import Dataset
 from .errors import InvalidDelta, NoRounds
 from .generator import GeneratorModel, forward, soft_marginal
-from .marginals import Marginal, all_pair_specs, compute_marginal, l1_distance, marginal_spec
+from .marginals import Marginal, compute_marginal, l1_distance, marginal_spec, selection_candidates
+from .privacy import SCORE_SENSITIVITY
 
 
 def chi2_cdf(x: float, dof: int) -> float:
@@ -170,46 +171,40 @@ def selected_upper_bound(measurements: list, model: GeneratorModel, scale: float
 
 
 def unselected_bound(trace, model: GeneratorModel, prev_model: GeneratorModel,
-                     ds: Dataset, scale: float, delta: float,
-                     r_weights: dict | None = None,
-                     max_cells: int = 10_000_000) -> BoundReport:
+                     ds: Dataset, scale: float, delta: float) -> BoundReport:
     """Confidence upper bound on the L1 error of each unmeasured marginal.
 
     For the final selection round K with chosen spec theta and budget rho_s_K,
     the exponential mechanism guarantees (w.p. >= 1 - delta per marginal):
 
-        B_{i,K} = (r_t/r_i) * ||M_t - Mhat_t^{K-1}||_1
-                  + (n_i r_i - n_t r_t) / (r_i sqrt(pi rho_s_K))
-                  + Delta_q * log(|C|/delta) / (r_i sqrt(2 rho_s_K))
+        B_{i,K} = ||M_t - Mhat_t^{K-1}||_1
+                  + (n_i - n_t) / sqrt(pi rho_s_K)
+                  + Delta_q * log(|C|/delta) / sqrt(2 rho_s_K)
 
     and the reported per-spec bound is B_{i,K} plus the exactly computed model
     drift ||Mhat_i^{K-1} - Mhat_i||_1. Observed is ||M_i - Mhat_i||_1.
     """
     if not trace.rounds:
         raise NoRounds("the trace records no selection rounds")
-    r_weights = r_weights or {}
     final = trace.rounds[-1]
     rho_s_k = final.rho_s
     theta = marginal_spec(ds, final.attrs)
-    candidates = [s for s in all_pair_specs(ds.cards) if s.n_cells <= max_cells]
+    candidates = selection_candidates(ds.cards)
     n_candidates = len(candidates)
     measured = {tuple(r.attrs) for r in trace.rounds}
-    delta_q = max(r_weights.get(s.attrs, 1.0) for s in candidates)
 
     batch_final = forward(model)
     batch_prev = forward(prev_model)
-    r_t = r_weights.get(theta.attrs, 1.0)
     theta_err = l1_distance(soft_marginal(batch_prev, theta, scale), compute_marginal(ds, theta))
 
     report = BoundReport(deltas=[delta])
     for spec in candidates:
         if spec.attrs in measured:
             continue
-        r_i = r_weights.get(spec.attrs, 1.0)
         b_ik = (
-            (r_t / r_i) * theta_err
-            + (spec.n_cells * r_i - theta.n_cells * r_t) / (r_i * math.sqrt(math.pi * rho_s_k))
-            + delta_q * math.log(n_candidates / delta) / (r_i * math.sqrt(2.0 * rho_s_k))
+            theta_err
+            + (spec.n_cells - theta.n_cells) / math.sqrt(math.pi * rho_s_k)
+            + SCORE_SENSITIVITY * math.log(n_candidates / delta) / math.sqrt(2.0 * rho_s_k)
         )
         drift = l1_distance(soft_marginal(batch_prev, spec, scale),
                             soft_marginal(batch_final, spec, scale))

@@ -73,7 +73,7 @@ def _default_iters(epsilon: float) -> int:
 def cmd_synth(args) -> int:
     try:
         domain = Domain.load(args.domain)
-        raw = load_csv(args.data, domain)
+        ds = encode(load_csv(args.data, domain), domain)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
@@ -117,7 +117,6 @@ def cmd_synth(args) -> int:
         seed=seed,
     )
 
-    ds = encode(raw, domain)
     try:
         result = run_margnet(ds, domain, config)
     except InsufficientBudget as e:
@@ -251,7 +250,7 @@ def cmd_check(args) -> int:
         return EXIT_CONFIG
     try:
         trace = trace_from_json_dict(trace_obj, domain.cards)
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, MargNetError) as e:
         print(f"error: malformed trace: {e}", file=sys.stderr)
         return EXIT_CONFIG
     if prev_model is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +68,6 @@ class Domain:
     @property
     def names(self) -> list[str]:
         return [a.name for a in self.attributes]
-
-    def size(self) -> int:
-        return int(np.prod([a.cardinality for a in self.attributes], dtype=object))
 
     def to_json_dict(self) -> dict:
         attrs = []
@@ -174,7 +172,8 @@ def load_csv(path, domain: Domain) -> RawTable:
     """Read a CSV and reorder its columns to the domain's attribute order.
 
     Extra CSV columns are dropped. Numeric columns are parsed as floats;
-    a non-numeric cell in a numeric column is a ParseError.
+    a non-numeric or non-finite (nan, inf) cell in a numeric column is a
+    ParseError.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -200,9 +199,12 @@ def load_csv(path, domain: Domain) -> RawTable:
                 cell = row[k].strip()
                 if meta.kind == "numeric":
                     try:
-                        columns[j].append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise ParseError(row_no, meta.name, cell) from None
+                    if not math.isfinite(value):
+                        raise ParseError(row_no, meta.name, cell)
+                    columns[j].append(value)
                 else:
                     columns[j].append(cell)
     return RawTable(header=domain.names, columns=columns)
@@ -263,26 +265,6 @@ def decode(synth: Dataset, domain: Domain, seed: int) -> RawTable:
                 vals[bad] = (lo[bad] + hi[bad]) / 2.0
             columns.append(list(vals))
     return RawTable(header=domain.names, columns=columns)
-
-
-def rare_category_filter(raw: RawTable, attr: int, min_count: int, meta: AttributeMeta) -> AttributeMeta:
-    """Merge categories rarer than min_count into a single reserved bucket.
-
-    Surviving labels keep their original order; the bucket label goes last.
-    No-op (returns an equivalent meta) when nothing is rare.
-    """
-    if meta.kind != "categorical":
-        raise ValueError(f"attribute {meta.name!r} is not categorical")
-    col = raw.columns[attr]
-    counts = {lab: 0 for lab in meta.category_labels}
-    for v in col:
-        if v in counts:
-            counts[v] += 1
-    kept = [lab for lab in meta.category_labels if counts[lab] >= min_count]
-    if len(kept) == len(meta.category_labels):
-        return AttributeMeta(meta.name, "categorical", meta.cardinality, category_labels=list(meta.category_labels))
-    labels = kept + [RARE_LABEL]
-    return AttributeMeta(meta.name, "categorical", len(labels), category_labels=labels)
 
 
 def gen_gaussian_dataset(dims: int, n_rows: int, corr: float, seed: int) -> RawTable:

@@ -13,7 +13,7 @@ class MissingColumn(MargNetError):
 
 class ParseError(MargNetError):
     def __init__(self, row, column, value):
-        super().__init__(f"cannot parse {value!r} as a number (row {row}, column {column!r})")
+        super().__init__(f"cannot parse {value!r} as a finite number (row {row}, column {column!r})")
         self.row = row
         self.column = column
 

@@ -22,6 +22,7 @@ from .errors import CheckpointError, UnsupportedOrder
 from .marginals import Marginal, MarginalSpec
 
 CHECKPOINT_MAGIC = b"MGNETCK1"
+_CHECKPOINT_KEYS = ("cards", "latent_dim", "batch_size", "layer_shapes", "has_prev")
 
 
 @dataclass
@@ -289,8 +290,13 @@ def load_checkpoint(path):
             header = json.loads(f.read(hlen).decode("utf-8"))
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from None
+        if not isinstance(header, dict):
+            raise CheckpointError("corrupt checkpoint header: not a JSON object")
         if header.get("version") != 1:
             raise CheckpointError(f"unsupported checkpoint version: {header.get('version')}")
+        missing = [k for k in _CHECKPOINT_KEYS if k not in header]
+        if missing:
+            raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
 
         def read_arr(shape):
             n = int(np.prod(shape)) if shape else 1

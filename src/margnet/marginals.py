@@ -161,7 +161,13 @@ def query_error(real_ds: Dataset, synth_ds: Dataset, n_queries: int, seed: int) 
     return float(np.mean(errs))
 
 
-def all_pair_specs(cards) -> list[MarginalSpec]:
-    """Every two-way spec over a domain, in lexicographic attribute order."""
-    d = len(cards)
-    return [marginal_spec(cards, pair) for pair in itertools.combinations(range(d), 2)]
+#: Largest candidate marginal (in cells) the selection loop will consider.
+MAX_CANDIDATE_CELLS = 10_000_000
+
+
+def selection_candidates(cards) -> list[MarginalSpec]:
+    """The two-way specs the selection loop chooses among, and the
+    unselected-marginal bound ranges over: every pair within the cell cap,
+    in lexicographic attribute order."""
+    pairs = (marginal_spec(cards, p) for p in itertools.combinations(range(len(cards)), 2))
+    return [s for s in pairs if s.n_cells <= MAX_CANDIDATE_CELLS]

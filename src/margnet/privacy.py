@@ -23,6 +23,10 @@ from .errors import EmptyCandidates, InsufficientBudget
 #: Marginal count sensitivity under add/remove-one-record neighbours.
 COUNT_SENSITIVITY = 1.0
 
+#: Sensitivity of a selection score ||M_i(G) - M_i||_1 - n_i / sqrt(pi * rho_m):
+#: one record moves one cell of the exact marginal M_i by 1.
+SCORE_SENSITIVITY = 1.0
+
 
 @dataclass
 class NoiseParams:
@@ -48,7 +52,7 @@ class Accountant:
     def spend(self, rho: float, label: str) -> None:
         if rho <= 0:
             raise ValueError("spend must be positive")
-        if self.rho_used + rho > self.rho_budget + 1e-12:
+        if self.rho_used + rho > self.rho_budget:
             raise InsufficientBudget(
                 f"spend {rho:.6g} for {label!r} exceeds remaining "
                 f"{self.rho_budget - self.rho_used:.6g}"
@@ -59,9 +63,6 @@ class Accountant:
     @property
     def remaining(self) -> float:
         return self.rho_budget - self.rho_used
-
-    def ledger_json(self) -> list:
-        return [[label, rho] for label, rho in self.ledger]
 
 
 def gaussian_mechanism(counts: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:

@@ -1,19 +1,19 @@
 """End-to-end synthesis: budget split, one-way warm-up, adaptive two-way
 selection under the privacy filter, weighted marginal training, and sampling.
 
-The adaptive loop alternates exponential-mechanism selection (budget rho_s per
-round) with Gaussian measurement (rho_m per round) and a training pass. Both
-per-round budgets double when a first-time-selected marginal improves the
-model by less than the expected noise level, and the last round absorbs
-whatever budget remains. A fixed-round mode (no doubling, equal budget per
-round) is available for ablation runs.
+The selection loop alternates exponential-mechanism selection (budget rho_s
+per round) with Gaussian measurement (rho_m per round) and a training pass.
+In adaptive mode both per-round budgets double when a first-time-selected
+marginal improves the model by less than the expected noise level, and the
+last round absorbs whatever budget remains. Fixed-round mode (no doubling,
+equal budget per round) is the ablation of that schedule.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .generator import (
     sample_hard,
     soft_marginal,
 )
-from .marginals import Marginal, MarginalSpec, all_pair_specs, compute_marginal, l1_distance, marginal_spec
-from .privacy import Accountant, NoiseParams, exponential_mechanism, gaussian_mechanism
+from .marginals import (Marginal, MarginalSpec, compute_marginal, l1_distance, marginal_spec,
+                        selection_candidates)
+from .privacy import SCORE_SENSITIVITY, Accountant, NoiseParams, exponential_mechanism, gaussian_mechanism
 
 # Relative budget headroom left unspent so float rounding can never push the
 # ledger total past the budget.
@@ -41,7 +42,6 @@ _BUDGET_SLACK = 1e-9
 class SynthConfig:
     rho_total: float
     c: float | None = None  # selection-granularity parameter; defaults to 16*d
-    r_weights: dict | None = None  # per-candidate score weights, default all 1.0
     train_iters: int = 200
     lr: float = 1e-3
     batch_size: int = 256
@@ -51,7 +51,6 @@ class SynthConfig:
     fixed_rounds: int = 30  # used only in fixed_round mode
     fixed_input: bool = True
     seed: int = 0
-    max_cells: int = 10_000_000  # cap on candidate marginal size
     noise_free: bool = False  # test hook: skip measurement noise (not private)
 
     def resolved_c(self, d: int) -> float:
@@ -74,8 +73,6 @@ class SynthConfig:
             "fixed_input": self.fixed_input,
             "seed": self.seed,
             "noise_free": self.noise_free,
-            "r_weights": None if not self.r_weights
-            else sorted([list(k), v] for k, v in self.r_weights.items()),
         }
 
 
@@ -219,19 +216,18 @@ def train(model: GeneratorModel, measurements: list[Measurement], scale: float,
 
 
 def candidate_scores(model: GeneratorModel, exact: dict, candidates: list[MarginalSpec],
-                     rho_m: float, r_weights: dict, scale: float) -> np.ndarray:
+                     rho_m: float, scale: float) -> np.ndarray:
     """Selection scores: expected estimation improvement minus expected noise.
 
-    q_i = r_i * (||M_i(G) - M_i||_1 - n_i / sqrt(pi * rho_m)), with M_i(G) the
-    model's soft marginal at the current scale and M_i the exact marginal.
+    q_i = ||M_i(G) - M_i||_1 - n_i / sqrt(pi * rho_m), with M_i(G) the model's
+    soft marginal at the current scale and M_i the exact marginal.
     """
     batch = forward(model)
     scores = np.empty(len(candidates))
     for i, spec in enumerate(candidates):
-        r_i = r_weights.get(spec.attrs, 1.0)
         est = soft_marginal(batch, spec, scale)
         gap = l1_distance(est, exact[spec.attrs])
-        scores[i] = r_i * (gap - spec.n_cells / math.sqrt(math.pi * rho_m))
+        scores[i] = gap - spec.n_cells / math.sqrt(math.pi * rho_m)
     return scores
 
 
@@ -243,7 +239,7 @@ def warmup(ds: Dataset, domain: Domain, model: GeneratorModel, acct: Accountant,
     raises InsufficientBudget up front if that does not fit.
     """
     d = domain.d
-    if d * rho_m > acct.remaining + 1e-12:
+    if d * rho_m > acct.remaining:
         raise InsufficientBudget(
             f"warm-up needs {d * rho_m:.6g} but only {acct.remaining:.6g} remains"
         )
@@ -270,38 +266,51 @@ def _round_budgets_exact(remaining: float) -> tuple[float, float]:
     return rho_s, usable - rho_s
 
 
-def adaptive_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
-                  measurements: list[Measurement], acct: Accountant, rho_total: float,
-                  rho_s: float, rho_m: float, config: SynthConfig, scale: float,
-                  rng_select, rng_measure, rng_train,
-                  trace: SelectionTrace) -> GeneratorModel:
-    """Select-measure-train until the phase budget rho_total is exhausted.
+def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
+                   measurements: list[Measurement], acct: Accountant, rho_total: float,
+                   rho_s: float, rho_m: float, config: SynthConfig, scale: float,
+                   rng_select, rng_measure, rng_train,
+                   trace: SelectionTrace) -> GeneratorModel:
+    """Select-measure-train rounds over the two-way candidates.
+
+    The modes differ only in the per-round budget schedule. Adaptive mode
+    starts at (rho_s, rho_m), doubles both when a first-time-selected marginal
+    improves the model by less than the expected noise, and stops once the
+    phase budget rho_total is spent. Fixed-round mode runs exactly
+    config.fixed_rounds equal-budget rounds and never doubles.
 
     Returns the model state before the final round (needed by the unselected-
     marginal diagnostics); `model` itself is trained in place.
     """
     d = domain.d
-    candidates = [s for s in all_pair_specs(domain.cards) if s.n_cells <= config.max_cells]
+    fixed = config.mode == "fixed_round"
+    if fixed:
+        if config.fixed_rounds < 1:
+            raise ValueError("fixed_round mode needs at least one round")
+        unit = rho_total * (1.0 - _BUDGET_SLACK) / config.fixed_rounds
+        rho_s = 0.1 * unit
+        rho_m = unit - rho_s
+    elif config.mode != "adaptive":
+        raise ValueError(f"unknown mode {config.mode!r}")
+    candidates = selection_candidates(domain.cards)
     if not candidates:
         return model.copy()
-    r_weights = config.r_weights or {}
-    delta_q = max(r_weights.get(s.attrs, 1.0) for s in candidates)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
     selected_before: set = set()
     spent = 0.0
     tol = _BUDGET_SLACK * rho_total
     prev_model = model.copy()
     k = 0
-    while spent < rho_total - tol:
+    while (k < config.fixed_rounds) if fixed else (spent < rho_total - tol):
         k += 1
         # safety clamp: never start a round the remaining budget cannot cover
         # (also leaves headroom absorbing float rounding in the running sums)
-        if spent + rho_s + rho_m > rho_total * (1.0 - _BUDGET_SLACK):
+        if not fixed and spent + rho_s + rho_m > rho_total * (1.0 - _BUDGET_SLACK):
             rho_s, rho_m = _round_budgets_exact(rho_total - spent)
         prev_model = model.copy()
 
-        scores = candidate_scores(model, exact, candidates, rho_m, r_weights, scale)
-        idx = exponential_mechanism(scores, delta_q, rho_s, rng_select)
+        scores = candidate_scores(model, exact, candidates, rho_m, scale)
+        idx = exponential_mechanism(scores, SCORE_SENSITIVITY, rho_s, rng_select)
         acct.spend(rho_s, f"select:round:{k}")
         chosen = candidates[idx]
 
@@ -318,73 +327,25 @@ def adaptive_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
               config.fixed_input, rng_train)
         spent += rho_s + rho_m
 
-        est_after = soft_marginal(forward(model), chosen, scale)
-        improvement = l1_distance(est_after, est_before)
+        improvement = l1_distance(soft_marginal(forward(model), chosen, scale), est_before)
         noise_floor = chosen.n_cells / math.sqrt(math.pi * rho_m)
-        doubled = False
-        if improvement < noise_floor and chosen.attrs not in selected_before:
-            rho_s *= 2.0
-            rho_m *= 2.0
-            doubled = True
+        doubled = (not fixed and improvement < noise_floor
+                   and chosen.attrs not in selected_before)
         selected_before.add(chosen.attrs)
         trace.rounds.append(RoundRecord(
-            round=k, attrs=chosen.attrs, rho_s=acct.ledger[-2][1], rho_m=acct.ledger[-1][1],
+            round=k, attrs=chosen.attrs, rho_s=rho_s, rho_m=rho_m,
             score=float(scores[idx]), improvement=improvement,
             noise_floor=noise_floor, doubled=doubled,
         ))
-        if spent + rho_s + rho_m >= rho_total:
+        if doubled:
+            rho_s *= 2.0
+            rho_m *= 2.0
+        # the last adaptive round absorbs whatever budget remains
+        if not fixed and spent + rho_s + rho_m >= rho_total:
             rho_s, rho_m = _round_budgets_exact(rho_total - spent)
 
     # closing pass over everything measured, always for the full iteration
     # count (training never early-stops)
-    train(model, measurements, scale, config.train_iters, config.lr,
-          config.fixed_input, rng_train)
-    return prev_model
-
-
-def fixed_round_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
-                     measurements: list[Measurement], acct: Accountant, rho_total: float,
-                     config: SynthConfig, scale: float,
-                     rng_select, rng_measure, rng_train,
-                     trace: SelectionTrace) -> GeneratorModel:
-    """Ablation mode: exactly K equal-budget rounds, no doubling, no early stop."""
-    d = domain.d
-    k_rounds = config.fixed_rounds
-    if k_rounds < 1:
-        raise ValueError("fixed_round mode needs at least one round")
-    unit = rho_total * (1.0 - _BUDGET_SLACK) / k_rounds
-    rho_s = 0.1 * unit
-    rho_m = unit - rho_s
-    candidates = [s for s in all_pair_specs(domain.cards) if s.n_cells <= config.max_cells]
-    if not candidates:
-        return model.copy()
-    r_weights = config.r_weights or {}
-    delta_q = max(r_weights.get(s.attrs, 1.0) for s in candidates)
-    exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
-    prev_model = model.copy()
-    for k in range(1, k_rounds + 1):
-        prev_model = model.copy()
-        scores = candidate_scores(model, exact, candidates, rho_m, r_weights, scale)
-        idx = exponential_mechanism(scores, delta_q, rho_s, rng_select)
-        acct.spend(rho_s, f"select:round:{k}")
-        chosen = candidates[idx]
-        est_before = soft_marginal(forward(model), chosen, scale)
-        noisy = _measure(exact[chosen.attrs].counts, rho_m, rng_measure, config.noise_free)
-        acct.spend(rho_m, f"measure:round:{k}")
-        for m in measurements:
-            m.newly_selected = False
-        measurements.append(Measurement(spec=chosen, noisy=Marginal(chosen, noisy),
-                                        rho_m=rho_m, sigma=NoiseParams(rho_m).sigma,
-                                        round=k, newly_selected=True))
-        compute_weights(measurements, d)
-        train(model, measurements, scale, config.train_iters, config.lr,
-              config.fixed_input, rng_train)
-        improvement = l1_distance(soft_marginal(forward(model), chosen, scale), est_before)
-        trace.rounds.append(RoundRecord(
-            round=k, attrs=chosen.attrs, rho_s=rho_s, rho_m=rho_m,
-            score=float(scores[idx]), improvement=improvement,
-            noise_floor=chosen.n_cells / math.sqrt(math.pi * rho_m), doubled=False,
-        ))
     train(model, measurements, scale, config.train_iters, config.lr,
           config.fixed_input, rng_train)
     return prev_model
@@ -403,7 +364,7 @@ class SynthResult:
 
 
 def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult:
-    """Full pipeline: split, warm-up, adaptive (or fixed-round) loop, sample."""
+    """Full pipeline: split, warm-up, selection loop, sample."""
     t0 = time.perf_counter()
     d = domain.d
     c = config.resolved_c(d)
@@ -429,17 +390,10 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
     trace.warmup = list(measurements)
     trace.n_estimate = n_estimate
 
-    rho_phase = acct.remaining  # rho - d * rho_m
-    if config.mode == "adaptive":
-        prev_model = adaptive_loop(ds, domain, model, measurements, acct, rho_phase,
-                                   rho_s, rho_m, config, n_estimate,
-                                   rng_select, rng_measure, rng_train, trace)
-    elif config.mode == "fixed_round":
-        prev_model = fixed_round_loop(ds, domain, model, measurements, acct, rho_phase,
-                                      config, n_estimate,
-                                      rng_select, rng_measure, rng_train, trace)
-    else:
-        raise ValueError(f"unknown mode {config.mode!r}")
+    # the loop's phase budget is what the warm-up left: rho - d * rho_m
+    prev_model = selection_loop(ds, domain, model, measurements, acct, acct.remaining,
+                                rho_s, rho_m, config, n_estimate,
+                                rng_select, rng_measure, rng_train, trace)
 
     trace.measurements = [m for m in measurements if m.round > 0]
     trace.ledger = list(acct.ledger)
@@ -452,8 +406,3 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
         wall_clock_seconds=time.perf_counter() - t0, decode_seed=decode_seed,
     )
 
-
-def run_fixed_round(ds: Dataset, domain: Domain, config: SynthConfig, k_rounds: int) -> SynthResult:
-    """Convenience wrapper for the fixed-round ablation mode."""
-    cfg = replace(config, mode="fixed_round", fixed_rounds=k_rounds)
-    return run_margnet(ds, domain, cfg)

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -188,3 +189,79 @@ def test_check_corrupted_checkpoint_exits_1(gauss_files, tmp_path):
     bad.write_bytes(bytes(data))
     assert run_cli("check", "--trace", out + ".trace.json", "--checkpoint", str(bad),
                    "--data", csv, "--domain", domain) == 1
+
+
+def test_synth_undeclared_category_exits_2(tmp_path, capsys):
+    domain = tmp_path / "d.json"
+    domain.write_text(json.dumps({"attributes": [
+        {"name": "c", "type": "categorical", "values": ["a", "b"]},
+        {"name": "x", "type": "numeric", "min": 0, "max": 1, "bins": 2},
+    ]}))
+    data = tmp_path / "t.csv"
+    data.write_text("c,x\na,0.1\nz,0.7\n")
+    assert run_cli("synth", "--data", str(data), "--domain", str(domain),
+                   "--epsilon", "1.0", "--out", str(tmp_path / "x.csv")) == 2
+    err = capsys.readouterr().err
+    assert "'z'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_cell_exits_2(gauss_files, tmp_path, capsys, cell):
+    csv, domain = gauss_files
+    bad = tmp_path / "bad.csv"
+    lines = open(csv).read().splitlines()
+    lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli("synth", "--data", str(bad), "--domain", domain, "--epsilon", "1.0",
+                   "--out", str(tmp_path / "x.csv")) == 2
+    assert run_cli("eval", "--real", csv, "--synth", str(bad), "--domain", domain) == 2
+    assert run_cli("check", "--trace", str(tmp_path / "t.json"),
+                   "--checkpoint", str(tmp_path / "c.ckpt"),
+                   "--data", str(bad), "--domain", domain) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"cannot parse '{cell}'") == 3
+
+
+@pytest.fixture(scope="module")
+def finished_run(gauss_files, tmp_path_factory):
+    csv, domain = gauss_files
+    out = str(tmp_path_factory.mktemp("run") / "s.csv")
+    assert run_cli("synth", "--data", csv, "--domain", domain,
+                   "--epsilon", "1.0", "--out", out, "--seed", "8",
+                   *SMALL_SYNTH_FLAGS) == 0
+    return out + ".trace.json", out + ".ckpt"
+
+
+@pytest.mark.parametrize("field,value", [("counts", [1.0, 2.0]), ("attrs", 5)])
+def test_check_malformed_trace_exits_2(gauss_files, finished_run, tmp_path, capsys,
+                                       field, value):
+    csv, domain = gauss_files
+    trace_path, ckpt = finished_run
+    trace = json.load(open(trace_path))
+    trace["measurements"][0][field] = value
+    bad = tmp_path / "bad.trace.json"
+    bad.write_text(json.dumps(trace))
+    assert run_cli("check", "--trace", str(bad), "--checkpoint", ckpt,
+                   "--data", csv, "--domain", domain) == 2
+    assert "malformed trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda h: {k: v for k, v in h.items() if k != "layer_shapes"}, "layer_shapes"),
+    (lambda h: [h], "not a JSON object"),
+], ids=["missing-key", "not-an-object"])
+def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tmp_path,
+                                                   capsys, mangle, message):
+    csv, domain = gauss_files
+    trace_path, ckpt = finished_run
+    data = open(ckpt, "rb").read()
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    blob = json.dumps(mangle(json.loads(data[16:16 + hlen]))).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen:])
+    assert run_cli("check", "--trace", trace_path, "--checkpoint", str(bad),
+                   "--data", csv, "--domain", domain) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "malformed domain file" not in err

@@ -12,7 +12,6 @@ from margnet.domain import (
     encode,
     gen_gaussian_dataset,
     load_csv,
-    rare_category_filter,
     uniform_bin_edges,
     write_csv,
 )
@@ -64,6 +63,17 @@ def test_load_csv_parse_error(tmp_path):
         load_csv(p, small_domain())
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite(tmp_path, cell):
+    # a non-finite value has no bin; it must not be silently encoded
+    p = tmp_path / "t.csv"
+    p.write_text(f"age,job\n30,eng\n{cell},eng\n")
+    with pytest.raises(ParseError) as ei:
+        load_csv(p, small_domain())
+    assert ei.value.row == 1
+    assert ei.value.column == "age"
+
+
 # ------------------------------------------------------------------ binning
 
 def test_uniform_bin_edges():
@@ -109,35 +119,6 @@ def test_encode_unknown_goes_to_rare_bucket():
     dom = Domain([AttributeMeta("c", "categorical", 2, category_labels=["a", "__other__"])])
     ds = encode(RawTable(header=["c"], columns=[["a", "zzz"]]), dom)
     assert ds.rows[:, 0].tolist() == [0, 1]
-
-
-# ---------------------------------------------------------- rare categories
-
-def rare_table(counts):
-    col = []
-    for lab, n in counts.items():
-        col.extend([lab] * n)
-    return RawTable(header=["c"], columns=[col])
-
-
-def test_rare_filter_merges():
-    meta = AttributeMeta("c", "categorical", 2, category_labels=["a", "b"])
-    out = rare_category_filter(rare_table({"a": 100, "b": 2}), 0, 5, meta)
-    assert out.category_labels == ["a", "__other__"]
-    assert out.cardinality == 2
-
-
-def test_rare_filter_noop():
-    meta = AttributeMeta("c", "categorical", 2, category_labels=["a", "b"])
-    out = rare_category_filter(rare_table({"a": 100, "b": 50}), 0, 5, meta)
-    assert out.category_labels == ["a", "b"]
-
-
-def test_rare_filter_full_merge():
-    meta = AttributeMeta("c", "categorical", 2, category_labels=["a", "b"])
-    out = rare_category_filter(rare_table({"a": 1, "b": 1}), 0, 5, meta)
-    assert out.category_labels == ["__other__"]
-    assert out.cardinality == 1
 
 
 # --------------------------------------------------------------- gen gauss

@@ -14,6 +14,7 @@ from margnet.marginals import (
     l1_distance,
     marginal_spec,
     query_error,
+    selection_candidates,
     tvd,
     unflatten_index,
 )
@@ -224,3 +225,9 @@ def test_marginal_json_shape():
     assert set(obj) == {"attrs", "counts"}
     assert obj["attrs"] == [0, 1]
     assert obj["counts"] == m.counts.tolist()
+
+
+def test_selection_candidates_order_and_cell_cap():
+    assert [s.attrs for s in selection_candidates((2, 3, 4))] == [(0, 1), (0, 2), (1, 2)]
+    # the pair (0, 1) has 4000 * 3000 = 12M cells, above the 10M cap
+    assert [s.attrs for s in selection_candidates((4000, 3000, 2))] == [(0, 2), (1, 2)]

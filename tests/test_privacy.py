@@ -34,6 +34,18 @@ def test_spend_over_budget():
     assert acct.rho_used == 0.0  # a rejected spend leaves no trace
 
 
+def test_spend_over_tiny_budget():
+    # the filter is exact: no absolute tolerance lets a spend 50x a tiny
+    # budget through
+    acct = Accountant(rho_budget=1e-14)
+    with pytest.raises(InsufficientBudget):
+        acct.spend(5e-13, "over")
+    acct.spend(1e-14, "exactly the budget")
+    with pytest.raises(InsufficientBudget):
+        acct.spend(1e-30, "anything more")
+    assert acct.rho_used == 1e-14
+
+
 def test_spend_zero_rejected():
     acct = Accountant(rho_budget=1.0)
     with pytest.raises(ValueError):
