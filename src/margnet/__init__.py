@@ -17,11 +17,13 @@ from .generator import (
     GeneratorModel,
     SoftBatch,
     adam_step,
+    fold_targets,
     forward,
     init_generator,
     loss_and_grad,
     sample_hard,
     soft_marginal,
+    soft_marginals,
 )
 from .marginals import (
     Marginal,

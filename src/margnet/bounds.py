@@ -24,7 +24,7 @@ from scipy.special import gammainc
 
 from .domain import Dataset
 from .errors import InvalidDelta, NoRounds
-from .generator import GeneratorModel, forward, soft_marginal
+from .generator import GeneratorModel, soft_marginals
 from .marginals import Marginal, compute_marginal, l1_distance, marginal_spec, selection_candidates
 from .privacy import SCORE_SENSITIVITY
 
@@ -154,11 +154,11 @@ def selected_upper_bound(measurements: list, model: GeneratorModel, scale: float
         if not 0 < dl < 1:
             raise InvalidDelta(f"delta must be in (0, 1), got {dl}")
 
-    batch = forward(model)
+    soft = soft_marginals(model, scale, order)
     report = BoundReport(deltas=list(deltas))
     for spec, delta_i in zip(order, deltas):
         combined, sigma_bar = combine_measurements(groups[spec.attrs])
-        est = soft_marginal(batch, spec, scale).counts
+        est = soft.marginal(spec).counts
         fit_term = float(((combined - est) ** 2).sum())
         tail = sigma_bar ** 2 * chi2_inverse_cdf(1.0 - delta_i, spec.n_cells)
         bound = 2.0 * (fit_term + tail)
@@ -193,22 +193,20 @@ def unselected_bound(trace, model: GeneratorModel, prev_model: GeneratorModel,
     n_candidates = len(candidates)
     measured = {tuple(r.attrs) for r in trace.rounds}
 
-    batch_final = forward(model)
-    batch_prev = forward(prev_model)
-    theta_err = l1_distance(soft_marginal(batch_prev, theta, scale), compute_marginal(ds, theta))
+    unmeasured = [s for s in candidates if s.attrs not in measured]
+    soft_final = soft_marginals(model, scale, unmeasured)
+    soft_prev = soft_marginals(prev_model, scale, unmeasured + [theta])
+    theta_err = l1_distance(soft_prev.marginal(theta), compute_marginal(ds, theta))
 
     report = BoundReport(deltas=[delta])
-    for spec in candidates:
-        if spec.attrs in measured:
-            continue
+    for spec in unmeasured:
         b_ik = (
             theta_err
             + (spec.n_cells - theta.n_cells) / math.sqrt(math.pi * rho_s_k)
             + SCORE_SENSITIVITY * math.log(n_candidates / delta) / math.sqrt(2.0 * rho_s_k)
         )
-        drift = l1_distance(soft_marginal(batch_prev, spec, scale),
-                            soft_marginal(batch_final, spec, scale))
-        observed = l1_distance(soft_marginal(batch_final, spec, scale),
-                               compute_marginal(ds, spec))
+        est = soft_final.marginal(spec)
+        drift = l1_distance(soft_prev.marginal(spec), est)
+        observed = l1_distance(est, compute_marginal(ds, spec))
         report.entries.append(BoundEntry(attrs=spec.attrs, observed=observed, bound=b_ik + drift))
     return report

@@ -36,7 +36,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .evaluation import evaluate
-from .generator import forward, load_checkpoint, save_checkpoint, soft_marginal
+from .generator import load_checkpoint, save_checkpoint, soft_marginals
 from .marginals import compute_marginal, frobenius_sq, marginal_spec
 from .privacy import dp_to_zcdp_rho, zcdp_to_dp_epsilon
 from .synthesis import SynthConfig, run_margnet, trace_from_json_dict
@@ -267,9 +267,9 @@ def cmd_check(args) -> int:
             selected_attrs.append(tuple(r.attrs))
     exact = {a: compute_marginal(ds, marginal_spec(ds, a)) for a in selected_attrs}
 
-    batch = forward(model)
+    soft = soft_marginals(model, scale, [marginal_spec(ds, a) for a in selected_attrs])
     observed_selected = sum(
-        frobenius_sq(soft_marginal(batch, marginal_spec(ds, a), scale), exact[a])
+        frobenius_sq(soft.marginal(marginal_spec(ds, a)), exact[a])
         for a in selected_attrs
     )
     lower = bounds_mod.selected_lower_bound(list(exact.values()), model.batch_size)

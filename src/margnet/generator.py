@@ -1,12 +1,19 @@
 """MLP generator with per-attribute softmax heads and exact analytic gradients.
 
 The generator maps a fixed latent batch Z (sampled once at initialization) to a
-"soft batch": every row carries one probability vector per attribute. One- and
-two-way marginals of the generated data are then differentiable functions of
-the network output — a one-way marginal is a scaled column mean of a segment,
-a two-way marginal is the scaled batch-mean of row-wise outer products — so the
-weighted squared-error loss against noisy target marginals can be minimized by
-plain gradient descent. Backpropagation is written out by hand; no autograd.
+"soft batch" P (b rows, out_width columns): every row carries one probability
+vector per attribute. Every soft marginal of the generated data is read from
+one operator: each two-way marginal is a block of the Gram matrix
+G = (S/b) P^T P and each one-way marginal is a segment of the column sums
+g1 = (S/b) 1^T P, with S the record scale. Only the blocks of G that the
+requested marginals need are formed (see `gram_layout`).
+
+The weighted squared-error loss against noisy targets folds into weights and
+weighted-mean targets laid out like those blocks (W2, T2) and like g1 (w1, t1),
+plus a constant for repeated measurements of one spec. With R = W2 * (G - T2)
+and r1 = w1 * (g1 - t1) the gradient is dP = (2S/b) (P (R + R^T) + 1 r1^T):
+two GEMMs per block, one block for a compact target set. Backpropagation is
+written out by hand; no autograd.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +31,17 @@ from .marginals import Marginal, MarginalSpec
 
 CHECKPOINT_MAGIC = b"MGNETCK1"
 _CHECKPOINT_KEYS = ("cards", "latent_dim", "batch_size", "layer_shapes", "has_prev")
+
+# A set of two-way marginals is read from one square block of G over all the
+# attributes it touches while that block has at most DENSE_SLACK times as many
+# cells as the marginals themselves; past that, each attribute's pairs get a
+# block row of their own, which holds exactly the requested cells.
+DENSE_SLACK = 8
+
+
+def _segment(cards, offsets, attr: int) -> slice:
+    """Columns of attribute `attr` in a layout where it starts at offsets[attr]."""
+    return slice(offsets[attr], offsets[attr] + cards[attr])
 
 
 @dataclass
@@ -51,8 +70,7 @@ class GeneratorModel:
         )
 
     def segment(self, attr: int) -> slice:
-        off = self.seg_offsets[attr]
-        return slice(off, off + self.cards[attr])
+        return _segment(self.cards, self.seg_offsets, attr)
 
 
 @dataclass
@@ -62,8 +80,7 @@ class SoftBatch:
     seg_offsets: tuple[int, ...]
 
     def segment(self, attr: int) -> np.ndarray:
-        off = self.seg_offsets[attr]
-        return self.probs[:, off : off + self.cards[attr]]
+        return self.probs[:, _segment(self.cards, self.seg_offsets, attr)]
 
 
 def init_generator(
@@ -89,14 +106,14 @@ def init_generator(
     return GeneratorModel(layers=layers, cards=cards, seg_offsets=offsets, latent_dim=latent_dim, Z=Z)
 
 
+def _per_segment(ufunc, x: np.ndarray, cards, offsets) -> np.ndarray:
+    """`ufunc` reduced over each row's segments, repeated back over the segment's columns."""
+    return np.repeat(ufunc.reduceat(x, offsets, axis=1), cards, axis=1)
+
+
 def _segment_softmax(logits: np.ndarray, cards, offsets) -> np.ndarray:
-    probs = np.empty_like(logits)
-    for off, c in zip(offsets, cards):
-        seg = logits[:, off : off + c]
-        shifted = seg - seg.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        probs[:, off : off + c] = e / e.sum(axis=1, keepdims=True)
-    return probs
+    e = np.exp(logits - _per_segment(np.maximum, logits, cards, offsets))
+    return e / _per_segment(np.add, e, cards, offsets)
 
 
 def _forward_full(model: GeneratorModel, z: np.ndarray | None = None):
@@ -139,44 +156,181 @@ def soft_marginal(batch: SoftBatch, spec: MarginalSpec, scale: float) -> Margina
     return Marginal(spec, counts)
 
 
-def loss_and_grad(model: GeneratorModel, targets, scale: float, z: np.ndarray | None = None):
+class GramBlock(NamedTuple):
+    """Rows x cols of G, each a slice or an index array of output columns."""
+    rows: slice | np.ndarray
+    cols: slice | np.ndarray
+    shape: tuple[int, int]
+
+
+def _columns(cards, offsets, attrs):
+    """The output columns of ascending `attrs` back to back (a slice when the
+    attributes are adjacent), their count, and where each attribute starts."""
+    widths = [cards[a] for a in attrs]
+    starts = dict(zip(attrs, (int(s) for s in np.cumsum([0] + widths[:-1]))))
+    if list(attrs) == list(range(attrs[0], attrs[-1] + 1)):
+        cols = slice(offsets[attrs[0]], offsets[attrs[-1]] + cards[attrs[-1]])
+    else:
+        cols = np.concatenate([np.arange(offsets[a], offsets[a] + cards[a]) for a in attrs])
+    return cols, sum(widths), starts
+
+
+@dataclass
+class GramLayout:
+    """Where the two-way marginals of a spec set sit in G = (S/b) P^T P:
+    where[attrs] = (k, r, c) places the marginal of `attrs` at rows r and
+    columns c of blocks[k]."""
+
+    cards: tuple[int, ...]
+    seg_offsets: tuple[int, ...]
+    blocks: list[GramBlock] = field(default_factory=list)
+    where: dict = field(default_factory=dict)
+
+
+def gram_layout(model: GeneratorModel, pairs) -> GramLayout:
+    """The blocks of G that hold the two-way marginals over `pairs`.
+
+    One square block over every attribute the pairs touch, unless it would
+    have more than DENSE_SLACK times the pairs' cells; then one block row per
+    first attribute, over the columns of that attribute's partners.
+    """
+    cards, offsets = model.cards, model.seg_offsets
+    pairs = sorted(set(pairs))
+    attrs = sorted({a for pair in pairs for a in pair})
+    width = sum(cards[a] for a in attrs)
+    if pairs and width * width <= DENSE_SLACK * sum(cards[a] * cards[c] for a, c in pairs):
+        groups = [(attrs, attrs, pairs)]
+    else:
+        partners: dict = {}
+        for a, c in pairs:
+            partners.setdefault(a, []).append(c)
+        groups = [([a], cs, [(a, c) for c in cs]) for a, cs in partners.items()]
+    layout = GramLayout(cards, offsets)
+    for row_attrs, col_attrs, owned in groups:
+        rows, n_rows, row_starts = _columns(cards, offsets, row_attrs)
+        cols, n_cols, col_starts = (rows, n_rows, row_starts) if col_attrs is row_attrs \
+            else _columns(cards, offsets, col_attrs)
+        for a, c in owned:
+            layout.where[(a, c)] = (len(layout.blocks), _segment(cards, row_starts, a),
+                                    _segment(cards, col_starts, c))
+        layout.blocks.append(GramBlock(rows, cols, (n_rows, n_cols)))
+    return layout
+
+
+def _gram_blocks(probs: np.ndarray, layout: GramLayout, c: float):
+    """Per block of `layout`: the block, its row and column slabs of P, and
+    c P_rows^T P_cols."""
+    for blk in layout.blocks:
+        p_rows = probs[:, blk.rows]
+        p_cols = p_rows if blk.cols is blk.rows else probs[:, blk.cols]
+        yield blk, p_rows, p_cols, c * (p_rows.T @ p_cols)
+
+
+@dataclass
+class SoftMarginals:
+    """One- and two-way soft marginals of one soft batch P at one scale S:
+    `ones` = (S/b) 1^T P holds each one-way marginal as its segment, and
+    blocks[k] holds block k of G = (S/b) P^T P as placed by `layout`."""
+
+    layout: GramLayout
+    ones: np.ndarray
+    blocks: list[np.ndarray]
+
+    def marginal(self, spec: MarginalSpec) -> Marginal:
+        if spec.order == 1:
+            seg = _segment(self.layout.cards, self.layout.seg_offsets, spec.attrs[0])
+            return Marginal(spec, self.ones[seg])
+        k, rows, cols = self.layout.where[spec.attrs]
+        return Marginal(spec, self.blocks[k][rows, cols])
+
+
+def soft_marginals(model: GeneratorModel, scale: float, specs) -> SoftMarginals:
+    """The soft marginals of `specs` (order <= 2) from one forward pass."""
+    if any(s.order > 2 for s in specs):
+        raise UnsupportedOrder("soft marginals support order 1 and 2 only")
+    layout = gram_layout(model, [s.attrs for s in specs if s.order == 2])
+    probs = forward(model).probs
+    c = scale / probs.shape[0]
+    return SoftMarginals(layout, c * probs.sum(axis=0),
+                         [gram for *_, gram in _gram_blocks(probs, layout, c)])
+
+
+@dataclass
+class MarginalTargets:
+    """A weighted target set folded onto the operator's layout.
+
+    sum_j w_j ||est - y_j||^2 over the measurements of one spec equals
+    W ||est - ybar||^2 + sum_j w_j ||y_j - ybar||^2 with W = sum_j w_j and ybar
+    the W-weighted mean, so the whole set is one weight and one mean per cell
+    plus a constant.
+    """
+
+    scale: float
+    layout: GramLayout
+    weight1: np.ndarray  # w1, like g1: segment a holds W of spec (a,)
+    mean1: np.ndarray  # t1, like g1: segment a holds ybar of spec (a,)
+    weight2: list[np.ndarray]  # W2, like the blocks: spec (a, c)'s place holds its W
+    mean2: list[np.ndarray]  # T2, like the blocks: spec (a, c)'s place holds its ybar
+    const: float = 0.0
+
+
+def fold_targets(model: GeneratorModel, targets, scale: float) -> MarginalTargets:
+    """Fold targets (objects with .spec of order <= 2, .noisy and .weight)
+    into per-cell weights and weighted means."""
+    groups: dict = {}
+    for t in targets:
+        if t.spec.order > 2:
+            raise UnsupportedOrder("training targets must be one- or two-way marginals")
+        groups.setdefault(t.spec.attrs, []).append(t)
+    layout = gram_layout(model, [attrs for attrs in groups if len(attrs) == 2])
+    width = model.out_width
+    folded = MarginalTargets(scale, layout, np.zeros(width), np.zeros(width),
+                             [np.zeros(blk.shape) for blk in layout.blocks],
+                             [np.zeros(blk.shape) for blk in layout.blocks])
+    for attrs, group in groups.items():
+        total = sum(t.weight for t in group)
+        if total == 0:
+            continue  # weightless measurements add nothing to the loss
+        mean = sum(t.weight * t.noisy.counts for t in group) / total
+        folded.const += sum(t.weight * float(((t.noisy.counts - mean) ** 2).sum()) for t in group)
+        if len(attrs) == 1:
+            folded.weight1[model.segment(attrs[0])] = total
+            folded.mean1[model.segment(attrs[0])] = mean
+        else:
+            k, rows, cols = layout.where[attrs]
+            folded.weight2[k][rows, cols] = total
+            folded.mean2[k][rows, cols] = mean.reshape(group[0].spec.cards)
+    return folded
+
+
+def loss_and_grad(model: GeneratorModel, targets: MarginalTargets, z: np.ndarray | None = None):
     """Weighted marginal-matching loss and its exact gradient.
 
-    targets: iterable of objects with .spec (order <= 2), .noisy (Marginal)
-    and .weight. Loss = sum_i w_i * ||soft_marginal_i - noisy_i||_F^2.
-    Returns (loss, grads) with grads shaped like model.layers.
+    Loss = sum_i w_i * ||soft_marginal_i - noisy_i||_F^2 over the folded
+    targets (see `fold_targets`). Returns (loss, grads) with grads shaped like
+    model.layers.
     """
     acts, probs = _forward_full(model, z)
     b = probs.shape[0]
-    loss = 0.0
-    dprobs = np.zeros_like(probs)
-    for t in targets:
-        spec = t.spec
-        if spec.order == 1:
-            seg = model.segment(spec.attrs[0])
-            est = scale * probs[:, seg].mean(axis=0)
-            resid = est - t.noisy.counts
-            loss += t.weight * float(resid @ resid)
-            dprobs[:, seg] += (2.0 * t.weight * scale / b) * resid[None, :]
-        elif spec.order == 2:
-            s1 = model.segment(spec.attrs[0])
-            s2 = model.segment(spec.attrs[1])
-            U, V = probs[:, s1], probs[:, s2]
-            est = (scale / b) * (U.T @ V)
-            resid = est - t.noisy.counts.reshape(est.shape)
-            loss += t.weight * float((resid * resid).sum())
-            g = 2.0 * t.weight * (scale / b) * resid
-            dprobs[:, s1] += V @ g.T
-            dprobs[:, s2] += U @ g
+    c = targets.scale / b
+    err1 = c * probs.sum(axis=0) - targets.mean1
+    resid1 = targets.weight1 * err1
+    loss = targets.const + float(resid1 @ err1)
+    dprobs = np.repeat(resid1[None, :], b, axis=0)
+    blocks = _gram_blocks(probs, targets.layout, c)
+    for (blk, p_rows, p_cols, gram), weight, mean in zip(blocks, targets.weight2, targets.mean2):
+        err = gram - mean
+        resid = weight * err
+        loss += float((resid * err).sum())
+        if blk.cols is blk.rows:
+            dprobs[:, blk.rows] += p_rows @ (resid + resid.T)
         else:
-            raise UnsupportedOrder("training targets must be one- or two-way marginals")
+            dprobs[:, blk.rows] += p_cols @ resid.T
+            dprobs[:, blk.cols] += p_rows @ resid
+    dprobs *= 2.0 * c
 
     # softmax backward per segment: dz = p * (g - sum(g * p))
-    dlogits = np.empty_like(dprobs)
-    for off, c in zip(model.seg_offsets, model.cards):
-        sl = slice(off, off + c)
-        p, g = probs[:, sl], dprobs[:, sl]
-        dlogits[:, sl] = p * (g - (g * p).sum(axis=1, keepdims=True))
+    dlogits = probs * (dprobs - _per_segment(np.add, dprobs * probs, model.cards, model.seg_offsets))
 
     grads = [None] * len(model.layers)
     dh = dlogits
@@ -279,6 +433,42 @@ def save_checkpoint(path, model: GeneratorModel, prev_model: GeneratorModel | No
             f.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
 
 
+def _check_header(header: dict) -> None:
+    """Raise CheckpointError unless the header describes a loadable model:
+    positive int sizes, a bool has_prev, and [[fan_in, fan_out], [fan_out]]
+    layer shapes chaining from latent_dim to sum(cards)."""
+    def is_size(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v > 0
+
+    def is_sizes(v, n=None):
+        return isinstance(v, list) and all(map(is_size, v)) and (n is None or len(v) == n)
+
+    for key in ("latent_dim", "batch_size"):
+        if not is_size(header[key]):
+            raise CheckpointError(f"checkpoint header: {key} must be a positive int, "
+                                  f"got {header[key]!r}")
+    if not is_sizes(header["cards"]) or not header["cards"]:
+        raise CheckpointError(f"checkpoint header: cards must be a non-empty list of "
+                              f"positive ints, got {header['cards']!r}")
+    if not isinstance(header["has_prev"], bool):
+        raise CheckpointError(f"checkpoint header: has_prev must be a bool, "
+                              f"got {header['has_prev']!r}")
+    shapes = header["layer_shapes"]
+    width = header["latent_dim"]
+    if not isinstance(shapes, list) or not shapes:
+        raise CheckpointError(f"checkpoint header: layer_shapes must be a non-empty list, "
+                              f"got {shapes!r}")
+    for shape in shapes:
+        if not (isinstance(shape, list) and len(shape) == 2 and is_sizes(shape[0], 2)
+                and shape[0][0] == width and shape[1] == shape[0][1:]):
+            raise CheckpointError(f"checkpoint header: layer shape {shape!r} is not "
+                                  f"[[{width}, n], [n]]")
+        width = shape[0][1]
+    if width != sum(header["cards"]):
+        raise CheckpointError(f"checkpoint header: output width {width} != sum(cards) "
+                              f"{sum(header['cards'])}")
+
+
 def load_checkpoint(path):
     """Returns (model, prev_model_or_None)."""
     with open(path, "rb") as f:
@@ -297,6 +487,7 @@ def load_checkpoint(path):
         missing = [k for k in _CHECKPOINT_KEYS if k not in header]
         if missing:
             raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
+        _check_header(header)
 
         def read_arr(shape):
             n = int(np.prod(shape)) if shape else 1

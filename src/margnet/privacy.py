@@ -13,7 +13,6 @@ N(0, sigma^2) per cell with sigma = 1/sqrt(2*rho).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,19 +110,13 @@ def _best_log_delta(rho: float, eps: float) -> float:
 
     A dense grid over (1, 64] locates the minimum, which is then refined by
     golden-section search. If the minimum sits at the grid's upper edge the
-    bracket is extended (with a diagnostic warning), which happens for very
-    small rho.
+    bracket is extended by doubling, the routine path for small rho (for
+    example epsilon = 0.3, delta = 1e-5).
     """
     grid = _ALPHA_GRID
     vals = _log_delta(rho, eps, grid)
     i = int(np.argmin(vals))
     if i == len(grid) - 1:
-        # stable message so repeated hits within one conversion deduplicate
-        warnings.warn(
-            "zCDP->DP conversion: optimal alpha above 64 (small rho); extending search range",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         lo, hi = grid[i - 1], grid[i]
         f_hi = vals[i]
         while hi < 1e9:

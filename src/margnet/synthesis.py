@@ -22,12 +22,13 @@ from .errors import InsufficientBudget
 from .generator import (
     AdamState,
     GeneratorModel,
+    SoftMarginals,
     adam_step,
-    forward,
+    fold_targets,
     init_generator,
     loss_and_grad,
     sample_hard,
-    soft_marginal,
+    soft_marginals,
 )
 from .marginals import (Marginal, MarginalSpec, compute_marginal, l1_distance, marginal_spec,
                         selection_candidates)
@@ -207,25 +208,25 @@ def train(model: GeneratorModel, measurements: list[Measurement], scale: float,
     """Run `iters` gradient steps on the weighted marginal loss; returns the
     final loss. A fresh optimizer state is used for every training pass."""
     state = AdamState.for_model(model)
+    targets = fold_targets(model, measurements, scale)
     loss = 0.0
     for _ in range(iters):
         z = None if fixed_input else rng.standard_normal(model.Z.shape)
-        loss, grads = loss_and_grad(model, measurements, scale, z=z)
+        loss, grads = loss_and_grad(model, targets, z=z)
         adam_step(model, grads, state, lr)
     return loss
 
 
-def candidate_scores(model: GeneratorModel, exact: dict, candidates: list[MarginalSpec],
-                     rho_m: float, scale: float) -> np.ndarray:
+def candidate_scores(soft: SoftMarginals, exact: dict, candidates: list[MarginalSpec],
+                     rho_m: float) -> np.ndarray:
     """Selection scores: expected estimation improvement minus expected noise.
 
     q_i = ||M_i(G) - M_i||_1 - n_i / sqrt(pi * rho_m), with M_i(G) the model's
-    soft marginal at the current scale and M_i the exact marginal.
+    soft marginal (read from `soft`) and M_i the exact marginal.
     """
-    batch = forward(model)
     scores = np.empty(len(candidates))
     for i, spec in enumerate(candidates):
-        est = soft_marginal(batch, spec, scale)
+        est = soft.marginal(spec)
         gap = l1_distance(est, exact[spec.attrs])
         scores[i] = gap - spec.n_cells / math.sqrt(math.pi * rho_m)
     return scores
@@ -300,6 +301,7 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
     spent = 0.0
     tol = _BUDGET_SLACK * rho_total
     prev_model = model.copy()
+    soft = soft_marginals(model, scale, candidates)
     k = 0
     while (k < config.fixed_rounds) if fixed else (spent < rho_total - tol):
         k += 1
@@ -309,12 +311,12 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
             rho_s, rho_m = _round_budgets_exact(rho_total - spent)
         prev_model = model.copy()
 
-        scores = candidate_scores(model, exact, candidates, rho_m, scale)
+        scores = candidate_scores(soft, exact, candidates, rho_m)
         idx = exponential_mechanism(scores, SCORE_SENSITIVITY, rho_s, rng_select)
         acct.spend(rho_s, f"select:round:{k}")
         chosen = candidates[idx]
 
-        est_before = soft_marginal(forward(model), chosen, scale)
+        est_before = soft.marginal(chosen)
         noisy = _measure(exact[chosen.attrs].counts, rho_m, rng_measure, config.noise_free)
         acct.spend(rho_m, f"measure:round:{k}")
         for m in measurements:
@@ -327,7 +329,9 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
               config.fixed_input, rng_train)
         spent += rho_s + rho_m
 
-        improvement = l1_distance(soft_marginal(forward(model), chosen, scale), est_before)
+        # the trained model's marginals: this round's improvement, next round's scores
+        soft = soft_marginals(model, scale, candidates)
+        improvement = l1_distance(soft.marginal(chosen), est_before)
         noise_floor = chosen.n_cells / math.sqrt(math.pi * rho_m)
         doubled = (not fixed and improvement < noise_floor
                    and chosen.attrs not in selected_before)

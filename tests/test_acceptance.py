@@ -16,7 +16,7 @@ import pytest
 
 from margnet.cli import main as cli_main
 from margnet.domain import Dataset, auto_numeric_domain, encode, gen_gaussian_dataset
-from margnet.generator import forward, init_generator, loss_and_grad, soft_marginal
+from margnet.generator import fold_targets, forward, init_generator, loss_and_grad, soft_marginal
 from margnet.marginals import Marginal, compute_marginal, fidelity_error, frobenius_sq, marginal_spec
 from margnet.privacy import dp_to_zcdp_rho, exponential_mechanism, gaussian_mechanism, zcdp_to_dp_epsilon
 from margnet.bounds import selected_lower_bound, selected_upper_bound, unselected_bound
@@ -66,7 +66,7 @@ def test_criterion_1_privacy_filter_exactness():
 # -------------------------------------------------------------- criterion 2
 
 def finite_difference_max_rel_error(model, targets, scale, h=1e-5):
-    _, grads = loss_and_grad(model, targets, scale)
+    _, grads = loss_and_grad(model, fold_targets(model, targets, scale))
     worst = 0.0
     for l, (W, b) in enumerate(model.layers):
         for arr, g in ((W, grads[l][0]), (b, grads[l][1])):
@@ -75,9 +75,9 @@ def finite_difference_max_rel_error(model, targets, scale, h=1e-5):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = loss_and_grad(model, targets, scale)
+                lp, _ = loss_and_grad(model, fold_targets(model, targets, scale))
                 arr[idx] = orig - h
-                lm, _ = loss_and_grad(model, targets, scale)
+                lm, _ = loss_and_grad(model, fold_targets(model, targets, scale))
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 denom = max(abs(fd), abs(g[idx]), 1e-6)

@@ -16,10 +16,10 @@ from margnet.bounds import (
 from margnet.domain import Dataset
 from margnet.errors import InvalidDelta, NoRounds
 from margnet.generator import forward, init_generator, soft_marginal
-from margnet.marginals import Marginal, compute_marginal, marginal_spec
+from margnet.marginals import Marginal, compute_marginal, l1_distance, marginal_spec
 from margnet.synthesis import Measurement, RoundRecord, SelectionTrace
 
-from conftest import categorical_domain
+from conftest import categorical_domain, random_dataset
 
 
 # -------------------------------------------------------------- chi-squared
@@ -200,3 +200,43 @@ def test_unselected_no_rounds():
     dom, ds, model = uniform_setup()
     with pytest.raises(NoRounds):
         unselected_bound(SelectionTrace(), model, model, ds, scale=10.0, delta=0.05)
+
+
+def test_bounds_read_from_gram_match_per_spec_marginals():
+    # both bounds read their soft marginals as blocks of one Gram matrix per
+    # model; recompute every entry from per-spec soft marginals
+    dom = categorical_domain([3, 1, 4, 2])
+    ds = random_dataset(dom.cards, 300, seed=21)
+    model = init_generator(dom, [10], 4, 9, seed=5)
+    prev = init_generator(dom, [10], 4, 9, seed=6)
+    scale, delta = 300.0, 0.1
+    trace = mk_trace((0, 2), rho_s=0.02, rho_m=0.18)
+    rep = unselected_bound(trace, model, prev, ds, scale=scale, delta=delta)
+    theta = marginal_spec(ds, (0, 2))
+    theta_err = l1_distance(soft_marginal(forward(prev), theta, scale), compute_marginal(ds, theta))
+    assert len(rep.entries) == 5
+    for e in rep.entries:
+        spec = marginal_spec(ds, e.attrs)
+        est = soft_marginal(forward(model), spec, scale)
+        drift = l1_distance(soft_marginal(forward(prev), spec, scale), est)
+        b_ik = (theta_err + (spec.n_cells - theta.n_cells) / math.sqrt(math.pi * 0.02)
+                + math.log(6 / delta) / math.sqrt(2 * 0.02))
+        assert e.bound == pytest.approx(b_ik + drift, abs=1e-9)
+        assert e.observed == pytest.approx(l1_distance(est, compute_marginal(ds, spec)), abs=1e-9)
+
+    rng = np.random.default_rng(2)
+    ms = []
+    for attrs in [(0, 2), (1, 3), (0, 2)]:
+        spec = marginal_spec(ds, attrs)
+        ms.append(Measurement(spec=spec, noisy=Marginal(spec, rng.normal(10, 3, spec.n_cells)),
+                              rho_m=float(rng.uniform(0.1, 1.0)), sigma=1.0))
+    exact = {a: compute_marginal(ds, marginal_spec(ds, a)) for a in [(0, 2), (1, 3)]}
+    up = selected_upper_bound(ms, model, scale, deltas=delta, exact=exact)
+    for e in up.entries:
+        spec = marginal_spec(ds, e.attrs)
+        combined, sigma_bar = combine_measurements([m for m in ms if m.spec.attrs == e.attrs])
+        est = soft_marginal(forward(model), spec, scale).counts
+        want = 2.0 * (((combined - est) ** 2).sum()
+                      + sigma_bar ** 2 * chi2_inverse_cdf(1 - delta, spec.n_cells))
+        assert e.bound == pytest.approx(want, abs=1e-9)
+        assert e.observed == pytest.approx(((exact[e.attrs].counts - est) ** 2).sum(), abs=1e-9)

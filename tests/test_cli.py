@@ -250,7 +250,16 @@ def test_check_malformed_trace_exits_2(gauss_files, finished_run, tmp_path, caps
 @pytest.mark.parametrize("mangle,message", [
     (lambda h: {k: v for k, v in h.items() if k != "layer_shapes"}, "layer_shapes"),
     (lambda h: [h], "not a JSON object"),
-], ids=["missing-key", "not-an-object"])
+    (lambda h: {**h, "batch_size": "x"}, "batch_size must be a positive int"),
+    (lambda h: {**h, "latent_dim": -3}, "latent_dim must be a positive int"),
+    (lambda h: {**h, "cards": [3.5]}, "cards must be a non-empty list of positive ints"),
+    (lambda h: {**h, "has_prev": 1}, "has_prev must be a bool"),
+    (lambda h: {**h, "layer_shapes": 7}, "layer_shapes must be a non-empty list"),
+    (lambda h: {**h, "layer_shapes": h["layer_shapes"][:1]}, "!= sum(cards)"),
+    (lambda h: {**h, "layer_shapes": [[[1, 2], [2]]] + h["layer_shapes"][1:]}, "is not [["),
+], ids=["missing-key", "not-an-object", "batch-size-str", "latent-dim-negative",
+        "cards-float", "has-prev-int", "layer-shapes-int", "layer-chain-short",
+        "layer-chain-break"])
 def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tmp_path,
                                                    capsys, mangle, message):
     csv, domain = gauss_files
@@ -264,4 +273,5 @@ def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tm
                    "--data", csv, "--domain", domain) == 1
     err = capsys.readouterr().err
     assert message in err
+    assert len(err.strip().splitlines()) == 1
     assert "malformed domain file" not in err

@@ -1,24 +1,41 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from margnet import generator
 from margnet.domain import AttributeMeta, Domain
 from margnet.errors import CheckpointError, UnsupportedOrder
 from margnet.generator import (
     AdamState,
     SoftBatch,
+    _segment_softmax,
     adam_step,
+    fold_targets,
     forward,
+    gram_layout,
     init_generator,
     load_checkpoint,
     loss_and_grad,
     sample_hard,
     save_checkpoint,
     soft_marginal,
+    soft_marginals,
 )
 from margnet.marginals import Marginal, compute_marginal, marginal_spec
 from margnet.synthesis import Measurement
 
 from conftest import categorical_domain
+
+
+# DENSE_SLACK settings that force each layout of G: one square block, or one
+# block row per first attribute
+LAYOUTS = {"one-block": 10**9, "block-rows": 0}
+
+
+@pytest.fixture(params=sorted(LAYOUTS))
+def layout_slack(request, monkeypatch):
+    monkeypatch.setattr(generator, "DENSE_SLACK", LAYOUTS[request.param])
 
 
 def tiny_model(cards=(2, 3), hidden=(8,), latent=3, batch=4, seed=7):
@@ -77,6 +94,20 @@ def test_forward_rows_on_simplex():
         assert np.allclose(seg.sum(axis=1), 1.0, atol=1e-6)
 
 
+def test_segment_softmax_mixed_cardinalities_on_simplex():
+    cards = (1, 3, 1, 5, 2)
+    offsets = tuple(int(o) for o in np.cumsum((0,) + cards[:-1]))
+    logits = np.random.default_rng(3).normal(0, 30, size=(9, sum(cards)))
+    probs = _segment_softmax(logits, cards, offsets)
+    for off, c in zip(offsets, cards):
+        seg = probs[:, off:off + c]
+        assert np.all(seg >= 0)
+        assert np.allclose(seg.sum(axis=1), 1.0, atol=1e-12)
+        e = np.exp(logits[:, off:off + c] - logits[:, off:off + c].max(axis=1, keepdims=True))
+        assert np.allclose(seg, e / e.sum(axis=1, keepdims=True), rtol=1e-12, atol=0)
+    assert np.all(probs[:, [0, 4]] == 1.0)
+
+
 def test_forward_fixed_input_repeatable():
     m = tiny_model()
     assert np.array_equal(forward(m).probs, forward(m).probs)
@@ -108,6 +139,44 @@ def test_soft_marginal_marginalizes_exactly():
     assert np.allclose(two.sum(axis=1), one, atol=1e-12)
 
 
+@pytest.mark.parametrize("pairs", [
+    list(itertools.combinations(range(4), 2)),
+    [(0, 1), (0, 3)],  # partners 1 and 3 are not adjacent columns
+    [(0, 2), (1, 3)],
+], ids=["all-pairs", "one-row-gap", "disjoint"])
+def test_soft_marginals_blocks_match_per_spec(layout_slack, pairs):
+    m = tiny_model(cards=(3, 1, 4, 2), hidden=(10,), batch=13, seed=6)
+    specs = [marginal_spec(m.cards, attrs) for attrs in [(a,) for a in range(4)] + pairs]
+    soft = soft_marginals(m, 37.0, specs)
+    sb = forward(m)
+    for spec in specs:
+        assert np.allclose(soft.marginal(spec).counts, soft_marginal(sb, spec, 37.0).counts,
+                           rtol=1e-12, atol=1e-12)
+
+
+def test_soft_marginals_reject_three_way():
+    m = tiny_model(cards=(2, 2, 2))
+    with pytest.raises(UnsupportedOrder):
+        soft_marginals(m, 1.0, [marginal_spec(m.cards, (0, 1, 2))])
+
+
+def test_gram_layout_one_block_for_compact_pairs():
+    m = tiny_model(cards=(10,) * 24)
+    layout = gram_layout(m, list(itertools.combinations(range(24), 2)))
+    assert [blk.shape for blk in layout.blocks] == [(240, 240)]
+
+
+def test_gram_layout_block_rows_hold_only_requested_cells():
+    # a 500-category attribute: one square block would be ~100x the pairs' cells
+    m = tiny_model(cards=(500, 2, 3, 4))
+    pairs = list(itertools.combinations(range(4), 2))
+    layout = gram_layout(m, pairs)
+    assert [blk.shape for blk in layout.blocks] == [(500, 9), (2, 7), (3, 4)]
+    targets = make_targets(m.cards, [(0, 2)], [np.ones(1500)])
+    folded = fold_targets(m, targets, 1.0)
+    assert [w.shape for w in folded.weight2] == [(500, 3)]
+
+
 def test_soft_marginal_rejects_three_way():
     m = tiny_model(cards=(2, 2, 2))
     sb = forward(m)
@@ -128,7 +197,7 @@ def test_soft_batch_rank_at_most_b():
 # --------------------------------------------------------------- loss/grad
 
 def finite_difference_check(model, targets, scale, h=1e-5):
-    _, grads = loss_and_grad(model, targets, scale)
+    _, grads = loss_and_grad(model, fold_targets(model, targets, scale))
     worst = 0.0
     for l, (W, b) in enumerate(model.layers):
         for arr, g in ((W, grads[l][0]), (b, grads[l][1])):
@@ -137,9 +206,9 @@ def finite_difference_check(model, targets, scale, h=1e-5):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = loss_and_grad(model, targets, scale)
+                lp, _ = loss_and_grad(model, fold_targets(model, targets, scale))
                 arr[idx] = orig - h
-                lm, _ = loss_and_grad(model, targets, scale)
+                lm, _ = loss_and_grad(model, fold_targets(model, targets, scale))
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 denom = max(abs(fd), abs(g[idx]), 1e-6)
@@ -156,13 +225,96 @@ def test_gradient_matches_finite_differences():
     assert finite_difference_check(m, targets, scale=10.0) < 1e-4
 
 
+def repeated_spec_targets(model, seed):
+    """One- and two-way targets over cards (3, 1, 4); spec (0, 2) is measured
+    twice with different weights and spec (1,) twice with equal weights."""
+    rng = np.random.default_rng(seed)
+    specs = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 2), (1,)]
+    targets = []
+    for attrs in specs:
+        spec = marginal_spec(model.cards, attrs)
+        targets.append(Measurement(spec=spec, noisy=Marginal(spec, rng.normal(4, 2, spec.n_cells)),
+                                   rho_m=0.5, sigma=1.0, weight=float(rng.uniform(0.5, 3.0))))
+    targets[-1].weight = targets[1].weight
+    return targets
+
+
+def reference_loss_and_grad(model, targets, scale):
+    """The per-target loop the Gram-matrix operator replaced, kept as an oracle:
+    per-segment softmax, one loss term and one gradient update per target."""
+    h = model.Z
+    acts = [h]
+    for l, (W, b) in enumerate(model.layers):
+        h = h @ W + b
+        if l < len(model.layers) - 1:
+            h = np.maximum(h, 0.0)
+        acts.append(h)
+    probs = np.empty_like(h)
+    for off, c in zip(model.seg_offsets, model.cards):
+        e = np.exp(h[:, off:off + c] - h[:, off:off + c].max(axis=1, keepdims=True))
+        probs[:, off:off + c] = e / e.sum(axis=1, keepdims=True)
+    b = probs.shape[0]
+    loss = 0.0
+    dprobs = np.zeros_like(probs)
+    for t in targets:
+        if t.spec.order == 1:
+            seg = model.segment(t.spec.attrs[0])
+            resid = scale * probs[:, seg].mean(axis=0) - t.noisy.counts
+            loss += t.weight * float(resid @ resid)
+            dprobs[:, seg] += (2.0 * t.weight * scale / b) * resid[None, :]
+        else:
+            s1, s2 = model.segment(t.spec.attrs[0]), model.segment(t.spec.attrs[1])
+            U, V = probs[:, s1], probs[:, s2]
+            resid = (scale / b) * (U.T @ V) - t.noisy.counts.reshape(t.spec.cards)
+            loss += t.weight * float((resid * resid).sum())
+            g = 2.0 * t.weight * (scale / b) * resid
+            dprobs[:, s1] += V @ g.T
+            dprobs[:, s2] += U @ g
+    dh = np.empty_like(dprobs)
+    for off, c in zip(model.seg_offsets, model.cards):
+        p, g = probs[:, off:off + c], dprobs[:, off:off + c]
+        dh[:, off:off + c] = p * (g - (g * p).sum(axis=1, keepdims=True))
+    grads = [None] * len(model.layers)
+    for l in range(len(model.layers) - 1, -1, -1):
+        if l < len(model.layers) - 1:
+            dh = dh * (acts[l + 1] > 0)
+        grads[l] = (acts[l].T @ dh, dh.sum(axis=0))
+        dh = dh @ model.layers[l][0].T
+    return loss, grads
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_loss_and_grad_matches_per_target_oracle(layout_slack, seed):
+    m = tiny_model(cards=(3, 1, 4), hidden=(12, 9), latent=5, batch=7, seed=seed)
+    targets = repeated_spec_targets(m, seed)
+    loss, grads = loss_and_grad(m, fold_targets(m, targets, 11.0))
+    want_loss, want_grads = reference_loss_and_grad(m, targets, 11.0)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for got, want in zip(grads, want_grads):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_gradient_matches_finite_differences_repeated_specs(layout_slack):
+    m = tiny_model(cards=(3, 1, 4), hidden=(6,), latent=3, batch=5, seed=4)
+    assert finite_difference_check(m, repeated_spec_targets(m, 5), scale=10.0) < 1e-4
+
+
+def test_fold_targets_rejects_three_way():
+    m = tiny_model(cards=(2, 2, 2))
+    targets = make_targets(m.cards, [(0, 1, 2)], [np.ones(8)])
+    with pytest.raises(UnsupportedOrder):
+        fold_targets(m, targets, 1.0)
+
+
 def test_perfect_fit_zero_loss_zero_grad():
     m = tiny_model(cards=(2, 3), seed=3)
     sb = forward(m)
     specs = [(0,), (1,), (0, 1)]
     counts = [soft_marginal(sb, marginal_spec(m.cards, s), 5.0).counts for s in specs]
     targets = make_targets(m.cards, specs, counts)
-    loss, grads = loss_and_grad(m, targets, 5.0)
+    loss, grads = loss_and_grad(m, fold_targets(m, targets, 5.0))
     assert loss < 1e-20
     for gW, gb in grads:
         assert np.max(np.abs(gW)) < 1e-10
@@ -176,8 +328,8 @@ def test_loss_linear_in_weights():
     counts = [rng.normal(2, 1, 2), rng.normal(2, 1, 6)]
     t1 = make_targets(m.cards, specs, counts, weight=1.0)
     t2 = make_targets(m.cards, specs, counts, weight=2.0)
-    l1, g1 = loss_and_grad(m, t1, 5.0)
-    l2, g2 = loss_and_grad(m, t2, 5.0)
+    l1, g1 = loss_and_grad(m, fold_targets(m, t1, 5.0))
+    l2, g2 = loss_and_grad(m, fold_targets(m, t2, 5.0))
     assert l2 == pytest.approx(2 * l1)
     for (gW1, gb1), (gW2, gb2) in zip(g1, g2):
         assert np.allclose(gW2, 2 * gW1)

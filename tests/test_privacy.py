@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,3 +206,13 @@ def test_inverse_against_bisection_oracle():
         else:
             hi = mid
     assert rho == pytest.approx(lo, abs=1e-6)
+
+
+def test_small_epsilon_conversion_is_silent():
+    # at epsilon = 0.3 the optimal Renyi order lies above the alpha grid, so
+    # the search bracket is extended; that routine path must not warn, and
+    # the returned rho is unchanged from the warning version
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = dp_to_zcdp_rho(0.3, 1e-5)
+    assert rho == 0.0033029705286026

@@ -8,7 +8,8 @@ import pytest
 from margnet.domain import Dataset
 from margnet.errors import InsufficientBudget
 from margnet.generator import forward, init_generator
-from margnet.marginals import Marginal, compute_marginal, marginal_spec, tvd
+from margnet.marginals import (Marginal, compute_marginal, l1_distance, marginal_spec,
+                               selection_candidates, tvd)
 from margnet.privacy import Accountant
 from margnet.synthesis import (
     Measurement,
@@ -20,7 +21,7 @@ from margnet.synthesis import (
     trace_from_json_dict,
     warmup,
 )
-from margnet.generator import soft_marginal
+from margnet.generator import soft_marginal, soft_marginals
 
 from conftest import categorical_domain, random_dataset
 
@@ -145,7 +146,7 @@ def test_candidate_scores_perfect_fit():
     # make the "exact" marginal equal the model's soft marginal
     soft = soft_marginal(forward(model), spec, 100.0)
     rho_m = 0.25
-    scores = candidate_scores(model, {spec.attrs: soft}, [spec], rho_m, 100.0)
+    scores = candidate_scores(soft_marginals(model, 100.0, [spec]), {spec.attrs: soft}, [spec], rho_m)
     assert scores[0] == pytest.approx(-spec.n_cells / math.sqrt(math.pi * rho_m))
 
 
@@ -156,10 +157,25 @@ def test_candidate_scores_arithmetic():
     spec = marginal_spec(ds, (0, 1))
     exact = {spec.attrs: compute_marginal(ds, spec)}
     rho_m = 1.0 / math.pi  # noise term becomes exactly n_i
-    scores = candidate_scores(model, exact, [spec], rho_m, 50.0)
-    from margnet.marginals import l1_distance
+    scores = candidate_scores(soft_marginals(model, 50.0, [spec]), exact, [spec], rho_m)
     gap = l1_distance(soft_marginal(forward(model), spec, 50.0), exact[spec.attrs])
     assert scores[0] == pytest.approx(gap - 4.0)
+
+
+def test_candidate_scores_match_per_spec_soft_marginals():
+    # scores read from the Gram blocks equal per-spec soft marginals + L1
+    dom = categorical_domain([3, 1, 4, 2, 5])
+    ds = random_dataset(dom.cards, 400, seed=12)
+    model = init_generator(dom, [12], 5, 11, seed=4)
+    candidates = selection_candidates(dom.cards)
+    exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
+    rho_m, scale = 0.07, 400.0
+    scores = candidate_scores(soft_marginals(model, scale, candidates), exact, candidates, rho_m)
+    sb = forward(model)
+    want = [l1_distance(soft_marginal(sb, s, scale), exact[s.attrs])
+            - s.n_cells / math.sqrt(math.pi * rho_m) for s in candidates]
+    assert len(scores) == 10
+    assert np.max(np.abs(scores - np.array(want))) <= 1e-9
 
 
 # ---------------------------------------------------------------- full runs
@@ -273,7 +289,6 @@ def test_em_scores_use_pre_round_model():
     final = res.trace.rounds[-1]
     spec = marginal_spec(ds, final.attrs)
     est = soft_marginal(forward(res.prev_model), spec, res.n_estimate)
-    from margnet.marginals import l1_distance
     gap = l1_distance(est, compute_marginal(ds, spec))
     recomputed = gap - spec.n_cells / math.sqrt(math.pi * final.rho_m)
     assert recomputed == pytest.approx(final.score, rel=1e-12)
