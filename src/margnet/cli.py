@@ -248,6 +248,10 @@ def cmd_check(args) -> int:
     except (ValueError, KeyError) as e:
         print(f"error: malformed domain file: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    if model.cards != domain.cards:
+        print(f"error: checkpoint cards {model.cards} do not match the domain's cards "
+              f"{domain.cards}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         trace = trace_from_json_dict(trace_obj, domain.cards)
     except (KeyError, TypeError, ValueError, MargNetError) as e:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,13 +116,14 @@ class Domain:
 class Dataset:
     """Encoded table: integer category indices, one column per attribute."""
 
-    rows: np.ndarray  # (N, d) int64
+    rows: np.ndarray  # (N, d) int64, column-major so that each column is contiguous
     cards: tuple[int, ...]
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.int64)
         if self.rows.ndim != 2:
             self.rows = self.rows.reshape(-1, len(self.cards))
+        self.rows = np.asfortranarray(self.rows)
         if self.rows.shape[1] != len(self.cards):
             raise ValueError("row width does not match the number of attributes")
         if self.rows.size:
@@ -171,58 +173,104 @@ def bin_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def load_csv(path, domain: Domain) -> RawTable:
     """Read a CSV and reorder its columns to the domain's attribute order.
 
-    Extra CSV columns are dropped. Numeric columns are parsed as floats;
-    a non-numeric or non-finite (nan, inf) cell in a numeric column is a
-    ParseError.
+    Dialect: comma-delimited, `"` quoting with `""` escapes, blank lines
+    skipped, no comment lines. Extra CSV columns are dropped and every cell
+    is stripped of surrounding whitespace. Numeric columns are parsed as
+    floats; a cell that is not an ASCII decimal or exponent number (so
+    `1_000` and non-ASCII digits are rejected too), or that is non-finite
+    (nan, inf), is a ParseError, as is a row too short to hold a column.
     """
+    names = [f"c{j}" for j in range(domain.d)]
+    numeric = [meta.kind == "numeric" for meta in domain.attributes]
+    dtype = [(name, float if is_num else object) for name, is_num in zip(names, numeric)]
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+        usecols = _header_columns(csv.reader(f), domain)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(domain.names[0]) from None
-        header = [h.strip() for h in header]
-        col_idx = {}
-        for meta in domain.attributes:
-            if meta.name not in header:
-                raise MissingColumn(meta.name)
-            col_idx[meta.name] = header.index(meta.name)
-
-        columns = [[] for _ in domain.attributes]
-        for row_no, row in enumerate(reader):
-            if not row:
-                continue
-            for j, meta in enumerate(domain.attributes):
-                k = col_idx[meta.name]
-                if k >= len(row):
-                    raise ParseError(row_no, meta.name, "<missing cell>")
-                cell = row[k].strip()
-                if meta.kind == "numeric":
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ParseError(row_no, meta.name, cell) from None
-                    if not math.isfinite(value):
-                        raise ParseError(row_no, meta.name, cell)
-                    columns[j].append(value)
-                else:
-                    columns[j].append(cell)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(f, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                                  usecols=usecols, ndmin=1)
+            ok = all(np.isfinite(data[name]).all() for name, is_num in zip(names, numeric) if is_num)
+        except ValueError:
+            ok = False
+        if not ok:
+            f.seek(0)
+            _raise_bad_cell(f, domain, usecols)
+            raise ValueError(f"{path}: the numpy and csv readers disagree on this file")
+    columns = [data[name].tolist() if is_num else [cell.strip() for cell in data[name]]
+               for name, is_num in zip(names, numeric)]
     return RawTable(header=domain.names, columns=columns)
 
 
+def _header_columns(reader, domain: Domain) -> list[int]:
+    """Position in the CSV header of each domain attribute, in domain order."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise MissingColumn(domain.names[0]) from None
+    for name in domain.names:
+        if name not in header:
+            raise MissingColumn(name)
+    return [header.index(name) for name in domain.names]
+
+
+def _is_number(cell: str) -> bool:
+    # what np.loadtxt accepts: float() also takes `1_000` and non-ASCII digits
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def _raise_bad_cell(f, domain: Domain, usecols: list[int]) -> None:
+    """Rescan a CSV cell by cell and raise the ParseError of its first bad
+    cell. Rows are numbered from 0 after the header, blank lines included."""
+    reader = csv.reader(f)
+    next(reader)
+    for row_no, row in enumerate(reader):
+        if not row:
+            continue
+        for meta, k in zip(domain.attributes, usecols):
+            if k >= len(row):
+                raise ParseError(row_no, meta.name, "<missing cell>")
+            cell = row[k].strip()
+            if meta.kind == "numeric" and not _is_number(cell):
+                raise ParseError(row_no, meta.name, cell)
+
+
+def _csv_cell(label: str) -> str:
+    """A string cell as the csv module's default dialect writes it."""
+    if any(c in label for c in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
 def write_csv(path, table: RawTable) -> None:
+    """Write a table in the dialect load_csv reads, `\r\n`-terminated.
+
+    A column whose first cell is a string is written as labels (quoted where
+    needed), any other column as numbers in `%.10g` format.
+    """
+    numeric = [bool(col) and not isinstance(col[0], str) for col in table.columns]
+    columns = []
+    for col, is_num in zip(table.columns, numeric):
+        if is_num:
+            columns.append(col)
+        else:
+            cells = {label: _csv_cell(label) for label in set(col)}
+            if len(table.columns) == 1:
+                cells[""] = '""'  # a lone empty cell would read back as a blank line
+            columns.append([cells[label] for label in col])
+    fmt = ",".join("%.10g" if is_num else "%s" for is_num in numeric) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(table.header)
-        n = table.n_rows
-        for i in range(n):
-            writer.writerow(
-                [c[i] if isinstance(c[i], str) else format(c[i], ".10g") for c in table.columns]
-            )
+        csv.writer(f).writerow(table.header)
+        f.writelines(fmt % row for row in zip(*columns))
 
 
 def encode(raw: RawTable, domain: Domain) -> Dataset:
-    """Encode a raw table into integer category indices."""
+    """Encode a raw table into integer category indices, column-major."""
     cols = []
     for j, meta in enumerate(domain.attributes):
         col = raw.columns[j]
@@ -238,7 +286,7 @@ def encode(raw: RawTable, domain: Domain) -> Dataset:
                     raise UnknownCategory(meta.name, v)
                 out[i] = idx
             cols.append(out)
-    rows = np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=np.int64)
+    rows = np.stack(cols).T if cols else np.zeros((0, 0), dtype=np.int64)
     return Dataset(rows=rows, cards=domain.cards)
 
 
@@ -254,8 +302,7 @@ def decode(synth: Dataset, domain: Domain, seed: int) -> RawTable:
     for j, meta in enumerate(domain.attributes):
         idx = synth.rows[:, j]
         if meta.kind == "categorical":
-            labels = meta.category_labels
-            columns.append([labels[i] for i in idx])
+            columns.append(np.array(meta.category_labels, dtype=object)[idx].tolist())
         else:
             lo = meta.bin_edges[idx]
             hi = meta.bin_edges[idx + 1]
@@ -263,7 +310,7 @@ def decode(synth: Dataset, domain: Domain, seed: int) -> RawTable:
             bad = bin_values(vals, meta.bin_edges) != idx
             if np.any(bad):
                 vals[bad] = (lo[bad] + hi[bad]) / 2.0
-            columns.append(list(vals))
+            columns.append(vals.tolist())
     return RawTable(header=domain.names, columns=columns)
 
 
@@ -285,7 +332,7 @@ def gen_gaussian_dataset(dims: int, n_rows: int, corr: float, seed: int) -> RawT
     z = rng.standard_normal((n_rows, dims))
     data = z @ chol.T
     header = [f"x{i}" for i in range(dims)]
-    return RawTable(header=header, columns=[list(data[:, j]) for j in range(dims)])
+    return RawTable(header=header, columns=[data[:, j].tolist() for j in range(dims)])
 
 
 def auto_numeric_domain(table: RawTable, bins: int = 10, pad: float = 0.01) -> Domain:

@@ -395,7 +395,7 @@ def sample_hard(model: GeneratorModel, n_rows: int, seed: int) -> Dataset:
         u = rng.random(n_rows)
         idx = (cum < u[:, None]).sum(axis=1)
         cols.append(np.minimum(idx, c - 1))
-    rows = np.stack(cols, axis=1) if cols else np.zeros((n_rows, 0), dtype=np.int64)
+    rows = np.stack(cols).T if cols else np.zeros((n_rows, 0), dtype=np.int64)
     return Dataset(rows=rows, cards=model.cards)
 
 

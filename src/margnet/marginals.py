@@ -79,8 +79,10 @@ def compute_marginal(ds: Dataset, spec: MarginalSpec) -> Marginal:
         raise SpecOutOfRange("spec cardinalities do not match the dataset")
     if ds.n_records == 0:
         return Marginal(spec, np.zeros(spec.n_cells))
-    proj = ds.rows[:, list(spec.attrs)]
-    flat = np.ravel_multi_index(proj.T, spec.cards)
+    # row-major flat index by Horner's rule, one contiguous column at a time
+    flat = ds.rows[:, spec.attrs[0]]
+    for a, c in zip(spec.attrs[1:], spec.cards[1:]):
+        flat = flat * c + ds.rows[:, a]
     counts = np.bincount(flat, minlength=spec.n_cells).astype(float)
     return Marginal(spec, counts)
 
@@ -152,13 +154,13 @@ def query_error(real_ds: Dataset, synth_ds: Dataset, n_queries: int, seed: int) 
     picks = rng.choice(len(all_specs), size=n_queries, replace=replace)
     n_real = max(real_ds.n_records, 1)
     n_synth = max(synth_ds.n_records, 1)
-    errs = []
-    for p in picks:
+    err = {}
+    for p in np.unique(picks):  # a spec drawn more than once is counted once
         spec = marginal_spec(real_ds, all_specs[p])
         fr = compute_marginal(real_ds, spec).counts / n_real
         fs = compute_marginal(synth_ds, spec).counts / n_synth
-        errs.append(np.abs(fr - fs).mean())
-    return float(np.mean(errs))
+        err[p] = np.abs(fr - fs).mean()
+    return float(np.mean([err[p] for p in picks]))
 
 
 #: Largest candidate marginal (in cells) the selection loop will consider.

@@ -275,3 +275,23 @@ def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tm
     assert message in err
     assert len(err.strip().splitlines()) == 1
     assert "malformed domain file" not in err
+
+
+def test_check_checkpoint_cards_mismatch_exits_2(gauss_files, finished_run, tmp_path, capsys):
+    # a checkpoint from a wider run must not be read against this domain's segments
+    csv, domain = gauss_files
+    trace_path, _ = finished_run
+    wide = str(tmp_path / "wide.csv")
+    assert run_cli("gen-gauss", "--dims", "4", "--rows", "200", "--corr", "0.8",
+                   "--out", wide, "--seed", "2") == 0
+    out = str(tmp_path / "wide_synth.csv")
+    assert run_cli("synth", "--data", wide, "--domain", str(tmp_path / "wide.domain.json"),
+                   "--epsilon", "1.0", "--out", out, "--seed", "3", *SMALL_SYNTH_FLAGS) == 0
+    capsys.readouterr()
+    report = tmp_path / "bounds.json"
+    assert run_cli("check", "--trace", trace_path, "--checkpoint", out + ".ckpt",
+                   "--data", csv, "--domain", domain, "--out", str(report)) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "(10, 10, 10, 10)" in err and "(10, 10, 10)" in err
+    assert not report.exists()

@@ -1,5 +1,11 @@
+import csv
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from margnet.domain import (
     AttributeMeta,
@@ -72,6 +78,167 @@ def test_load_csv_rejects_non_finite(tmp_path, cell):
         load_csv(p, small_domain())
     assert ei.value.row == 1
     assert ei.value.column == "age"
+
+
+# ---------------------------------------------------------- load_csv oracle
+
+def reference_load_csv(path, domain, to_float=float):
+    """The cell-by-cell reader load_csv replaced, kept as its oracle.
+
+    `to_float` parses a numeric cell; passing a stricter parser than float
+    shows which cells the new reader rejects on purpose.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MissingColumn(domain.names[0]) from None
+        header = [h.strip() for h in header]
+        col_idx = {}
+        for meta in domain.attributes:
+            if meta.name not in header:
+                raise MissingColumn(meta.name)
+            col_idx[meta.name] = header.index(meta.name)
+
+        columns = [[] for _ in domain.attributes]
+        for row_no, row in enumerate(reader):
+            if not row:
+                continue
+            for j, meta in enumerate(domain.attributes):
+                k = col_idx[meta.name]
+                if k >= len(row):
+                    raise ParseError(row_no, meta.name, "<missing cell>")
+                cell = row[k].strip()
+                if meta.kind == "numeric":
+                    try:
+                        value = to_float(cell)
+                    except ValueError:
+                        raise ParseError(row_no, meta.name, cell) from None
+                    if not math.isfinite(value):
+                        raise ParseError(row_no, meta.name, cell)
+                    columns[j].append(value)
+                else:
+                    columns[j].append(cell)
+    return RawTable(header=domain.names, columns=columns)
+
+
+def ascii_float(cell):
+    """float() without the two spellings np.loadtxt refuses: digit-group
+    underscores and non-ASCII digits."""
+    if "_" in cell or not cell.isascii():
+        raise ValueError(cell)
+    return float(cell)
+
+
+def outcome(reader, path, domain):
+    """Columns on success, else the exception's type, row, column and text."""
+    try:
+        return reader(path, domain).columns
+    except (MissingColumn, ParseError) as e:
+        return type(e).__name__, getattr(e, "row", None), getattr(e, "column", None), str(e)
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+NUMERIC_CELLS = st.one_of(
+    st.sampled_from(["1", "-2.5", "3e2", ".5", "+7", " 8 ", "\t9", "\xa010\xa0", "nan", "-inf",
+                     "Infinity", "1_000", "\u0661\u0662", "\uff13", "0x10", "", " ", "abc",
+                     "1,5", "1e", '"1"2']),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+).flatmap(lambda c: st.sampled_from([c, quoted(c), quoted(c) + " ", " " + c]))
+
+LABEL_TEXT = st.text(alphabet=' ab,"\n\r\xe9', max_size=6)
+CATEGORICAL_CELLS = st.one_of(
+    LABEL_TEXT.map(quoted),
+    st.text(alphabet=" ab\xe9", max_size=4),
+    st.sampled_from(['a"b', '"ab"c', ' "a"']),
+)
+
+CSV_DOMAIN = Domain([
+    numeric_meta("x", 0, 10, 4),
+    AttributeMeta("c", "categorical", 2, category_labels=["a", "b"]),
+    numeric_meta("y", -1, 1, 3),
+])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text over CSV_DOMAIN's columns (plus an extra one, in any order)
+    with the dialect's edge cases: quoting, blank lines, short and long rows."""
+    header = draw(st.permutations(["x", "c", "y", "extra"]))
+    kinds = {"x": NUMERIC_CELLS, "y": NUMERIC_CELLS, "c": CATEGORICAL_CELLS,
+             "extra": CATEGORICAL_CELLS}
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["full", "full", "full", "blank", "short", "long"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        cells = [draw(kinds[name]) for name in header]
+        if shape == "short":
+            cells = cells[:draw(st.integers(1, len(cells) - 1))]
+        elif shape == "long":
+            cells.append(draw(CATEGORICAL_CELLS))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_files())
+def test_load_csv_matches_cell_by_cell_oracle(tmp_path, text):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode("utf-8"))
+    got = outcome(load_csv, p, CSV_DOMAIN)
+    expected = outcome(lambda q, dom: reference_load_csv(q, dom, ascii_float), p, CSV_DOMAIN)
+    assert got == expected
+    lenient = outcome(reference_load_csv, p, CSV_DOMAIN)
+    if lenient != expected:
+        # the only newly rejected cells are ones float() reads but np.loadtxt does not
+        kind, row, column, _ = expected
+        assert kind == "ParseError"
+        with open(p, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        cell = rows[row + 1][rows[0].index(column)].strip()
+        assert "_" in cell or not cell.isascii()
+        assert math.isfinite(float(cell))
+
+
+@pytest.mark.parametrize("text,row,column,cell", [
+    ("x,c,y\n1,a,2\n1_000,a,2\n", 1, "x", "1_000"),
+    ("x,c,y\n1,a,2\n\n1,a,\u0661\n", 2, "y", "\u0661"),
+    ("x,c,y\n1,a,2\n\n\n1,a\n", 3, "y", "<missing cell>"),
+    ('x,c,y\n"1",a,2\n" 2 ","b,\n",inf\n', 1, "y", "inf"),
+])
+def test_load_csv_error_names_row_column_and_cell(tmp_path, text, row, column, cell):
+    # rows count from 0 after the header, blank lines included
+    p = tmp_path / "t.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as ei:
+        load_csv(p, CSV_DOMAIN)
+    assert (ei.value.row, ei.value.column) == (row, column)
+    assert repr(cell) in str(ei.value)
+
+
+def test_load_csv_quoted_cells(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text('y,c,x\r\n" -0.5 ","a, ""b""\r\nc",7\r\n\r\n1e-1, b ,"8"\r\n', encoding="utf-8")
+    table = load_csv(p, CSV_DOMAIN)
+    assert table.columns == [[7.0, 8.0], ['a, "b"\r\nc', "b"], [-0.5, 0.1]]
+
+
+def test_load_csv_header_only_is_empty_and_silent(tmp_path, capfd):
+    p = tmp_path / "t.csv"
+    p.write_text("x,c,y\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = load_csv(p, CSV_DOMAIN)
+    assert table.columns == [[], [], []]
+    assert table.n_rows == 0
+    assert capfd.readouterr().err == ""
 
 
 # ------------------------------------------------------------------ binning
@@ -200,6 +367,7 @@ def test_encode_decode_round_trip():
         ds = Dataset(rows=rows, cards=dom.cards)
         again = encode(decode(ds, dom, seed=trial), dom)
         assert np.array_equal(again.rows, ds.rows)
+        assert again.rows.flags.f_contiguous
 
 
 def test_csv_write_read_round_trip(tmp_path):
@@ -213,6 +381,44 @@ def test_csv_write_read_round_trip(tmp_path):
     write_csv(p, table)
     back = encode(load_csv(p, dom), dom)
     assert np.array_equal(back.rows, ds.rows)
+
+
+def reference_write_csv(path, table):
+    """The per-cell writer write_csv replaced, kept as its oracle."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(table.header)
+        n = table.n_rows
+        for i in range(n):
+            writer.writerow(
+                [c[i] if isinstance(c[i], str) else format(c[i], ".10g") for c in table.columns]
+            )
+
+
+NUMBERS = st.floats()
+LABELS = st.text(alphabet=' ab,"\n\r\xe9%', max_size=5)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kinds=st.lists(st.sampled_from([NUMBERS, LABELS]), min_size=1, max_size=4),
+       n_rows=st.integers(0, 8), data=st.data())
+def test_write_csv_matches_per_cell_oracle(tmp_path, kinds, n_rows, data):
+    # numeric-only, label-only and mixed tables, including labels that need
+    # quoting, empty labels, nan/inf and one-column tables
+    columns = [data.draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    table = RawTable(header=[f"h{j}" for j in range(len(kinds))], columns=columns)
+    write_csv(tmp_path / "new.csv", table)
+    reference_write_csv(tmp_path / "old.csv", table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_numpy_and_python_floats_match_oracle(tmp_path):
+    values = np.array([0.1, -0.0, 1e300, 5e-324, np.pi, 2.0 ** 60])
+    for col in (values.tolist(), list(values)):
+        table = RawTable(header=["v", "c"], columns=[col, ["x"] * len(col)])
+        write_csv(tmp_path / "new.csv", table)
+        reference_write_csv(tmp_path / "old.csv", table)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_auto_numeric_domain_pads():

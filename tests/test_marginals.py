@@ -74,6 +74,24 @@ def test_brute_force_oracle_equivalence():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+def test_counts_match_brute_force_in_any_memory_layout(layout):
+    # Dataset stores its rows column-major; compute_marginal must not rely on it
+    cards = (3, 4, 2, 5)
+    base = random_dataset(cards, 400, seed=31).rows
+    wide = np.zeros((800, 8), dtype=np.int64)
+    wide[::2, ::2] = base
+    rows = {"C": np.ascontiguousarray(base), "F": np.asfortranarray(base),
+            "sliced": wide[::2, ::2]}[layout]
+    assert np.array_equal(rows, base)
+    ds = Dataset(rows=base, cards=cards)
+    ds.rows = rows
+    for order in (1, 2, 3):
+        for attrs in itertools.combinations(range(len(cards)), order):
+            got = compute_marginal(ds, marginal_spec(ds, attrs)).counts
+            assert np.array_equal(got, brute_force_marginal(ds, attrs, cards))
+
+
 def test_flatten_unflatten_bijection():
     spec = marginal_spec((4, 3, 5), (0, 1, 2))
     for t in itertools.product(range(4), range(3), range(5)):
@@ -210,6 +228,34 @@ def test_query_error_single_spec_oracle():
     # each table puts all mass in one cell; 8 cells, two differ by 1
     expect = (1.0 + 1.0) / 8
     assert query_error(real, synth, 10, seed=0) == pytest.approx(expect)
+
+
+def reference_query_error(real_ds, synth_ds, n_queries, seed):
+    """query_error before counting each drawn spec once, kept as its oracle."""
+    all_specs = list(itertools.combinations(range(real_ds.d), 3))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    replace = len(all_specs) < n_queries
+    picks = rng.choice(len(all_specs), size=n_queries, replace=replace)
+    n_real = max(real_ds.n_records, 1)
+    n_synth = max(synth_ds.n_records, 1)
+    errs = []
+    for p in picks:
+        spec = marginal_spec(real_ds, all_specs[p])
+        fr = compute_marginal(real_ds, spec).counts / n_real
+        fs = compute_marginal(synth_ds, spec).counts / n_synth
+        errs.append(np.abs(fr - fs).mean())
+    return float(np.mean(errs))
+
+
+@pytest.mark.parametrize("d,n_queries", [(5, 300), (12, 100)], ids=["replace", "no-replace"])
+def test_query_error_equals_uncached_loop(d, n_queries):
+    # d=5 has 10 three-way specs, so 300 draws repeat them; d=12 has 220 > 100
+    cards = tuple(2 + a % 4 for a in range(d))
+    real = random_dataset(cards, 500, seed=d)
+    synth = random_dataset(cards, 350, seed=d + 100)
+    for seed in range(3):
+        assert query_error(real, synth, n_queries, seed) == \
+            reference_query_error(real, synth, n_queries, seed)
 
 
 def test_query_error_needs_three_attrs():
