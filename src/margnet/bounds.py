@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc
 
 from .domain import Dataset
 from .errors import InvalidDelta, NoRounds
@@ -29,11 +28,50 @@ from .marginals import Marginal, compute_marginal, l1_distance, marginal_spec, s
 from .privacy import SCORE_SENSITIVITY
 
 
+def _gammainc(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x) for a > 0, x > 0.
+
+    The series for x < a + 1, else 1 - Q with Q from the modified-Lentz
+    continued fraction (Numerical Recipes, section 6.2). The common prefactor
+    e^-x x^a / Gamma(a) is formed in log space.
+    """
+    if x == math.inf:
+        return 1.0
+    eps, tiny = 2.0 ** -52, 1e-300
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        while abs(term) > abs(total) * eps:
+            ap += 1.0
+            term *= x / ap
+            total += term
+        return min(1.0, total * prefactor)
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = h = 1.0 / b
+    i, step = 0, 0.0
+    while abs(step - 1.0) > eps:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        step = d * c
+        h *= step
+    return 1.0 - h * prefactor
+
+
 def chi2_cdf(x: float, dof: int) -> float:
     """Chi-squared CDF via the regularized lower incomplete gamma."""
     if x <= 0:
         return 0.0
-    return float(gammainc(dof / 2.0, x / 2.0))
+    return _gammainc(dof / 2.0, x / 2.0)
 
 
 def chi2_inverse_cdf(p: float, dof: int, tol: float = 1e-8) -> float:
@@ -156,11 +194,15 @@ def selected_upper_bound(measurements: list, model: GeneratorModel, scale: float
 
     soft = soft_marginals(model, scale, order)
     report = BoundReport(deltas=list(deltas))
+    quantiles: dict = {}  # (delta_i, n_i) -> chi2_inv(1 - delta_i, n_i)
     for spec, delta_i in zip(order, deltas):
         combined, sigma_bar = combine_measurements(groups[spec.attrs])
         est = soft.marginal(spec).counts
         fit_term = float(((combined - est) ** 2).sum())
-        tail = sigma_bar ** 2 * chi2_inverse_cdf(1.0 - delta_i, spec.n_cells)
+        key = (delta_i, spec.n_cells)
+        if key not in quantiles:
+            quantiles[key] = chi2_inverse_cdf(1.0 - delta_i, spec.n_cells)
+        tail = sigma_bar ** 2 * quantiles[key]
         bound = 2.0 * (fit_term + tail)
         observed = math.nan
         if exact is not None and spec.attrs in exact:

@@ -14,6 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -278,13 +279,13 @@ def encode(raw: RawTable, domain: Domain) -> Dataset:
             cols.append(bin_values(np.asarray(col, dtype=float), meta.bin_edges))
         else:
             lookup = {lab: i for i, lab in enumerate(meta.category_labels)}
-            rare = lookup.get(RARE_LABEL)
-            out = np.empty(len(col), dtype=np.int64)
-            for i, v in enumerate(col):
-                idx = lookup.get(v, rare)
-                if idx is None:
-                    raise UnknownCategory(meta.name, v)
-                out[i] = idx
+            out = np.fromiter(map(lookup.get, col, repeat(-1)), np.int64, len(col))
+            unknown = out < 0
+            if unknown.any():
+                rare = lookup.get(RARE_LABEL)
+                if rare is None:
+                    raise UnknownCategory(meta.name, col[int(unknown.argmax())])
+                out[unknown] = rare
             cols.append(out)
     rows = np.stack(cols).T if cols else np.zeros((0, 0), dtype=np.int64)
     return Dataset(rows=rows, cards=domain.cards)

@@ -9,6 +9,7 @@ cardinalities (ci, cj), the tuple (a, b) maps to index a * cj + b.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ class MarginalSpec:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.cards))
+        return math.prod(self.cards)
 
     @property
     def order(self) -> int:

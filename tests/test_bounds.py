@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
+import margnet.bounds
 from margnet.bounds import (
+    _gammainc,
     chi2_cdf,
     chi2_inverse_cdf,
     combine_measurements,
@@ -42,6 +45,65 @@ def test_chi2_inverse_round_trip():
 def test_chi2_inverse_rejects_bad_p():
     with pytest.raises(InvalidDelta):
         chi2_inverse_cdf(1.5, 3)
+
+
+GAMMA_SHAPES = (0.5, 1, 1.5, 2, 5, 10.5, 50, 200, 5000, 5e4, 5e6)
+
+
+@pytest.mark.parametrize("a", GAMMA_SHAPES)
+def test_gammainc_matches_scipy(a):
+    # both branches (series below a + 1, continued fraction above), the bulk
+    # around x = a and both tails
+    xs = [a * f for f in (0.01, 0.3, 0.9, 1, 1.1, 1.5, 3, 10)]
+    xs += [a + k * math.sqrt(a) for k in (-3, -2, -1, 1, 2, 3) if a + k * math.sqrt(a) > 0]
+    tol = 1e-10 if a <= 5e4 else 1e-7
+    for x in xs:
+        assert _gammainc(a, x) == pytest.approx(scipy.special.gammainc(a, x), rel=0, abs=tol), x
+
+
+def test_chi2_cdf_edges():
+    assert chi2_cdf(0.0, 3) == 0.0
+    assert chi2_cdf(-1.0, 3) == 0.0
+    for dof in (1, 2, 7):
+        tiny = chi2_cdf(1e-300, dof)
+        assert tiny == pytest.approx(scipy.special.gammainc(dof / 2, 5e-301), rel=1e-12)
+        assert tiny < 1e-100
+    for x in (1e6, 1e300, 1.7e308, math.inf):
+        assert chi2_cdf(x, 10) == 1.0
+
+
+def scipy_chi2_inverse_cdf(p, dof, tol=1e-8):
+    """The bisection over scipy's incomplete gamma, as chi2_inverse_cdf was
+    written before the CDF was computed in-house."""
+    def cdf(x):
+        return 0.0 if x <= 0 else float(scipy.special.gammainc(dof / 2.0, x / 2.0))
+
+    hi = float(max(dof, 1))
+    while cdf(hi) < p:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+@pytest.mark.parametrize("p", [0.95, 1 - 1e-5, 1 - 1e-5 / 36])
+def test_chi2_inverse_equals_scipy_backed_bisection(p):
+    # every bisection step takes the same branch, so the quantile is the same float
+    for dof in (1, 2, 3, 9, 10, 20, 100, 400):
+        assert chi2_inverse_cdf(p, dof) == scipy_chi2_inverse_cdf(p, dof)
+
+
+def test_chi2_inverse_matches_scipy_ppf_up_to_large_dof():
+    # abs=1e-8 is the bisection tolerance, which dominates only for small quantiles
+    for dof in (1, 10, 100, 1000, 10**5, 10**7):
+        for p in (0.5, 0.95, 1 - 1e-5):
+            want = scipy.stats.chi2.ppf(p, dof)
+            assert chi2_inverse_cdf(p, dof) == pytest.approx(want, rel=1e-9, abs=1e-8)
 
 
 # -------------------------------------------------------------- lower bound
@@ -125,6 +187,29 @@ def test_upper_bound_structure_and_delta_check():
     )
     with pytest.raises(InvalidDelta):
         selected_upper_bound(ms, model, scale=20.0, deltas=2.0)
+
+
+def test_upper_bound_computes_each_quantile_once(monkeypatch):
+    calls = []
+    real = margnet.bounds.chi2_inverse_cdf
+
+    def counting(p, dof, *args):
+        calls.append((p, dof))
+        return real(p, dof, *args)
+
+    monkeypatch.setattr(margnet.bounds, "chi2_inverse_cdf", counting)
+    dom = categorical_domain([2, 2, 3])
+    model = init_generator(dom, [8], 4, 4, seed=0)
+    # specs (0,1) and (0,2)/(1,2) have 4 and 6 cells; (0,1) is measured twice
+    ms = [mk_measurement(dom.cards, (0, 1), [5, 5, 5, 5], rho_m=0.5),
+          mk_measurement(dom.cards, (0, 2), [3] * 6, rho_m=0.5),
+          mk_measurement(dom.cards, (1, 2), [3] * 6, rho_m=0.5),
+          mk_measurement(dom.cards, (0, 1), [4, 6, 5, 5], rho_m=0.5, round_=2)]
+    selected_upper_bound(ms, model, scale=20.0, deltas=0.05)
+    assert sorted(calls) == [(0.95, 4), (0.95, 6)]
+    calls.clear()
+    selected_upper_bound(ms, model, scale=20.0, deltas=[0.05, 0.05, 0.1])
+    assert sorted(calls) == [(0.9, 6), (0.95, 4), (0.95, 6)]
 
 
 def test_upper_bound_small_monte_carlo():

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import margnet
 from margnet.cli import main
 
 
@@ -23,6 +27,18 @@ def gauss_files(tmp_path_factory):
     assert run_cli("gen-gauss", "--dims", "3", "--rows", "400", "--corr", "0.8",
                    "--out", csv, "--seed", "7") == 0
     return csv, str(root / "g.domain.json")
+
+
+@pytest.mark.parametrize("module", ["margnet", "margnet.cli"])
+def test_import_loads_no_scipy(module):
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = os.path.dirname(os.path.dirname(margnet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (f"import {module}, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_gen_gauss_writes_table_and_domain(gauss_files):

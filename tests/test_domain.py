@@ -288,6 +288,37 @@ def test_encode_unknown_goes_to_rare_bucket():
     assert ds.rows[:, 0].tolist() == [0, 1]
 
 
+def reference_encode_column(col, meta):
+    """Cell-by-cell categorical lookup; the oracle for encode's column map."""
+    lookup = {lab: i for i, lab in enumerate(meta.category_labels)}
+    rare = lookup.get("__other__")
+    out = np.empty(len(col), dtype=np.int64)
+    for i, v in enumerate(col):
+        idx = lookup.get(v, rare)
+        if idx is None:
+            raise UnknownCategory(meta.name, v)
+        out[i] = idx
+    return out
+
+
+def encode_outcome(encoder, col, meta):
+    try:
+        return ("ok", encoder(col, meta).tolist())
+    except UnknownCategory as e:
+        return ("UnknownCategory", e.attr, e.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.sampled_from(["a", "b", "c d", "", "__other__"]), min_size=1, max_size=5,
+                       unique=True),
+       col=st.lists(st.sampled_from(["a", "b", "c d", "", "__other__", "x", "y"]), max_size=30))
+def test_encode_matches_cell_by_cell_oracle(labels, col):
+    meta = AttributeMeta("c", "categorical", len(labels), category_labels=labels)
+    got = encode_outcome(lambda cells, m: encode(RawTable(["c"], [cells]), Domain([m])).rows[:, 0],
+                         col, meta)
+    assert got == encode_outcome(reference_encode_column, col, meta)
+
+
 # --------------------------------------------------------------- gen gauss
 
 def test_gen_gauss_shape_matches_benchmark():
