@@ -12,7 +12,7 @@ from .domain import (
     load_csv,
     uniform_bin_edges,
 )
-from .evaluation import EvalReport, aggregate, evaluate
+from .evaluation import EvalReport, evaluate
 from .generator import (
     GeneratorModel,
     SoftBatch,
@@ -30,7 +30,6 @@ from .marginals import (
     MarginalSpec,
     compute_marginal,
     fidelity_error,
-    frobenius_sq,
     l1_distance,
     marginal_spec,
     query_error,

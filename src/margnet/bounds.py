@@ -167,16 +167,17 @@ def combine_measurements(group: list) -> tuple[np.ndarray, float]:
 
 
 def selected_upper_bound(measurements: list, model: GeneratorModel, scale: float,
-                         deltas, exact: dict | None = None) -> BoundReport:
+                         delta: float, exact: dict) -> BoundReport:
     """Confidence upper bound on the selected-marginal squared error.
 
-    Per distinct measured spec i, with probability at least 1 - delta_i:
+    Per distinct measured spec i, with probability at least 1 - delta:
         ||M_i - M_hat_i||_F^2  <=  2 (||Mbar_i - M_hat_i||_F^2
-                                      + sigma_bar_i^2 * chi2_inv(1 - delta_i, n_i)).
-    `deltas` is either one float used for every spec or a list matching the
-    distinct specs in first-measurement order. `exact` (spec attrs -> Marginal)
-    fills the observed error column when the real data is available.
+                                      + sigma_bar_i^2 * chi2_inv(1 - delta, n_i)).
+    `exact` (spec attrs -> Marginal) holds each measured spec's exact
+    marginal M_i, which fills the observed error column.
     """
+    if not 0 < delta < 1:
+        raise InvalidDelta(f"delta must be in (0, 1), got {delta}")
     groups: dict = {}
     order = []
     for m in measurements:
@@ -184,30 +185,20 @@ def selected_upper_bound(measurements: list, model: GeneratorModel, scale: float
             groups[m.spec.attrs] = []
             order.append(m.spec)
         groups[m.spec.attrs].append(m)
-    if isinstance(deltas, (int, float)):
-        deltas = [float(deltas)] * len(order)
-    if len(deltas) != len(order):
-        raise ValueError(f"need one delta per distinct spec ({len(order)}), got {len(deltas)}")
-    for dl in deltas:
-        if not 0 < dl < 1:
-            raise InvalidDelta(f"delta must be in (0, 1), got {dl}")
 
     soft = soft_marginals(model, scale, order)
-    report = BoundReport(deltas=list(deltas))
-    quantiles: dict = {}  # (delta_i, n_i) -> chi2_inv(1 - delta_i, n_i)
-    for spec, delta_i in zip(order, deltas):
+    report = BoundReport(deltas=[delta] * len(order))
+    quantiles: dict = {}  # n_i -> chi2_inv(1 - delta, n_i)
+    for spec in order:
         combined, sigma_bar = combine_measurements(groups[spec.attrs])
         est = soft.marginal(spec).counts
         fit_term = float(((combined - est) ** 2).sum())
-        key = (delta_i, spec.n_cells)
-        if key not in quantiles:
-            quantiles[key] = chi2_inverse_cdf(1.0 - delta_i, spec.n_cells)
-        tail = sigma_bar ** 2 * quantiles[key]
+        if spec.n_cells not in quantiles:
+            quantiles[spec.n_cells] = chi2_inverse_cdf(1.0 - delta, spec.n_cells)
+        tail = sigma_bar ** 2 * quantiles[spec.n_cells]
         bound = 2.0 * (fit_term + tail)
-        observed = math.nan
-        if exact is not None and spec.attrs in exact:
-            diff = exact[spec.attrs].counts - est
-            observed = float((diff * diff).sum())
+        diff = exact[spec.attrs].counts - est
+        observed = float((diff * diff).sum())
         report.entries.append(BoundEntry(attrs=spec.attrs, observed=observed, bound=bound))
     return report
 

@@ -28,16 +28,10 @@ from .domain import (
     load_csv,
     write_csv,
 )
-from .errors import (
-    CheckpointError,
-    DomainMismatch,
-    InsufficientBudget,
-    MargNetError,
-    NotPositiveDefinite,
-)
+from .errors import CheckpointError, InsufficientBudget, MargNetError, NotPositiveDefinite
 from .evaluation import evaluate
-from .generator import load_checkpoint, save_checkpoint, soft_marginals
-from .marginals import compute_marginal, frobenius_sq, marginal_spec
+from .generator import load_checkpoint, save_checkpoint
+from .marginals import compute_marginal
 from .privacy import dp_to_zcdp_rho, zcdp_to_dp_epsilon
 from .synthesis import SynthConfig, run_margnet, trace_from_json_dict
 
@@ -87,7 +81,7 @@ def cmd_synth(args) -> int:
         print("error: need epsilon > 0 and delta in (0, 1)", file=sys.stderr)
         return EXIT_CONFIG
 
-    mode, fixed_rounds = "adaptive", 30
+    fixed_rounds = None
     if args.mode != "adaptive":
         if not args.mode.startswith("fixed:"):
             print(f"error: --mode must be 'adaptive' or 'fixed:K', got {args.mode!r}", file=sys.stderr)
@@ -100,7 +94,6 @@ def cmd_synth(args) -> int:
         if fixed_rounds < 1:
             print("error: fixed:K needs K >= 1", file=sys.stderr)
             return EXIT_CONFIG
-        mode = "fixed_round"
 
     seed = _resolve_seed(args.seed)
     rho = dp_to_zcdp_rho(args.epsilon, args.delta)
@@ -112,7 +105,6 @@ def cmd_synth(args) -> int:
         batch_size=args.batch,
         hidden=tuple(args.hidden),
         latent_dim=args.latent,
-        mode=mode,
         fixed_rounds=fixed_rounds,
         seed=seed,
     )
@@ -170,7 +162,7 @@ def cmd_eval(args) -> int:
     try:
         report = evaluate(real, synth, n_queries=args.queries, seed=seed,
                           config={"real": args.real, "synth": args.synth, "domain": args.domain})
-    except DomainMismatch as e:
+    except (MargNetError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     out = args.out or f"{args.synth}.eval.json"
@@ -189,10 +181,10 @@ def cmd_gen_gauss(args) -> int:
     seed = _resolve_seed(args.seed)
     try:
         table = gen_gaussian_dataset(args.dims, args.rows, args.corr, seed)
+        domain = auto_numeric_domain(table, bins=args.bins)
     except (NotPositiveDefinite, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    domain = auto_numeric_domain(table, bins=args.bins)
     domain_path = args.out[:-4] + ".domain.json" if args.out.endswith(".csv") else f"{args.out}.domain.json"
     try:
         _atomic_write_csv(args.out, table)
@@ -265,22 +257,18 @@ def cmd_check(args) -> int:
         return EXIT_CONFIG
 
     scale = trace.n_estimate
-    selected_attrs = []
-    for r in trace.rounds:
-        if tuple(r.attrs) not in selected_attrs:
-            selected_attrs.append(tuple(r.attrs))
-    exact = {a: compute_marginal(ds, marginal_spec(ds, a)) for a in selected_attrs}
-
-    soft = soft_marginals(model, scale, [marginal_spec(ds, a) for a in selected_attrs])
-    observed_selected = sum(
-        frobenius_sq(soft.marginal(marginal_spec(ds, a)), exact[a])
-        for a in selected_attrs
-    )
-    lower = bounds_mod.selected_lower_bound(list(exact.values()), model.batch_size)
-
-    upper = bounds_mod.selected_upper_bound(trace.measurements, model, scale,
-                                            args.delta, exact=exact)
-    unsel = bounds_mod.unselected_bound(trace, model, prev_model, ds, scale, args.delta)
+    # the selected marginals, in the order they were first measured
+    exact = {s.attrs: compute_marginal(ds, s)
+             for s in dict.fromkeys(m.spec for m in trace.measurements)}
+    try:
+        lower = bounds_mod.selected_lower_bound(list(exact.values()), model.batch_size)
+        upper = bounds_mod.selected_upper_bound(trace.measurements, model, scale,
+                                                args.delta, exact)
+        unsel = bounds_mod.unselected_bound(trace, model, prev_model, ds, scale, args.delta)
+    except MargNetError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    observed_selected = upper.total_observed
 
     report = {
         "selected_lower": {

@@ -90,14 +90,26 @@ class Domain:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Domain":
+        """Parse a domain JSON object; a document of the wrong shape is a ValueError."""
+        if not (isinstance(obj, dict) and isinstance(obj.get("attributes"), list)):
+            raise ValueError("a domain is an object with an 'attributes' list")
         attrs = []
         for spec in obj["attributes"]:
+            if not isinstance(spec, dict):
+                raise ValueError(f"attribute {spec!r} is not an object")
             if spec["type"] == "categorical":
+                if not isinstance(spec["values"], list):
+                    raise ValueError(f"attribute {spec['name']!r}: values must be a list")
                 labels = [str(v) for v in spec["values"]]
                 attrs.append(AttributeMeta(spec["name"], "categorical", len(labels), category_labels=labels))
             elif spec["type"] == "numeric":
-                edges = uniform_bin_edges(float(spec["min"]), float(spec["max"]), int(spec["bins"]))
-                attrs.append(AttributeMeta(spec["name"], "numeric", int(spec["bins"]), bin_edges=edges))
+                try:
+                    lo, hi, bins = float(spec["min"]), float(spec["max"]), int(spec["bins"])
+                except TypeError:
+                    raise ValueError(f"attribute {spec['name']!r}: min, max and bins must be "
+                                     f"numbers") from None
+                attrs.append(AttributeMeta(spec["name"], "numeric", bins,
+                                           bin_edges=uniform_bin_edges(lo, hi, bins)))
             else:
                 raise ValueError(f"unknown attribute type {spec['type']!r}")
         return cls(attrs)
@@ -323,6 +335,8 @@ def gen_gaussian_dataset(dims: int, n_rows: int, corr: float, seed: int) -> RawT
     """
     if dims < 1:
         raise ValueError("dims must be >= 1")
+    if n_rows < 1:
+        raise ValueError("rows must be >= 1")
     lo = -1.0 / (dims - 1) if dims > 1 else -1.0
     if not (lo < corr < 1.0):
         raise NotPositiveDefinite(f"equicorrelation {corr} outside ({lo:.4g}, 1) for d={dims}")

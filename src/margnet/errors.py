@@ -73,9 +73,5 @@ class DomainMismatch(MargNetError):
     pass
 
 
-class EmptyList(MargNetError):
-    pass
-
-
 class CheckpointError(MargNetError):
     pass

@@ -11,10 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .domain import Dataset
-from .errors import DomainMismatch, EmptyList
+from .errors import DomainMismatch
 from .marginals import fidelity_error, query_error
 
 REPORT_SCHEMA = "margnet-eval-v1"
@@ -45,17 +43,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "EvalReport":
-        return cls(
-            fidelity_error=obj["fidelity_error"],
-            query_error=obj["query_error"],
-            n_queries=obj["n_queries"],
-            wall_clock_synthesis_seconds=obj.get("wall_clock_synthesis_seconds"),
-            seeds=list(obj.get("seeds", [])),
-            config=dict(obj.get("config", {})),
-        )
-
 
 def evaluate(real_ds: Dataset, synth_ds: Dataset, n_queries: int = 300, seed: int = 0,
              wall_clock_synthesis_seconds: float | None = None,
@@ -72,25 +59,3 @@ def evaluate(real_ds: Dataset, synth_ds: Dataset, n_queries: int = 300, seed: in
         config=dict(config or {}),
     )
 
-
-def aggregate(reports: list[EvalReport]) -> EvalReport:
-    """Arithmetic mean of each metric across matching-config reports."""
-    if not reports:
-        raise EmptyList("nothing to aggregate")
-    first = reports[0]
-    for r in reports[1:]:
-        if r.n_queries != first.n_queries or r.config != first.config:
-            raise ValueError("cannot aggregate reports with different configurations")
-    walls = [r.wall_clock_synthesis_seconds for r in reports]
-    wall = float(np.mean(walls)) if all(w is not None for w in walls) else None
-    seeds: list[int] = []
-    for r in reports:
-        seeds.extend(r.seeds)
-    return EvalReport(
-        fidelity_error=float(np.mean([r.fidelity_error for r in reports])),
-        query_error=float(np.mean([r.query_error for r in reports])),
-        n_queries=first.n_queries,
-        wall_clock_synthesis_seconds=wall,
-        seeds=seeds,
-        config=dict(first.config),
-    )

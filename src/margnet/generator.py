@@ -91,6 +91,10 @@ def init_generator(
         raise ValueError("need at least one hidden layer")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if latent_dim < 1:
+        raise ValueError("latent_dim must be >= 1")
+    if min(hidden) < 1:
+        raise ValueError("every hidden width must be >= 1")
     cards = domain.cards
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     widths = [latent_dim] + list(hidden) + [int(sum(cards))]
@@ -116,13 +120,13 @@ def _segment_softmax(logits: np.ndarray, cards, offsets) -> np.ndarray:
     return e / _per_segment(np.add, e, cards, offsets)
 
 
-def _forward_full(model: GeneratorModel, z: np.ndarray | None = None):
+def _forward_full(model: GeneratorModel):
     """Forward pass keeping intermediates for backprop.
 
     Returns (activations, probs): activations[l] is the input to layer l,
     activations[-1] is the pre-softmax logits.
     """
-    h = model.Z if z is None else z
+    h = model.Z
     acts = [h]
     n_layers = len(model.layers)
     for l, (W, b) in enumerate(model.layers):
@@ -136,9 +140,9 @@ def _forward_full(model: GeneratorModel, z: np.ndarray | None = None):
     return acts, probs
 
 
-def forward(model: GeneratorModel, z: np.ndarray | None = None) -> SoftBatch:
-    """Soft batch from the frozen latent Z (or an explicit latent batch)."""
-    _, probs = _forward_full(model, z)
+def forward(model: GeneratorModel) -> SoftBatch:
+    """Soft batch from the frozen latent Z."""
+    _, probs = _forward_full(model)
     return SoftBatch(probs=probs, cards=model.cards, seg_offsets=model.seg_offsets)
 
 
@@ -303,14 +307,14 @@ def fold_targets(model: GeneratorModel, targets, scale: float) -> MarginalTarget
     return folded
 
 
-def loss_and_grad(model: GeneratorModel, targets: MarginalTargets, z: np.ndarray | None = None):
+def loss_and_grad(model: GeneratorModel, targets: MarginalTargets):
     """Weighted marginal-matching loss and its exact gradient.
 
     Loss = sum_i w_i * ||soft_marginal_i - noisy_i||_F^2 over the folded
     targets (see `fold_targets`). Returns (loss, grads) with grads shaped like
     model.layers.
     """
-    acts, probs = _forward_full(model, z)
+    acts, probs = _forward_full(model)
     b = probs.shape[0]
     c = targets.scale / b
     err1 = c * probs.sum(axis=0) - targets.mean1

@@ -63,15 +63,6 @@ class Marginal:
         return {"attrs": list(self.spec.attrs), "counts": [float(c) for c in self.counts]}
 
 
-def flatten_index(spec: MarginalSpec, values) -> int:
-    """Row-major cell index of a value tuple (last attribute fastest)."""
-    return int(np.ravel_multi_index(tuple(values), spec.cards))
-
-
-def unflatten_index(spec: MarginalSpec, index: int) -> tuple[int, ...]:
-    return tuple(int(v) for v in np.unravel_index(index, spec.cards))
-
-
 def compute_marginal(ds: Dataset, spec: MarginalSpec) -> Marginal:
     """Exact frequency counts of the dataset projected onto spec.attrs."""
     if any(a >= ds.d for a in spec.attrs):
@@ -96,12 +87,6 @@ def _check_same_spec(a: Marginal, b: Marginal):
 def l1_distance(a: Marginal, b: Marginal) -> float:
     _check_same_spec(a, b)
     return float(np.abs(a.counts - b.counts).sum())
-
-
-def frobenius_sq(a: Marginal, b: Marginal) -> float:
-    _check_same_spec(a, b)
-    diff = a.counts - b.counts
-    return float(diff @ diff)
 
 
 def _normalize(counts: np.ndarray) -> np.ndarray:
@@ -149,6 +134,8 @@ def query_error(real_ds: Dataset, synth_ds: Dataset, n_queries: int, seed: int) 
     d = real_ds.d
     if d < 3:
         raise TooFewAttributes("query error needs at least 3 attributes")
+    if n_queries < 1:
+        raise ValueError(f"need at least one query, got {n_queries}")
     all_specs = list(itertools.combinations(range(d), 3))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     replace = len(all_specs) < n_queries

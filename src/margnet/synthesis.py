@@ -48,9 +48,7 @@ class SynthConfig:
     batch_size: int = 256
     hidden: tuple[int, ...] = (256, 256)
     latent_dim: int = 64
-    mode: str = "adaptive"  # "adaptive" | "fixed_round"
-    fixed_rounds: int = 30  # used only in fixed_round mode
-    fixed_input: bool = True
+    fixed_rounds: int | None = None  # None: adaptive; K: K equal-budget rounds
     seed: int = 0
     noise_free: bool = False  # test hook: skip measurement noise (not private)
 
@@ -69,9 +67,8 @@ class SynthConfig:
             "batch_size": self.batch_size,
             "hidden": list(self.hidden),
             "latent_dim": self.latent_dim,
-            "mode": self.mode,
-            "fixed_rounds": self.fixed_rounds if self.mode == "fixed_round" else None,
-            "fixed_input": self.fixed_input,
+            "mode": "adaptive" if self.fixed_rounds is None else "fixed_round",
+            "fixed_rounds": self.fixed_rounds,
             "seed": self.seed,
             "noise_free": self.noise_free,
         }
@@ -148,8 +145,14 @@ class SelectionTrace:
 
 def trace_from_json_dict(obj: dict, cards) -> SelectionTrace:
     """Rebuild a SelectionTrace (as far as diagnostics need it) from its JSON."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a trace is a JSON object, got {type(obj).__name__}")
     if obj.get("format") != "margnet-trace-v1":
         raise ValueError(f"not a synthesis trace: format={obj.get('format')!r}")
+    n_estimate = obj["n_estimate"]
+    if isinstance(n_estimate, bool) or not isinstance(n_estimate, (int, float)) \
+            or not 0 < n_estimate < math.inf:
+        raise ValueError(f"n_estimate must be a positive finite number, got {n_estimate!r}")
 
     def meas(entry: dict) -> Measurement:
         spec = marginal_spec(cards, entry["attrs"])
@@ -159,7 +162,7 @@ def trace_from_json_dict(obj: dict, cards) -> SelectionTrace:
     trace = SelectionTrace(
         warmup=[meas(e) for e in obj.get("warmup", [])],
         measurements=[meas(e) for e in obj.get("measurements", [])],
-        n_estimate=obj["n_estimate"],
+        n_estimate=n_estimate,
         rho_budget=obj.get("rho_budget", 0.0),
         ledger=[(label, rho) for label, rho in obj.get("ledger", [])],
         config=obj.get("config", {}),
@@ -175,7 +178,8 @@ def trace_from_json_dict(obj: dict, cards) -> SelectionTrace:
 
 
 def split_budget(rho: float, c: float) -> tuple[float, float]:
-    """Per-round (rho_s, rho_m) = (0.1, 0.9) * rho / c.
+    """Per-round (rho_s, rho_m) = (0.1, 0.9) * rho / c: selection gets a tenth
+    of a round's budget, measurement the rest.
 
     rho_m is computed as the exact complement so rho_s + rho_m == rho / c.
     """
@@ -204,15 +208,14 @@ def compute_weights(measurements: list[Measurement], d: int) -> None:
 
 
 def train(model: GeneratorModel, measurements: list[Measurement], scale: float,
-          iters: int, lr: float, fixed_input: bool, rng: np.random.Generator) -> float:
+          iters: int, lr: float) -> float:
     """Run `iters` gradient steps on the weighted marginal loss; returns the
     final loss. A fresh optimizer state is used for every training pass."""
     state = AdamState.for_model(model)
     targets = fold_targets(model, measurements, scale)
     loss = 0.0
     for _ in range(iters):
-        z = None if fixed_input else rng.standard_normal(model.Z.shape)
-        loss, grads = loss_and_grad(model, targets, z=z)
+        loss, grads = loss_and_grad(model, targets)
         adam_step(model, grads, state, lr)
     return loss
 
@@ -233,7 +236,7 @@ def candidate_scores(soft: SoftMarginals, exact: dict, candidates: list[Marginal
 
 
 def warmup(ds: Dataset, domain: Domain, model: GeneratorModel, acct: Accountant,
-           rho_m: float, config: SynthConfig, rng_measure, rng_train) -> tuple[list[Measurement], float]:
+           rho_m: float, config: SynthConfig, rng_measure) -> tuple[list[Measurement], float]:
     """Measure every one-way marginal, estimate the record count, fit the model.
 
     Returns (measurements, n_estimate). Charges d * rho_m to the accountant;
@@ -254,24 +257,14 @@ def warmup(ds: Dataset, domain: Domain, model: GeneratorModel, acct: Accountant,
                                         rho_m=rho_m, sigma=sigma, round=0))
     n_estimate = max(1.0, float(np.median([m.noisy.counts.sum() for m in measurements])))
     compute_weights(measurements, d)
-    train(model, measurements, n_estimate, config.train_iters, config.lr,
-          config.fixed_input, rng_train)
+    train(model, measurements, n_estimate, config.train_iters, config.lr)
     return measurements, n_estimate
-
-
-def _round_budgets_exact(remaining: float) -> tuple[float, float]:
-    # Final-round reallocation: shave a sliver so float rounding cannot
-    # overspend, and make rho_m the exact complement.
-    usable = remaining * (1.0 - _BUDGET_SLACK)
-    rho_s = 0.1 * usable
-    return rho_s, usable - rho_s
 
 
 def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
                    measurements: list[Measurement], acct: Accountant, rho_total: float,
                    rho_s: float, rho_m: float, config: SynthConfig, scale: float,
-                   rng_select, rng_measure, rng_train,
-                   trace: SelectionTrace) -> GeneratorModel:
+                   rng_select, rng_measure, trace: SelectionTrace) -> GeneratorModel:
     """Select-measure-train rounds over the two-way candidates.
 
     The modes differ only in the per-round budget schedule. Adaptive mode
@@ -284,15 +277,11 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
     marginal diagnostics); `model` itself is trained in place.
     """
     d = domain.d
-    fixed = config.mode == "fixed_round"
+    fixed = config.fixed_rounds is not None
     if fixed:
         if config.fixed_rounds < 1:
             raise ValueError("fixed_round mode needs at least one round")
-        unit = rho_total * (1.0 - _BUDGET_SLACK) / config.fixed_rounds
-        rho_s = 0.1 * unit
-        rho_m = unit - rho_s
-    elif config.mode != "adaptive":
-        raise ValueError(f"unknown mode {config.mode!r}")
+        rho_s, rho_m = split_budget(rho_total * (1.0 - _BUDGET_SLACK), config.fixed_rounds)
     candidates = selection_candidates(domain.cards)
     if not candidates:
         return model.copy()
@@ -305,10 +294,10 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
     k = 0
     while (k < config.fixed_rounds) if fixed else (spent < rho_total - tol):
         k += 1
-        # safety clamp: never start a round the remaining budget cannot cover
-        # (also leaves headroom absorbing float rounding in the running sums)
+        # a round the remaining budget cannot cover gets all of it instead,
+        # less a sliver so float rounding in the running sums cannot overspend
         if not fixed and spent + rho_s + rho_m > rho_total * (1.0 - _BUDGET_SLACK):
-            rho_s, rho_m = _round_budgets_exact(rho_total - spent)
+            rho_s, rho_m = split_budget((rho_total - spent) * (1.0 - _BUDGET_SLACK), 1.0)
         prev_model = model.copy()
 
         scores = candidate_scores(soft, exact, candidates, rho_m)
@@ -325,8 +314,7 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
                                         rho_m=rho_m, sigma=NoiseParams(rho_m).sigma,
                                         round=k, newly_selected=True))
         compute_weights(measurements, d)
-        train(model, measurements, scale, config.train_iters, config.lr,
-              config.fixed_input, rng_train)
+        train(model, measurements, scale, config.train_iters, config.lr)
         spent += rho_s + rho_m
 
         # the trained model's marginals: this round's improvement, next round's scores
@@ -344,14 +332,10 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
         if doubled:
             rho_s *= 2.0
             rho_m *= 2.0
-        # the last adaptive round absorbs whatever budget remains
-        if not fixed and spent + rho_s + rho_m >= rho_total:
-            rho_s, rho_m = _round_budgets_exact(rho_total - spent)
 
     # closing pass over everything measured, always for the full iteration
     # count (training never early-stops)
-    train(model, measurements, scale, config.train_iters, config.lr,
-          config.fixed_input, rng_train)
+    train(model, measurements, scale, config.train_iters, config.lr)
     return prev_model
 
 
@@ -376,11 +360,12 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
     rho_s, rho_m = split_budget(rho, c)
 
     ss = np.random.SeedSequence(config.seed)
+    # kids[3] is unused but still spawned, so the sample and decode seeds stay
+    # on kids[4] and a seed reproduces the outputs of traces already written
     kids = ss.spawn(5)
     rng_init_seed = int(kids[0].generate_state(1)[0])
     rng_measure = np.random.Generator(np.random.PCG64(kids[1]))
     rng_select = np.random.Generator(np.random.PCG64(kids[2]))
-    rng_train = np.random.Generator(np.random.PCG64(kids[3]))
     tail = kids[4].generate_state(2)
     sample_seed, decode_seed = int(tail[0]), int(tail[1])
 
@@ -389,15 +374,14 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
                            config.batch_size, rng_init_seed)
     trace = SelectionTrace(rho_budget=rho, config=config.to_json_dict(d), seed=config.seed)
 
-    measurements, n_estimate = warmup(ds, domain, model, acct, rho_m, config,
-                                      rng_measure, rng_train)
+    measurements, n_estimate = warmup(ds, domain, model, acct, rho_m, config, rng_measure)
     trace.warmup = list(measurements)
     trace.n_estimate = n_estimate
 
     # the loop's phase budget is what the warm-up left: rho - d * rho_m
     prev_model = selection_loop(ds, domain, model, measurements, acct, acct.remaining,
                                 rho_s, rho_m, config, n_estimate,
-                                rng_select, rng_measure, rng_train, trace)
+                                rng_select, rng_measure, trace)
 
     trace.measurements = [m for m in measurements if m.round > 0]
     trace.ledger = list(acct.ledger)

@@ -17,7 +17,7 @@ import pytest
 from margnet.cli import main as cli_main
 from margnet.domain import Dataset, auto_numeric_domain, encode, gen_gaussian_dataset
 from margnet.generator import fold_targets, forward, init_generator, loss_and_grad, soft_marginal
-from margnet.marginals import Marginal, compute_marginal, fidelity_error, frobenius_sq, marginal_spec
+from margnet.marginals import Marginal, compute_marginal, fidelity_error, marginal_spec
 from margnet.privacy import dp_to_zcdp_rho, exponential_mechanism, gaussian_mechanism, zcdp_to_dp_epsilon
 from margnet.bounds import selected_lower_bound, selected_upper_bound, unselected_bound
 from margnet.synthesis import Measurement, SynthConfig, run_margnet
@@ -188,6 +188,12 @@ def test_criterion_5_conversion_correctness():
 
 # -------------------------------------------------------------- criterion 6
 
+def frobenius_sq(a, b):
+    """Squared Frobenius distance between two marginals' counts."""
+    diff = a.counts - b.counts
+    return float(diff @ diff)
+
+
 def test_criterion_6_selected_lower_bound_deterministic():
     """Noise-free runs: observed selected loss >= rank floor, every batch size."""
     cards = (6, 6, 6)
@@ -235,7 +241,7 @@ def test_criterion_7a_selected_upper_bound_coverage():
             for rho_m in rho_ms[s.attrs]:
                 noisy = exact[s.attrs].counts + rng.normal(0, 1 / math.sqrt(2 * rho_m), s.n_cells)
                 ms.append(Measurement(spec=s, noisy=Marginal(s, noisy), rho_m=rho_m, sigma=1.0))
-        rep = selected_upper_bound(ms, model, scale=500.0, deltas=delta_i, exact=exact)
+        rep = selected_upper_bound(ms, model, scale=500.0, delta=delta_i, exact=exact)
         if rep.total_observed > rep.total_bound:
             violations += 1
     allowed = delta_i * n_groups * trials + 3 * math.sqrt(trials)
@@ -322,7 +328,7 @@ def test_criterion_8_end_to_end_utility_trend():
 def test_criterion_9_ablation_direction():
     seeds = [11, 12, 13, 14, 15]
     adaptive = mean_fidelity(0.2, seeds)
-    fixed = mean_fidelity(0.2, seeds, mode="fixed_round", fixed_rounds=30)
+    fixed = mean_fidelity(0.2, seeds, fixed_rounds=30)
     ok = adaptive <= fixed + 0.02
     report("criterion 9: ablation direction", ok,
            f"adaptive {adaptive:.4f} <= fixed-round(30) {fixed:.4f} + 0.02")

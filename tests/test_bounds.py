@@ -160,6 +160,11 @@ def mk_measurement(cards, attrs, counts, rho_m, round_=1):
                        rho_m=rho_m, sigma=1.0 / math.sqrt(2 * rho_m), round=round_)
 
 
+def zero_exact(ms):
+    """Exact marginals for the measured specs of `ms`, all counts zero."""
+    return {m.spec.attrs: Marginal(m.spec, np.zeros(m.spec.n_cells)) for m in ms}
+
+
 def test_combine_single_measurement_sigma():
     m = mk_measurement((2, 2), (0, 1), [1, 2, 3, 4], rho_m=0.5)
     counts, sigma_bar = combine_measurements([m])
@@ -179,14 +184,12 @@ def test_upper_bound_structure_and_delta_check():
     dom = categorical_domain([2, 2])
     model = init_generator(dom, [8], 4, 4, seed=0)
     ms = [mk_measurement(dom.cards, (0, 1), [5, 5, 5, 5], rho_m=0.5)]
-    rep = selected_upper_bound(ms, model, scale=20.0, deltas=0.05)
+    rep = selected_upper_bound(ms, model, scale=20.0, delta=0.05, exact=zero_exact(ms))
     assert len(rep.entries) == 1
     assert rep.entries[0].bound > 0
-    assert rep.entries[0].slack == rep.entries[0].bound - rep.entries[0].observed or math.isnan(
-        rep.entries[0].observed
-    )
+    assert rep.entries[0].slack == rep.entries[0].bound - rep.entries[0].observed
     with pytest.raises(InvalidDelta):
-        selected_upper_bound(ms, model, scale=20.0, deltas=2.0)
+        selected_upper_bound(ms, model, scale=20.0, delta=2.0, exact=zero_exact(ms))
 
 
 def test_upper_bound_computes_each_quantile_once(monkeypatch):
@@ -205,11 +208,8 @@ def test_upper_bound_computes_each_quantile_once(monkeypatch):
           mk_measurement(dom.cards, (0, 2), [3] * 6, rho_m=0.5),
           mk_measurement(dom.cards, (1, 2), [3] * 6, rho_m=0.5),
           mk_measurement(dom.cards, (0, 1), [4, 6, 5, 5], rho_m=0.5, round_=2)]
-    selected_upper_bound(ms, model, scale=20.0, deltas=0.05)
+    selected_upper_bound(ms, model, scale=20.0, delta=0.05, exact=zero_exact(ms))
     assert sorted(calls) == [(0.95, 4), (0.95, 6)]
-    calls.clear()
-    selected_upper_bound(ms, model, scale=20.0, deltas=[0.05, 0.05, 0.1])
-    assert sorted(calls) == [(0.9, 6), (0.95, 4), (0.95, 6)]
 
 
 def test_upper_bound_small_monte_carlo():
@@ -229,7 +229,7 @@ def test_upper_bound_small_monte_carlo():
     for _ in range(trials):
         noisy = exact[spec.attrs].counts + rng.normal(0, 1 / math.sqrt(2 * rho_m), spec.n_cells)
         ms = [Measurement(spec=spec, noisy=Marginal(spec, noisy), rho_m=rho_m, sigma=1.0)]
-        rep = selected_upper_bound(ms, model, scale=200.0, deltas=delta, exact=exact)
+        rep = selected_upper_bound(ms, model, scale=200.0, delta=delta, exact=exact)
         if rep.total_observed > rep.total_bound:
             violations += 1
     assert violations <= delta * trials + 3 * math.sqrt(trials)
@@ -316,7 +316,7 @@ def test_bounds_read_from_gram_match_per_spec_marginals():
         ms.append(Measurement(spec=spec, noisy=Marginal(spec, rng.normal(10, 3, spec.n_cells)),
                               rho_m=float(rng.uniform(0.1, 1.0)), sigma=1.0))
     exact = {a: compute_marginal(ds, marginal_spec(ds, a)) for a in [(0, 2), (1, 3)]}
-    up = selected_upper_bound(ms, model, scale, deltas=delta, exact=exact)
+    up = selected_upper_bound(ms, model, scale, delta=delta, exact=exact)
     for e in up.entries:
         spec = marginal_spec(ds, e.attrs)
         combined, sigma_bar = combine_measurements([m for m in ms if m.spec.attrs == e.attrs])

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,6 +76,7 @@ def test_synth_end_to_end(gauss_files, tmp_path):
     trace = json.load(open(out + ".trace.json"))
     assert trace["format"] == "margnet-trace-v1"
     assert trace["config"]["seed"] == 3
+    assert (trace["config"]["mode"], trace["config"]["fixed_rounds"]) == ("adaptive", None)
     assert trace["epsilon"] == 2.0
     assert math.fsum(r for _, r in trace["ledger"]) <= trace["rho_budget"]
     with open(out) as f:
@@ -108,6 +110,7 @@ def test_synth_fixed_mode_round_count(gauss_files, tmp_path):
                    "--seed", "4", *SMALL_SYNTH_FLAGS) == 0
     trace = json.load(open(out + ".trace.json"))
     assert len(trace["rounds"]) == 7
+    assert (trace["config"]["mode"], trace["config"]["fixed_rounds"]) == ("fixed_round", 7)
 
 
 def test_synth_bad_mode(gauss_files, tmp_path):
@@ -182,6 +185,8 @@ def test_check_produces_bound_report(gauss_files, tmp_path, capsys):
     assert rep["selected_lower"]["bound"] >= 0
     # the rank floor is deterministic: observed error can never fall below it
     assert rep["selected_lower"]["gap"] >= 0
+    # one observed selected error, reported in both sections
+    assert rep["selected_lower"]["observed"] == rep["selected_upper"]["total_observed"]
     # every unmeasured spec reports a slack field
     measured = {tuple(r["attrs"]) for r in json.load(open(out + ".trace.json"))["rounds"]}
     expected_unmeasured = {(0, 1), (0, 2), (1, 2)} - measured
@@ -249,18 +254,32 @@ def finished_run(gauss_files, tmp_path_factory):
     return out + ".trace.json", out + ".ckpt"
 
 
-@pytest.mark.parametrize("field,value", [("counts", [1.0, 2.0]), ("attrs", 5)])
-def test_check_malformed_trace_exits_2(gauss_files, finished_run, tmp_path, capsys,
-                                       field, value):
+def _first_measurement(field, value):
+    def mangle(trace):
+        trace["measurements"][0][field] = value
+        return trace
+    return mangle
+
+
+@pytest.mark.parametrize("mangle", [
+    _first_measurement("counts", [1.0, 2.0]),
+    _first_measurement("attrs", 5),
+    lambda t: [1, 2],
+    lambda t: "x",
+    lambda t: {**t, "n_estimate": "abc"},
+], ids=["counts-value0", "attrs-5", "list", "string", "n-estimate-str"])
+def test_check_malformed_trace_exits_2(gauss_files, finished_run, tmp_path, capsys, mangle):
     csv, domain = gauss_files
     trace_path, ckpt = finished_run
-    trace = json.load(open(trace_path))
-    trace["measurements"][0][field] = value
     bad = tmp_path / "bad.trace.json"
-    bad.write_text(json.dumps(trace))
+    bad.write_text(json.dumps(mangle(json.load(open(trace_path)))))
+    report = tmp_path / "bounds.json"
     assert run_cli("check", "--trace", str(bad), "--checkpoint", ckpt,
-                   "--data", csv, "--domain", domain) == 2
-    assert "malformed trace" in capsys.readouterr().err
+                   "--data", csv, "--domain", domain, "--out", str(report)) == 2
+    err = capsys.readouterr().err
+    assert "malformed trace" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("mangle,message", [
@@ -311,3 +330,68 @@ def test_check_checkpoint_cards_mismatch_exits_2(gauss_files, finished_run, tmp_
     assert len(err.strip().splitlines()) == 1
     assert "(10, 10, 10, 10)" in err and "(10, 10, 10)" in err
     assert not report.exists()
+
+
+BAD_DOMAINS = {
+    "attributes-int": {"attributes": 5},
+    "top-level-list": [1, 2],
+    "attribute-int": {"attributes": [5]},
+    "values-int": {"attributes": [{"name": "x0", "type": "categorical", "values": 7}]},
+    "bins-list": {"attributes": [{"name": "x0", "type": "numeric", "min": 0, "max": 1,
+                                  "bins": [3]}]},
+}
+
+
+def _command(cmd, f, domain):
+    return {
+        "synth": ["synth", "--data", f.csv, "--domain", domain, "--epsilon", "1.0",
+                  "--out", f.out("s.csv"), *SMALL_SYNTH_FLAGS],
+        "eval": ["eval", "--real", f.csv, "--synth", f.csv, "--domain", domain,
+                 "--out", f.out("e.json")],
+        "check": ["check", "--trace", f.trace, "--checkpoint", f.ckpt, "--data", f.csv,
+                  "--domain", domain, "--out", f.out("b.json")],
+    }[cmd]
+
+
+BAD_INPUTS = {
+    **{f"{cmd}-domain-{name}": (lambda f, cmd=cmd, obj=obj: _command(cmd, f, f.domain_file(obj)))
+       for name, obj in BAD_DOMAINS.items() for cmd in ("synth", "eval", "check")},
+    "eval-two-attributes": lambda f: ["eval", "--real", f.csv2, "--synth", f.csv2,
+                                      "--domain", f.domain2, "--out", f.out("e.json")],
+    "check-delta-1.5": lambda f: _command("check", f, f.domain) + ["--delta", "1.5"],
+    "eval-queries-0": lambda f: _command("eval", f, f.domain) + ["--queries", "0"],
+    "eval-queries-negative": lambda f: _command("eval", f, f.domain) + ["--queries", "-3"],
+    "synth-hidden-0": lambda f: _command("synth", f, f.domain) + ["--hidden", "0"],
+    "synth-latent-0": lambda f: _command("synth", f, f.domain) + ["--latent", "0"],
+    "gen-gauss-rows-0": lambda f: ["gen-gauss", "--dims", "3", "--rows", "0", "--corr", "0.5",
+                                   "--out", f.out("g.csv")],
+    "gen-gauss-bins-0": lambda f: ["gen-gauss", "--dims", "3", "--rows", "10", "--corr", "0.5",
+                                   "--bins", "0", "--out", f.out("g.csv")],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(gauss_files, finished_run, tmp_path, capsys, case):
+    # a malformed domain or an out-of-range value is a configuration error:
+    # exit 2, one stderr line, and nothing written
+    csv, domain = gauss_files
+    trace, ckpt = finished_run
+    csv2 = str(tmp_path / "two.csv")
+    assert run_cli("gen-gauss", "--dims", "2", "--rows", "50", "--corr", "0.5",
+                   "--out", csv2, "--seed", "1") == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def domain_file(obj):
+        path = tmp_path / "bad.domain.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    f = SimpleNamespace(csv=csv, domain=domain, csv2=csv2, domain2=str(tmp_path / "two.domain.json"),
+                        trace=trace, ckpt=ckpt, out=lambda name: str(out_dir / name),
+                        domain_file=domain_file)
+    capsys.readouterr()
+    assert run_cli(*BAD_INPUTS[case](f)) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert list(out_dir.iterdir()) == []

@@ -9,14 +9,11 @@ from margnet.marginals import (
     Marginal,
     compute_marginal,
     fidelity_error,
-    flatten_index,
-    frobenius_sq,
     l1_distance,
     marginal_spec,
     query_error,
     selection_candidates,
     tvd,
-    unflatten_index,
 )
 
 from conftest import brute_force_marginal, random_dataset
@@ -92,12 +89,6 @@ def test_counts_match_brute_force_in_any_memory_layout(layout):
             assert np.array_equal(got, brute_force_marginal(ds, attrs, cards))
 
 
-def test_flatten_unflatten_bijection():
-    spec = marginal_spec((4, 3, 5), (0, 1, 2))
-    for t in itertools.product(range(4), range(3), range(5)):
-        assert unflatten_index(spec, flatten_index(spec, t)) == t
-
-
 def test_marginalization_consistency():
     ds = random_dataset((3, 4), 500, seed=7)
     two = compute_marginal(ds, marginal_spec(ds, (0, 1))).counts.reshape(3, 4)
@@ -121,15 +112,6 @@ def test_l1_distance():
     assert l1_distance(a, b) == 2
     a, b = pair([3, 1], [1, 2])
     assert l1_distance(a, b) == 3
-
-
-def test_frobenius_sq():
-    a, b = pair([1, 0], [1, 0])
-    assert frobenius_sq(a, b) == 0
-    a, b = pair([1, 0], [0, 1])
-    assert frobenius_sq(a, b) == 2
-    a, b = pair([3, 1], [1, 2])
-    assert frobenius_sq(a, b) == 5
 
 
 def test_spec_mismatch():

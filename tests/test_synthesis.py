@@ -100,7 +100,7 @@ def test_warmup_charges_d_rho_m():
     cfg = tiny_config(train_iters=2)
     model = init_generator(dom, [8], 4, 8, seed=0)
     rng = np.random.default_rng(0)
-    warmup(ds, dom, model, acct, 0.01, cfg, rng, rng)
+    warmup(ds, dom, model, acct, 0.01, cfg, rng)
     assert acct.rho_used == pytest.approx(0.03)
     assert [lab for lab, _ in acct.ledger] == [f"warmup:one-way:{i}" for i in range(3)]
 
@@ -112,7 +112,7 @@ def test_warmup_insufficient_budget_before_noise():
     model = init_generator(dom, [8], 4, 8, seed=0)
     rng = np.random.default_rng(0)
     with pytest.raises(InsufficientBudget):
-        warmup(ds, dom, model, acct, 0.01, tiny_config(), rng, rng)
+        warmup(ds, dom, model, acct, 0.01, tiny_config(), rng)
     assert acct.rho_used == 0.0
     assert acct.ledger == []
 
@@ -126,8 +126,7 @@ def test_warmup_noise_free_training_converges():
     cfg = tiny_config(train_iters=300, lr=1e-2, noise_free=True)
     model = init_generator(dom, [16], 8, 32, seed=1)
     rng_m = np.random.default_rng(1)
-    rng_t = np.random.default_rng(2)
-    _, n_est = warmup(ds, dom, model, acct, 0.01, cfg, rng_m, rng_t)
+    _, n_est = warmup(ds, dom, model, acct, 0.01, cfg, rng_m)
     assert n_est == 400.0  # noise-free sums are exact
     sb = forward(model)
     for a in range(2):
@@ -294,24 +293,12 @@ def test_em_scores_use_pre_round_model():
     assert recomputed == pytest.approx(final.score, rel=1e-12)
 
 
-def test_resampled_input_mode_runs_and_replays():
-    # ablation flag: a fresh latent batch per training iteration
-    dom = categorical_domain([3, 3])
-    ds = random_dataset(dom.cards, 400, seed=19)
-    cfg = tiny_config(seed=31, fixed_input=False)
-    a = run_margnet(ds, dom, cfg)
-    b = run_margnet(ds, dom, cfg)
-    assert json.dumps(a.trace.to_json_dict()) == json.dumps(b.trace.to_json_dict())
-    assert np.array_equal(a.synth.rows, b.synth.rows)
-    assert a.synth.cards == dom.cards
-
-
 # --------------------------------------------------------------- fixed mode
 
 def test_fixed_round_k1():
     dom = categorical_domain([2, 3, 2])
     ds = random_dataset(dom.cards, 300, seed=15)
-    res = run_margnet(ds, dom, tiny_config(seed=7, mode="fixed_round", fixed_rounds=1))
+    res = run_margnet(ds, dom, tiny_config(seed=7, fixed_rounds=1))
     assert len(res.trace.rounds) == 1
 
 
@@ -320,7 +307,7 @@ def test_fixed_round_budget_arithmetic():
     ds = random_dataset(dom.cards, 300, seed=16)
     cfg = tiny_config(seed=8, rho_total=0.04, c=6.0)
     k = 5
-    res = run_margnet(ds, dom, replace(cfg, mode="fixed_round", fixed_rounds=k))
+    res = run_margnet(ds, dom, replace(cfg, fixed_rounds=k))
     assert len(res.trace.rounds) == k
     d = dom.d
     _, rho_m_warm = split_budget(cfg.rho_total, 6.0)
@@ -334,7 +321,7 @@ def test_fixed_round_deterministic():
     dom = categorical_domain([2, 3, 2])
     ds = random_dataset(dom.cards, 300, seed=17)
     cfg = tiny_config(seed=9)
-    cfg = replace(cfg, mode="fixed_round", fixed_rounds=3)
+    cfg = replace(cfg, fixed_rounds=3)
     a = run_margnet(ds, dom, cfg)
     b = run_margnet(ds, dom, cfg)
     assert json.dumps(a.trace.to_json_dict()) == json.dumps(b.trace.to_json_dict())
@@ -344,7 +331,7 @@ def test_multiset_reselection_allowed():
     # re-selected specs append separate measurements
     dom = categorical_domain([2, 2])
     ds = random_dataset(dom.cards, 500, seed=18)
-    cfg = tiny_config(seed=10, rho_total=0.1, c=4.0, mode="fixed_round", fixed_rounds=6)
+    cfg = tiny_config(seed=10, rho_total=0.1, c=4.0, fixed_rounds=6)
     res = run_margnet(ds, dom, cfg)
     assert len(res.trace.measurements) == 6  # single candidate selected 6 times
     assert all(m.spec.attrs == (0, 1) for m in res.trace.measurements)
