@@ -4,19 +4,22 @@ Subcommands: synth (private synthesis), eval (utility metrics), gen-gauss
 (equicorrelated benchmark tables), convert ((epsilon,delta) <-> rho), check
 (fitting-error bound diagnostics on a finished run).
 
-Exit codes: 0 success, 1 I/O failure, 2 bad configuration, 3 infeasible budget.
-Every run's effective configuration, including the resolved seed, is written
-next to its outputs; outputs are written to a temp file and renamed so a
-failure never leaves a partial file behind.
+Commands raise; `main` maps each error class to its exit code: 0 success,
+1 I/O failure or unreadable checkpoint, 2 bad configuration or malformed
+input, 3 infeasible budget. Every run's effective configuration, including
+the resolved seed, is written next to its outputs, and a run writes all of
+its outputs or none.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import secrets
 import sys
+from pathlib import Path
 
 from . import bounds as bounds_mod
 from .domain import (
@@ -28,7 +31,7 @@ from .domain import (
     load_csv,
     write_csv,
 )
-from .errors import CheckpointError, InsufficientBudget, MargNetError, NotPositiveDefinite
+from .errors import CheckpointError, DomainMismatch, InsufficientBudget, MargNetError
 from .evaluation import evaluate
 from .generator import load_checkpoint, save_checkpoint
 from .marginals import compute_marginal
@@ -41,17 +44,27 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
+def _write_outputs(outputs) -> None:
+    """Write each (path, write_fn) pair to `path.tmp`, then rename them all
+    into place. On any failure the temp files and the outputs already renamed
+    are deleted, so a failed run leaves no file of its own behind."""
+    written = []
+    try:
+        for path, write in outputs:
+            written.append(f"{path}.tmp")
+            write(written[-1])
+        for i, (path, _) in enumerate(outputs):
+            os.replace(written[i], path)
+            written[i] = path
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
-def _atomic_write_csv(path: str, table) -> None:
-    tmp = f"{path}.tmp"
-    write_csv(tmp, table)
-    os.replace(tmp, path)
+def _write_text(text: str):
+    return lambda path: Path(path).write_text(text, encoding="utf-8")
 
 
 def _resolve_seed(seed) -> int:
@@ -64,37 +77,22 @@ def _default_iters(epsilon: float) -> int:
     return 200 if epsilon <= 5.0 else 100
 
 
-def cmd_synth(args) -> int:
+def _fixed_rounds(mode: str) -> int | None:
+    """Parse `--mode`: 'adaptive' is None, 'fixed:K' is K."""
+    if mode == "adaptive":
+        return None
+    if not mode.startswith("fixed:"):
+        raise ValueError(f"--mode must be 'adaptive' or 'fixed:K', got {mode!r}")
     try:
-        domain = Domain.load(args.domain)
-        ds = encode(load_csv(args.data, domain), domain)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except MargNetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as e:
-        print(f"error: malformed domain file: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not (args.epsilon > 0 and 0 < args.delta < 1):
-        print("error: need epsilon > 0 and delta in (0, 1)", file=sys.stderr)
-        return EXIT_CONFIG
+        return int(mode[len("fixed:"):])
+    except ValueError:
+        raise ValueError(f"bad round count in --mode {mode!r}") from None
 
-    fixed_rounds = None
-    if args.mode != "adaptive":
-        if not args.mode.startswith("fixed:"):
-            print(f"error: --mode must be 'adaptive' or 'fixed:K', got {args.mode!r}", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            fixed_rounds = int(args.mode.split(":", 1)[1])
-        except ValueError:
-            print(f"error: bad round count in --mode {args.mode!r}", file=sys.stderr)
-            return EXIT_CONFIG
-        if fixed_rounds < 1:
-            print("error: fixed:K needs K >= 1", file=sys.stderr)
-            return EXIT_CONFIG
 
+def cmd_synth(args) -> None:
+    domain = Domain.load(args.domain)
+    ds = encode(load_csv(args.data, domain), domain)
+    fixed_rounds = _fixed_rounds(args.mode)
     seed = _resolve_seed(args.seed)
     rho = dp_to_zcdp_rho(args.epsilon, args.delta)
     config = SynthConfig(
@@ -108,15 +106,7 @@ def cmd_synth(args) -> int:
         fixed_rounds=fixed_rounds,
         seed=seed,
     )
-
-    try:
-        result = run_margnet(ds, domain, config)
-    except InsufficientBudget as e:
-        print(f"error: infeasible budget: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    result = run_margnet(ds, domain, config)
 
     table = decode(result.synth, domain, result.decode_seed)
     trace_path = args.trace or f"{args.out}.trace.json"
@@ -124,15 +114,11 @@ def cmd_synth(args) -> int:
     trace_dict = result.trace.to_json_dict()
     trace_dict["epsilon"] = args.epsilon
     trace_dict["delta"] = args.delta
-    try:
-        _atomic_write_csv(args.out, table)
-        _atomic_write_text(trace_path, json.dumps(trace_dict, indent=2) + "\n")
-        tmp = f"{ckpt_path}.tmp"
-        save_checkpoint(tmp, result.model, result.prev_model)
-        os.replace(tmp, ckpt_path)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _write_outputs([
+        (args.out, lambda path: write_csv(path, table)),
+        (trace_path, _write_text(json.dumps(trace_dict, indent=2) + "\n")),
+        (ckpt_path, lambda path: save_checkpoint(path, result.model, result.prev_model)),
+    ])
 
     acct = result.accountant
     print(f"epsilon={args.epsilon} delta={args.delta} -> rho={rho:.6g}")
@@ -141,133 +127,63 @@ def cmd_synth(args) -> int:
     print(f"rows={result.synth.n_records} seed={seed} "
           f"wall_clock={result.wall_clock_seconds:.2f}s")
     print(f"wrote {args.out}, {trace_path}, {ckpt_path}")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    try:
-        domain = Domain.load(args.domain)
-        real = encode(load_csv(args.real, domain), domain)
-        synth = encode(load_csv(args.synth, domain), domain)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except MargNetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as e:
-        print(f"error: malformed domain file: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_eval(args) -> None:
+    domain = Domain.load(args.domain)
+    real = encode(load_csv(args.real, domain), domain)
+    synth = encode(load_csv(args.synth, domain), domain)
     seed = _resolve_seed(args.seed)
-    try:
-        report = evaluate(real, synth, n_queries=args.queries, seed=seed,
-                          config={"real": args.real, "synth": args.synth, "domain": args.domain})
-    except (MargNetError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = evaluate(real, synth, n_queries=args.queries, seed=seed,
+                      config={"real": args.real, "synth": args.synth, "domain": args.domain})
     out = args.out or f"{args.synth}.eval.json"
-    try:
-        _atomic_write_text(out, report.to_json() + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _write_outputs([(out, _write_text(report.to_json() + "\n"))])
     print(f"fidelity_error={report.fidelity_error:.6f} query_error={report.query_error:.6f} "
           f"(n_queries={report.n_queries}, seed={seed})")
     print(f"wrote {out}")
-    return EXIT_OK
 
 
-def cmd_gen_gauss(args) -> int:
+def cmd_gen_gauss(args) -> None:
     seed = _resolve_seed(args.seed)
-    try:
-        table = gen_gaussian_dataset(args.dims, args.rows, args.corr, seed)
-        domain = auto_numeric_domain(table, bins=args.bins)
-    except (NotPositiveDefinite, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    table = gen_gaussian_dataset(args.dims, args.rows, args.corr, seed)
+    domain = auto_numeric_domain(table, bins=args.bins)
     domain_path = args.out[:-4] + ".domain.json" if args.out.endswith(".csv") else f"{args.out}.domain.json"
-    try:
-        _atomic_write_csv(args.out, table)
-        _atomic_write_text(domain_path, json.dumps(domain.to_json_dict(), indent=2) + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _write_outputs([(args.out, lambda path: write_csv(path, table)), (domain_path, domain.save)])
     print(f"wrote {args.out} ({args.rows} rows x {args.dims} cols, corr={args.corr}, seed={seed})")
     print(f"wrote {domain_path}")
-    return EXIT_OK
 
 
-def cmd_convert(args) -> int:
-    has_eps = args.epsilon is not None
-    has_rho = args.rho is not None
-    if has_eps == has_rho:
-        print("error: give exactly one of --epsilon or --rho", file=sys.stderr)
-        return EXIT_CONFIG
-    if not 0 < args.delta < 1:
-        print("error: delta must be in (0, 1)", file=sys.stderr)
-        return EXIT_CONFIG
-    if has_eps:
-        if args.epsilon <= 0:
-            print("error: epsilon must be positive", file=sys.stderr)
-            return EXIT_CONFIG
-        rho = dp_to_zcdp_rho(args.epsilon, args.delta)
-        print(f"rho={rho:.6f}")
+def cmd_convert(args) -> None:
+    if (args.epsilon is None) == (args.rho is None):
+        raise ValueError("give exactly one of --epsilon or --rho")
+    if args.epsilon is not None:
+        print(f"rho={dp_to_zcdp_rho(args.epsilon, args.delta):.6f}")
     else:
-        if args.rho <= 0:
-            print("error: rho must be positive", file=sys.stderr)
-            return EXIT_CONFIG
-        eps = zcdp_to_dp_epsilon(args.rho, args.delta)
-        print(f"epsilon={eps:.6f}")
-    return EXIT_OK
+        print(f"epsilon={zcdp_to_dp_epsilon(args.rho, args.delta):.6f}")
 
 
-def cmd_check(args) -> int:
-    try:
-        domain = Domain.load(args.domain)
-        ds = encode(load_csv(args.data, domain), domain)
-        with open(args.trace, "r", encoding="utf-8") as f:
-            trace_obj = json.load(f)
-        model, prev_model = load_checkpoint(args.checkpoint)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (CheckpointError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except MargNetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as e:
-        print(f"error: malformed domain file: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_check(args) -> None:
+    domain = Domain.load(args.domain)
+    ds = encode(load_csv(args.data, domain), domain)
+    trace_bytes = Path(args.trace).read_bytes()
+    model, prev_model = load_checkpoint(args.checkpoint)
     if model.cards != domain.cards:
-        print(f"error: checkpoint cards {model.cards} do not match the domain's cards "
-              f"{domain.cards}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise DomainMismatch(f"checkpoint cards {model.cards} do not match the domain's cards "
+                             f"{domain.cards}")
     try:
-        trace = trace_from_json_dict(trace_obj, domain.cards)
+        trace = trace_from_json_dict(json.loads(trace_bytes.decode("utf-8")), domain.cards)
     except (KeyError, TypeError, ValueError, MargNetError) as e:
-        print(f"error: malformed trace: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"malformed trace: {e}") from None
     if prev_model is None:
-        print("error: checkpoint lacks the pre-final-round model state", file=sys.stderr)
-        return EXIT_CONFIG
-    if not trace.rounds:
-        print("error: trace records no selection rounds", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("checkpoint lacks the pre-final-round model state")
 
     scale = trace.n_estimate
     # the selected marginals, in the order they were first measured
     exact = {s.attrs: compute_marginal(ds, s)
              for s in dict.fromkeys(m.spec for m in trace.measurements)}
-    try:
-        lower = bounds_mod.selected_lower_bound(list(exact.values()), model.batch_size)
-        upper = bounds_mod.selected_upper_bound(trace.measurements, model, scale,
-                                                args.delta, exact)
-        unsel = bounds_mod.unselected_bound(trace, model, prev_model, ds, scale, args.delta)
-    except MargNetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    lower = bounds_mod.selected_lower_bound(list(exact.values()), model.batch_size)
+    upper = bounds_mod.selected_upper_bound(trace.measurements, model, scale, args.delta, exact)
+    unsel = bounds_mod.unselected_bound(trace, model, prev_model, ds, scale, args.delta)
     observed_selected = upper.total_observed
 
     report = {
@@ -281,11 +197,7 @@ def cmd_check(args) -> int:
         "unselected": unsel.to_json_dict(),
     }
     out = args.out or f"{args.trace}.bounds.json"
-    try:
-        _atomic_write_text(out, json.dumps(report, indent=2) + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _write_outputs([(out, _write_text(json.dumps(report, indent=2) + "\n"))])
     print(f"selected lower bound: observed={observed_selected:.6g} >= bound={lower:.6g} "
           f"(gap={observed_selected - lower:.6g})")
     print(f"selected upper bound: observed={upper.total_observed:.6g} "
@@ -293,7 +205,6 @@ def cmd_check(args) -> int:
     print(f"unselected bound:     observed={unsel.total_observed:.6g} "
           f"bound={unsel.total_bound:.6g} holds={unsel.holds}")
     print(f"wrote {out}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+        return EXIT_OK
+    except (OSError, CheckpointError) as e:
+        code, message = EXIT_IO, str(e)
+    except InsufficientBudget as e:
+        code, message = EXIT_BUDGET, f"infeasible budget: {e}"
+    except (MargNetError, ValueError) as e:
+        code, message = EXIT_CONFIG, str(e)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -91,8 +91,9 @@ class Domain:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Domain":
         """Parse a domain JSON object; a document of the wrong shape is a ValueError."""
-        if not (isinstance(obj, dict) and isinstance(obj.get("attributes"), list)):
-            raise ValueError("a domain is an object with an 'attributes' list")
+        if not (isinstance(obj, dict) and isinstance(obj.get("attributes"), list)
+                and obj["attributes"]):
+            raise ValueError("a domain is an object with a non-empty 'attributes' list")
         attrs = []
         for spec in obj["attributes"]:
             if not isinstance(spec, dict):
@@ -116,8 +117,12 @@ class Domain:
 
     @classmethod
     def load(cls, path) -> "Domain":
+        """Read a domain file; one that is not a well-formed domain is a ValueError."""
         with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
+            try:
+                return cls.from_json_dict(json.load(f))
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"malformed domain file: {e}") from None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

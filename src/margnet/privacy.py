@@ -49,8 +49,8 @@ class Accountant:
     ledger: list = field(default_factory=list)  # [(label, rho), ...]
 
     def spend(self, rho: float, label: str) -> None:
-        if rho <= 0:
-            raise ValueError("spend must be positive")
+        if not 0 < rho < math.inf:
+            raise ValueError(f"spend must be positive and finite, got {rho}")
         if self.rho_used + rho > self.rho_budget:
             raise InsufficientBudget(
                 f"spend {rho:.6g} for {label!r} exceeds remaining "
@@ -157,8 +157,8 @@ def zcdp_to_dp_epsilon(rho: float, delta: float) -> float:
     Binary search on epsilon over [rho, rho + 4*sqrt(rho*ln(1/delta))], with the
     delta expression minimized over the Renyi order alpha at every step.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     log_target = math.log(delta)
@@ -168,6 +168,8 @@ def zcdp_to_dp_epsilon(rho: float, delta: float) -> float:
         return lo
     while hi - lo > 1e-6:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break  # no double between the ends: a large rho cannot resolve 1e-6
         if _best_log_delta(rho, mid) <= log_target:
             hi = mid
         else:
@@ -177,8 +179,8 @@ def zcdp_to_dp_epsilon(rho: float, delta: float) -> float:
 
 def dp_to_zcdp_rho(epsilon: float, delta: float) -> float:
     """Largest rho whose zCDP guarantee converts to at most (epsilon, delta)-DP."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     hi = max(epsilon, 1e-3)
@@ -187,6 +189,8 @@ def dp_to_zcdp_rho(epsilon: float, delta: float) -> float:
     lo = 0.0
     while hi - lo > 1e-8:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break  # no double between the ends: a large epsilon cannot resolve 1e-8
         if zcdp_to_dp_epsilon(mid, delta) <= epsilon:
             lo = mid
         else:

@@ -52,10 +52,18 @@ class SynthConfig:
     seed: int = 0
     noise_free: bool = False  # test hook: skip measurement noise (not private)
 
+    def __post_init__(self):
+        if self.train_iters < 1:
+            raise ValueError(f"train_iters must be >= 1, got {self.train_iters}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.fixed_rounds is not None and self.fixed_rounds < 1:
+            raise ValueError(f"fixed-round mode needs at least one round, got {self.fixed_rounds}")
+
     def resolved_c(self, d: int) -> float:
         c = 16.0 * d if self.c is None else float(self.c)
-        if c < d:
-            raise ValueError(f"c={c} must be at least d={d} so the warm-up is affordable")
+        if not d <= c < math.inf:
+            raise ValueError(f"c={c} must be finite and at least d={d} so the warm-up is affordable")
         return c
 
     def to_json_dict(self, d: int) -> dict:
@@ -279,8 +287,6 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
     d = domain.d
     fixed = config.fixed_rounds is not None
     if fixed:
-        if config.fixed_rounds < 1:
-            raise ValueError("fixed_round mode needs at least one round")
         rho_s, rho_m = split_budget(rho_total * (1.0 - _BUDGET_SLACK), config.fixed_rounds)
     candidates = selection_candidates(domain.cards)
     if not candidates:

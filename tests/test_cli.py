@@ -30,15 +30,19 @@ def gauss_files(tmp_path_factory):
     return csv, str(root / "g.domain.json")
 
 
+def _child_env():
+    """The environment of a child Python that imports this margnet."""
+    src = os.path.dirname(os.path.dirname(margnet.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("module", ["margnet", "margnet.cli"])
 def test_import_loads_no_scipy(module):
     # numpy is the only runtime dependency; scipy serves the tests alone
-    src = os.path.dirname(os.path.dirname(margnet.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (f"import {module}, sys; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                          text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
@@ -339,6 +343,7 @@ BAD_DOMAINS = {
     "values-int": {"attributes": [{"name": "x0", "type": "categorical", "values": 7}]},
     "bins-list": {"attributes": [{"name": "x0", "type": "numeric", "min": 0, "max": 1,
                                   "bins": [3]}]},
+    "attributes-empty": {"attributes": []},
 }
 
 
@@ -363,6 +368,13 @@ BAD_INPUTS = {
     "eval-queries-negative": lambda f: _command("eval", f, f.domain) + ["--queries", "-3"],
     "synth-hidden-0": lambda f: _command("synth", f, f.domain) + ["--hidden", "0"],
     "synth-latent-0": lambda f: _command("synth", f, f.domain) + ["--latent", "0"],
+    "synth-c-nan": lambda f: _command("synth", f, f.domain) + ["--c", "nan"],
+    "synth-lr-nan": lambda f: _command("synth", f, f.domain) + ["--lr", "nan"],
+    "synth-lr-0": lambda f: _command("synth", f, f.domain) + ["--lr", "0"],
+    "synth-iters-0": lambda f: _command("synth", f, f.domain) + ["--iters", "0"],
+    "synth-iters-negative": lambda f: _command("synth", f, f.domain) + ["--iters", "-1"],
+    "convert-epsilon-nan": lambda f: ["convert", "--epsilon", "nan"],
+    "convert-rho-nan": lambda f: ["convert", "--rho", "nan"],
     "gen-gauss-rows-0": lambda f: ["gen-gauss", "--dims", "3", "--rows", "0", "--corr", "0.5",
                                    "--out", f.out("g.csv")],
     "gen-gauss-bins-0": lambda f: ["gen-gauss", "--dims", "3", "--rows", "10", "--corr", "0.5",
@@ -394,4 +406,85 @@ def test_bad_input_exits_2_with_one_line(gauss_files, finished_run, tmp_path, ca
     assert run_cli(*BAD_INPUTS[case](f)) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
+    if "-domain-" in case:
+        assert err.startswith("error: malformed domain file: ")
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["synth", "--data", "{csv}", "--domain", "{domain}", "--epsilon", "inf",
+      "--out", "{out}/s.csv"], 2),
+    (["convert", "--epsilon", "inf"], 2),
+    (["convert", "--epsilon", "1e9"], 0),
+    (["convert", "--rho", "1e11"], 0),
+], ids=["synth-epsilon-inf", "convert-epsilon-inf", "convert-epsilon-1e9", "convert-rho-1e11"])
+def test_huge_privacy_parameters_end(gauss_files, tmp_path, argv, code):
+    # an infinite or huge budget once sent a bisection into an endless loop,
+    # so these run in a child process that a timeout can stop
+    csv, domain = gauss_files
+    argv = [a.format(csv=csv, domain=domain, out=tmp_path) for a in argv]
+    done = subprocess.run([sys.executable, "-m", "margnet.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    assert len(done.stderr.strip().splitlines()) == (1 if code else 0)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace", "--checkpoint"])
+def test_synth_failed_write_leaves_no_file(gauss_files, tmp_path, capsys, flag):
+    # one output path is a directory or lies in a missing one: exit 1, and
+    # neither the other outputs nor any .tmp file is left behind
+    csv, domain = gauss_files
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "adir").mkdir()
+    paths = {"--out": str(out / "s.csv"), "--trace": str(out / "s.trace.json"),
+             "--checkpoint": str(out / "s.ckpt")}
+    for bad in (str(out / "adir"), str(out / "missing" / "x")):
+        capsys.readouterr()
+        argv = [a for k, v in {**paths, flag: bad}.items() for a in (k, v)]
+        assert run_cli("synth", "--data", csv, "--domain", domain, "--epsilon", "1.0",
+                       "--seed", "2", *argv, *SMALL_SYNTH_FLAGS) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["adir"]
+
+
+@pytest.mark.parametrize("which", ["domain", "trace"])
+def test_check_non_json_file_exits_2(gauss_files, finished_run, tmp_path, capsys, which):
+    csv, domain = gauss_files
+    trace, ckpt = finished_run
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json\n")
+    files = {"domain": domain, "trace": trace, which: str(bad)}
+    report = tmp_path / "bounds.json"
+    assert run_cli("check", "--trace", files["trace"], "--checkpoint", ckpt, "--data", csv,
+                   "--domain", files["domain"], "--out", str(report)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: malformed {which}")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("error,code,message", [
+    (OSError("disk gone"), 1, "error: disk gone"),
+    (margnet.errors.CheckpointError("bad header"), 1, "error: bad header"),
+    (margnet.errors.InsufficientBudget("too little"), 3, "error: infeasible budget: too little"),
+    (margnet.errors.DomainMismatch("other cards"), 2, "error: other cards"),
+    (ValueError("out of range"), 2, "error: out of range"),
+], ids=["os", "checkpoint", "budget", "margnet", "value"])
+def test_main_maps_error_class_to_exit_code(monkeypatch, capsys, error, code, message):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(margnet.cli, "cmd_convert", fail)
+    assert run_cli("convert", "--epsilon", "1.0") == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("error", [KeyError("k"), TypeError("t")])
+def test_main_leaves_other_errors_to_their_traceback(monkeypatch, error):
+    # a KeyError or TypeError outside a file parser is a bug, not bad input
+    def fail(args):
+        raise error
+    monkeypatch.setattr(margnet.cli, "cmd_convert", fail)
+    with pytest.raises(type(error)):
+        run_cli("convert", "--epsilon", "1.0")

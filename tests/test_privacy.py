@@ -53,6 +53,15 @@ def test_spend_zero_rejected():
         acct.spend(0.0, "noop")
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_spend_non_finite_rejected(rho):
+    # nan <= 0 and used + nan > budget are both false, so a NaN needs its own test
+    acct = Accountant(rho_budget=1.0)
+    with pytest.raises(ValueError):
+        acct.spend(rho, "bad")
+    assert (acct.rho_used, acct.ledger) == (0.0, [])
+
+
 def test_ledger_totals_match_rho_used():
     acct = Accountant(rho_budget=2.0)
     rng = np.random.default_rng(0)
