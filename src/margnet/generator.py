@@ -14,6 +14,12 @@ plus a constant for repeated measurements of one spec. With R = W2 * (G - T2)
 and r1 = w1 * (g1 - t1) the gradient is dP = (2S/b) (P (R + R^T) + 1 r1^T):
 two GEMMs per block, one block for a compact target set. Backpropagation is
 written out by hand; no autograd.
+
+Every step follows the dtype of the model's arrays (float32 or float64): the
+folded targets are allocated in it, so no float64 operand upcasts a GEMM.
+Only the returned loss is summed in float64. Marginals leave the generator as
+float64 `Marginal`s, and checkpoints store every array as float64 (exact for
+float32) with the model's dtype in the header.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from .marginals import Marginal, MarginalSpec
 
 CHECKPOINT_MAGIC = b"MGNETCK1"
 _CHECKPOINT_KEYS = ("cards", "latent_dim", "batch_size", "layer_shapes", "has_prev")
+# dtypes a model may be trained and checkpointed in; a header without "dtype"
+# is float64
+_CHECKPOINT_DTYPES = ("float32", "float64")
 
 # A set of two-way marginals is read from one square block of G over all the
 # attributes it touches while that block has at most DENSE_SLACK times as many
@@ -55,6 +64,10 @@ class GeneratorModel:
     @property
     def batch_size(self) -> int:
         return self.Z.shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.Z.dtype
 
     @property
     def out_width(self) -> int:
@@ -84,9 +97,13 @@ class SoftBatch:
 
 
 def init_generator(
-    domain: Domain, hidden: list[int], latent_dim: int, batch_size: int, seed: int
+    domain: Domain, hidden: list[int], latent_dim: int, batch_size: int, seed: int,
+    dtype=np.float64,
 ) -> GeneratorModel:
-    """He-style scaled-uniform init; Z drawn once from N(0, 1) and frozen."""
+    """He-style scaled-uniform init; Z drawn once from N(0, 1) and frozen.
+
+    Draws in float64 from one stream and then casts Z and every (W, b) to
+    `dtype`, so a seed gives the same weights, rounded, in either dtype."""
     if not hidden:
         raise ValueError("need at least one hidden layer")
     if batch_size < 1:
@@ -101,10 +118,9 @@ def init_generator(
     layers = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         limit = np.sqrt(6.0 / fan_in)
-        W = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        b = np.zeros(fan_out)
-        layers.append((W, b))
-    Z = rng.standard_normal((batch_size, latent_dim))
+        W = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype, copy=False)
+        layers.append((W, np.zeros(fan_out, dtype=dtype)))
+    Z = rng.standard_normal((batch_size, latent_dim)).astype(dtype, copy=False)
     Z.flags.writeable = False
     offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(cards)[:-1]]))
     return GeneratorModel(layers=layers, cards=cards, seg_offsets=offsets, latent_dim=latent_dim, Z=Z)
@@ -280,17 +296,18 @@ class MarginalTargets:
 
 def fold_targets(model: GeneratorModel, targets, scale: float) -> MarginalTargets:
     """Fold targets (objects with .spec of order <= 2, .noisy and .weight)
-    into per-cell weights and weighted means."""
+    into per-cell weights and weighted means in the model's dtype; the means
+    and the constant are computed in float64 first."""
     groups: dict = {}
     for t in targets:
         if t.spec.order > 2:
             raise UnsupportedOrder("training targets must be one- or two-way marginals")
         groups.setdefault(t.spec.attrs, []).append(t)
     layout = gram_layout(model, [attrs for attrs in groups if len(attrs) == 2])
-    width = model.out_width
-    folded = MarginalTargets(scale, layout, np.zeros(width), np.zeros(width),
-                             [np.zeros(blk.shape) for blk in layout.blocks],
-                             [np.zeros(blk.shape) for blk in layout.blocks])
+    width, dtype = model.out_width, model.dtype
+    folded = MarginalTargets(scale, layout, np.zeros(width, dtype), np.zeros(width, dtype),
+                             [np.zeros(blk.shape, dtype) for blk in layout.blocks],
+                             [np.zeros(blk.shape, dtype) for blk in layout.blocks])
     for attrs, group in groups.items():
         total = sum(t.weight for t in group)
         if total == 0:
@@ -311,21 +328,21 @@ def loss_and_grad(model: GeneratorModel, targets: MarginalTargets):
     """Weighted marginal-matching loss and its exact gradient.
 
     Loss = sum_i w_i * ||soft_marginal_i - noisy_i||_F^2 over the folded
-    targets (see `fold_targets`). Returns (loss, grads) with grads shaped like
-    model.layers.
+    targets (see `fold_targets`). Returns (loss, grads) with grads shaped and
+    typed like model.layers; the loss is summed in float64.
     """
     acts, probs = _forward_full(model)
     b = probs.shape[0]
     c = targets.scale / b
     err1 = c * probs.sum(axis=0) - targets.mean1
     resid1 = targets.weight1 * err1
-    loss = targets.const + float(resid1 @ err1)
+    loss = targets.const + float((resid1 * err1).sum(dtype=np.float64))
     dprobs = np.repeat(resid1[None, :], b, axis=0)
     blocks = _gram_blocks(probs, targets.layout, c)
     for (blk, p_rows, p_cols, gram), weight, mean in zip(blocks, targets.weight2, targets.mean2):
         err = gram - mean
         resid = weight * err
-        loss += float((resid * err).sum())
+        loss += float((resid * err).sum(dtype=np.float64))
         if blk.cols is blk.rows:
             dprobs[:, blk.rows] += p_rows @ (resid + resid.T)
         else:
@@ -386,19 +403,21 @@ def sample_hard(model: GeneratorModel, n_rows: int, seed: int) -> Dataset:
 
     Each output row picks one of the b soft rows uniformly, then samples every
     attribute independently from that row's categorical segment, which makes
-    the expected empirical marginal equal the soft marginal.
+    the expected empirical marginal equal the soft marginal. The draw inverts
+    each segment's float64 CDF, scaled to end at the segment's total, so a
+    float32 model's rounding neither biases the last category nor grows in
+    the running sum.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    probs = forward(model).probs
+    probs = forward(model).probs.astype(np.float64, copy=False)
     b = probs.shape[0]
     picks = rng.integers(0, b, size=n_rows)
     cols = []
     for a, c in enumerate(model.cards):
         seg = probs[picks, model.seg_offsets[a] : model.seg_offsets[a] + c]
         cum = np.cumsum(seg, axis=1)
-        u = rng.random(n_rows)
-        idx = (cum < u[:, None]).sum(axis=1)
-        cols.append(np.minimum(idx, c - 1))
+        u = rng.random(n_rows) * cum[:, -1]
+        cols.append((cum < u[:, None]).sum(axis=1))  # u <= cum[:, -1]: at most c - 1
     rows = np.stack(cols).T if cols else np.zeros((n_rows, 0), dtype=np.int64)
     return Dataset(rows=rows, cards=model.cards)
 
@@ -414,7 +433,9 @@ def save_checkpoint(path, model: GeneratorModel, prev_model: GeneratorModel | No
     """Binary checkpoint: magic, JSON header, then raw float64 arrays.
 
     `prev_model` (the state before the final selection round) shares Z and
-    architecture with `model`; only its weights are stored in addition.
+    architecture with `model`; only its weights are stored in addition. The
+    header records the model's dtype; float32 arrays are stored upcast, which
+    is exact.
     """
     header = {
         "version": 1,
@@ -423,6 +444,7 @@ def save_checkpoint(path, model: GeneratorModel, prev_model: GeneratorModel | No
         "batch_size": model.batch_size,
         "layer_shapes": [[list(W.shape), list(b.shape)] for W, b in model.layers],
         "has_prev": prev_model is not None,
+        "dtype": model.dtype.name,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     arrays = _model_arrays(model)
@@ -439,8 +461,9 @@ def save_checkpoint(path, model: GeneratorModel, prev_model: GeneratorModel | No
 
 def _check_header(header: dict) -> None:
     """Raise CheckpointError unless the header describes a loadable model:
-    positive int sizes, a bool has_prev, and [[fan_in, fan_out], [fan_out]]
-    layer shapes chaining from latent_dim to sum(cards)."""
+    positive int sizes, a bool has_prev, an optional dtype of float32 or
+    float64, and [[fan_in, fan_out], [fan_out]] layer shapes chaining from
+    latent_dim to sum(cards)."""
     def is_size(v):
         return isinstance(v, int) and not isinstance(v, bool) and v > 0
 
@@ -457,6 +480,9 @@ def _check_header(header: dict) -> None:
     if not isinstance(header["has_prev"], bool):
         raise CheckpointError(f"checkpoint header: has_prev must be a bool, "
                               f"got {header['has_prev']!r}")
+    if header.get("dtype", "float64") not in _CHECKPOINT_DTYPES:
+        raise CheckpointError(f"checkpoint header: dtype must be one of "
+                              f"{', '.join(_CHECKPOINT_DTYPES)}, got {header['dtype']!r}")
     shapes = header["layer_shapes"]
     width = header["latent_dim"]
     if not isinstance(shapes, list) or not shapes:
@@ -474,7 +500,7 @@ def _check_header(header: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (model, prev_model_or_None)."""
+    """Returns (model, prev_model_or_None), in the dtype the header records."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -492,13 +518,14 @@ def load_checkpoint(path):
         if missing:
             raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
         _check_header(header)
+        dtype = np.dtype(header.get("dtype", "float64"))
 
         def read_arr(shape):
             n = int(np.prod(shape)) if shape else 1
             buf = f.read(8 * n)
             if len(buf) != 8 * n:
                 raise CheckpointError("checkpoint truncated")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            return np.frombuffer(buf, dtype="<f8").reshape(shape).astype(dtype)
 
         def read_layers():
             layers = []

@@ -155,7 +155,9 @@ def zcdp_to_dp_epsilon(rho: float, delta: float) -> float:
     """Smallest epsilon such that rho-zCDP implies (epsilon, delta)-DP.
 
     Binary search on epsilon over [rho, rho + 4*sqrt(rho*ln(1/delta))], with the
-    delta expression minimized over the Renyi order alpha at every step.
+    delta expression minimized over the Renyi order alpha at every step, down
+    to adjacent doubles: the rho that `dp_to_zcdp_rho` finds for an epsilon
+    then converts back to at most that epsilon.
     """
     if not 0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
@@ -166,32 +168,46 @@ def zcdp_to_dp_epsilon(rho: float, delta: float) -> float:
     hi = rho + 4.0 * math.sqrt(rho * math.log(1.0 / delta))
     if _best_log_delta(rho, lo) <= log_target:
         return lo
-    while hi - lo > 1e-6:
+    while True:
         mid = (lo + hi) / 2.0
         if not lo < mid < hi:
-            break  # no double between the ends: a large rho cannot resolve 1e-6
+            return hi  # no double between the ends
         if _best_log_delta(rho, mid) <= log_target:
             hi = mid
         else:
             lo = mid
-    return hi
+
+
+# dp_to_zcdp_rho stops once its bracket is this narrow relative to its upper
+# end, so small budgets keep their precision.
+RHO_RTOL = 1e-9
 
 
 def dp_to_zcdp_rho(epsilon: float, delta: float) -> float:
-    """Largest rho whose zCDP guarantee converts to at most (epsilon, delta)-DP."""
+    """Largest rho whose zCDP guarantee converts to at most (epsilon, delta)-DP.
+
+    The conversion's delta grows with rho at fixed epsilon, so one bisection
+    on rho with the predicate min_alpha delta(rho, epsilon) <= delta finds it,
+    to a relative width of RHO_RTOL. The lower end is always feasible.
+    """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
+    log_target = math.log(delta)
+
+    def feasible(rho: float) -> bool:
+        return _best_log_delta(rho, epsilon) <= log_target
+
     hi = max(epsilon, 1e-3)
-    while zcdp_to_dp_epsilon(hi, delta) <= epsilon:
+    while feasible(hi):
         hi *= 2.0
     lo = 0.0
-    while hi - lo > 1e-8:
+    while hi - lo > RHO_RTOL * hi:
         mid = (lo + hi) / 2.0
         if not lo < mid < hi:
-            break  # no double between the ends: a large epsilon cannot resolve 1e-8
-        if zcdp_to_dp_epsilon(mid, delta) <= epsilon:
+            break  # no double between the ends
+        if feasible(mid):
             lo = mid
         else:
             hi = mid

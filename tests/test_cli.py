@@ -296,9 +296,10 @@ def test_check_malformed_trace_exits_2(gauss_files, finished_run, tmp_path, caps
     (lambda h: {**h, "layer_shapes": 7}, "layer_shapes must be a non-empty list"),
     (lambda h: {**h, "layer_shapes": h["layer_shapes"][:1]}, "!= sum(cards)"),
     (lambda h: {**h, "layer_shapes": [[[1, 2], [2]]] + h["layer_shapes"][1:]}, "is not [["),
+    (lambda h: {**h, "dtype": "float16"}, "dtype must be one of float32, float64"),
 ], ids=["missing-key", "not-an-object", "batch-size-str", "latent-dim-negative",
         "cards-float", "has-prev-int", "layer-shapes-int", "layer-chain-short",
-        "layer-chain-break"])
+        "layer-chain-break", "dtype-float16"])
 def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tmp_path,
                                                    capsys, mangle, message):
     csv, domain = gauss_files

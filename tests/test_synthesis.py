@@ -264,6 +264,20 @@ def test_trace_replay_byte_identical():
     assert np.array_equal(a.synth.rows, b.synth.rows)
 
 
+def test_run_trains_in_float32_and_measures_in_float64():
+    dom = categorical_domain([3, 2, 3])
+    ds = random_dataset(dom.cards, 400, seed=13)
+    res = run_margnet(ds, dom, tiny_config(seed=23))
+    assert res.trace.to_json_dict()["config"]["dtype"] == "float32"
+    for model in (res.model, res.prev_model):
+        assert model.dtype == np.float32
+        assert all(p.dtype == np.float32 for pair in model.layers for p in pair)
+    assert all(m.noisy.counts.dtype == np.float64
+               for m in res.trace.warmup + res.trace.measurements)
+    assert all(type(r.score) is float and type(r.improvement) is float
+               for r in res.trace.rounds)
+
+
 def test_trace_json_round_trip():
     dom = categorical_domain([3, 2, 3])
     ds = random_dataset(dom.cards, 400, seed=13)
