@@ -16,6 +16,7 @@ from .evaluation import EvalReport, evaluate
 from .generator import (
     GeneratorModel,
     SoftBatch,
+    TrainContext,
     adam_step,
     fold_targets,
     forward,

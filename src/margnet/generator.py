@@ -20,11 +20,17 @@ folded targets are allocated in it, so no float64 operand upcasts a GEMM.
 Only the returned loss is summed in float64. Marginals leave the generator as
 float64 `Marginal`s, and checkpoints store every array as float64 (exact for
 float32) with the model's dtype in the header.
+
+Training runs through a `TrainContext`: one allocation holding the weights
+(the model's layers become views of it), the gradient, Adam's state and every
+buffer of a step, filled in place. `loss_and_grad` without a context makes
+one of its own over a copy of the model; `forward` without one allocates.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -126,39 +132,132 @@ def init_generator(
     return GeneratorModel(layers=layers, cards=cards, seg_offsets=offsets, latent_dim=latent_dim, Z=Z)
 
 
-def _per_segment(ufunc, x: np.ndarray, cards, offsets) -> np.ndarray:
-    """`ufunc` reduced over each row's segments, repeated back over the segment's columns."""
-    return np.repeat(ufunc.reduceat(x, offsets, axis=1), cards, axis=1)
+def _per_segment(ufunc, x: np.ndarray, cards, offsets, out=None) -> np.ndarray:
+    """`ufunc` reduced over each row's segments, repeated back over the
+    segment's columns (into `out`, which may be `x`, when given)."""
+    columns = np.repeat(np.arange(len(cards)), cards)
+    return np.take(ufunc.reduceat(x, offsets, axis=1), columns, axis=1, out=out, mode="clip")
 
 
-def _segment_softmax(logits: np.ndarray, cards, offsets) -> np.ndarray:
-    e = np.exp(logits - _per_segment(np.maximum, logits, cards, offsets))
-    return e / _per_segment(np.add, e, cards, offsets)
+def _segment_softmax(logits: np.ndarray, cards, offsets, out=None, work=None) -> np.ndarray:
+    """Softmax over each row's segments, into `out` (not `logits`); `work`
+    holds the repeated segment sums."""
+    shifted = _per_segment(np.maximum, logits, cards, offsets, out=out)
+    np.subtract(logits, shifted, out=shifted)
+    e = np.exp(shifted, out=shifted)
+    return np.divide(e, _per_segment(np.add, e, cards, offsets, out=work), out=e)
 
 
-def _forward_full(model: GeneratorModel):
-    """Forward pass keeping intermediates for backprop.
+# Every buffer of a TrainContext starts a multiple of this many elements into
+# its allocation, a 64-byte boundary in float32.
+_ALIGN = 16
 
-    Returns (activations, probs): activations[l] is the input to layer l,
-    activations[-1] is the pre-softmax logits.
+
+def _offsets(shapes, start: int = 0) -> list[int]:
+    """Where buffers of `shapes` start when laid out back to back from
+    `start`, each on a multiple of _ALIGN; the last entry is where they end."""
+    offsets = [start]
+    for shape in shapes:
+        offsets.append(offsets[-1] + -(-math.prod(shape) // _ALIGN) * _ALIGN)
+    return offsets
+
+
+def _views(buf: np.ndarray, shapes, start: int = 0) -> list[np.ndarray]:
+    return [buf[o:o + math.prod(s)].reshape(s) for o, s in zip(_offsets(shapes, start), shapes)]
+
+
+class TrainContext:
+    """Every array a training run needs, carved from one allocation.
+
+    Five blocks laid out alike come first: the parameters (the bound model's
+    `layers` become views of this block), the gradient, Adam's first and
+    second moments and a scratch block, so one Adam step is a few ufunc
+    calls over whole blocks. Then each layer's output and backward buffer,
+    the softmax output and a work buffer. `forward`, `loss_and_grad` and
+    `adam_step` write into them with `out=`, keeping the arithmetic of each
+    element and the order of each reduction, so results are the same to the
+    bit as with fresh arrays.
+
+    `keep_forward` marks the forward pass in the buffers as the next step's
+    and snapshots the weights into the scratch block; the step reuses it only
+    while the weights still equal the snapshot bit for bit, and an Adam step
+    drops it. Edit a bound model's weights in place only; a replaced array
+    leaves the block.
     """
+
+    def __init__(self, model: GeneratorModel):
+        b = model.batch_size
+        param_shapes = [s for W, bias in model.layers for s in (W.shape, bias.shape)]
+        widths = [W.shape[1] for W, _ in model.layers]
+        buf_shapes = [(b, w) for w in widths] * 2 + [(b, widths[-1]), (b * max(widths),)]
+        n = _offsets(param_shapes)[-1]
+        self._buf = np.zeros(_offsets(buf_shapes, 5 * n)[-1], model.dtype)
+        self.params, self.grad, self.m, self.v, self.scratch = (
+            self._buf[k * n:(k + 1) * n] for k in range(5))
+        params = _views(self.params, param_shapes)
+        grads = _views(self.grad, param_shapes)
+        self.layers = list(zip(params[0::2], params[1::2]))
+        self.grads = list(zip(grads[0::2], grads[1::2]))
+        for (W, bias), (W_view, b_view) in zip(model.layers, self.layers):
+            W_view[...] = W
+            b_view[...] = bias
+        bufs = _views(self._buf, buf_shapes, 5 * n)
+        n_layers = len(widths)
+        self.outputs = bufs[:n_layers]  # each layer's output; the last is the logits
+        self.backward = bufs[n_layers:2 * n_layers]  # the loss's gradient wrt each output
+        self.probs, self._work = bufs[-2:]
+        self.t = 0
+        self._kept = False
+        model.layers = self.layers
+
+    def work(self, width: int) -> np.ndarray:
+        """The work buffer as a (batch, width) array."""
+        b = self.probs.shape[0]
+        return self._work[:b * width].reshape(b, width)
+
+    def reset_adam(self) -> None:
+        """Zero the moments and the step count, as a fresh optimizer has them."""
+        self.m[...] = 0
+        self.v[...] = 0
+        self.t = 0
+
+    def keep_forward(self) -> None:
+        np.copyto(self.scratch, self.params)
+        self._kept = True
+
+    def has_forward(self) -> bool:
+        """Whether the buffers hold the kept forward pass of the current weights."""
+        bits = np.dtype(f"u{self.params.itemsize}")
+        return self._kept and np.array_equal(self.scratch.view(bits), self.params.view(bits))
+
+    def drop_forward(self) -> None:
+        self._kept = False
+
+
+def _check_bound(model: GeneratorModel, ctx: TrainContext) -> None:
+    if model.layers is not ctx.layers:
+        raise ValueError("the model is not bound to this training context")
+
+
+def forward(model: GeneratorModel, ctx: TrainContext | None = None) -> SoftBatch:
+    """Soft batch from the frozen latent Z. Through a context, every layer's
+    output stays in its buffers for the backward pass, and the returned
+    probabilities are its softmax buffer, overwritten by the next pass;
+    without one, they are fresh arrays."""
+    if ctx is None:
+        outputs = [np.empty((model.batch_size, W.shape[1]), model.dtype) for W, _ in model.layers]
+        probs, work = np.empty_like(outputs[-1]), None
+    else:
+        _check_bound(model, ctx)
+        outputs, probs, work = ctx.outputs, ctx.probs, ctx.work(model.out_width)
     h = model.Z
-    acts = [h]
-    n_layers = len(model.layers)
-    for l, (W, b) in enumerate(model.layers):
-        a = h @ W + b
-        if l < n_layers - 1:
-            h = np.maximum(a, 0.0)
-        else:
-            h = a
-        acts.append(h)
-    probs = _segment_softmax(acts[-1], model.cards, model.seg_offsets)
-    return acts, probs
-
-
-def forward(model: GeneratorModel) -> SoftBatch:
-    """Soft batch from the frozen latent Z."""
-    _, probs = _forward_full(model)
+    last = len(model.layers) - 1
+    for l, ((W, b), out) in enumerate(zip(model.layers, outputs)):
+        h = np.matmul(h, W, out=out)
+        h += b
+        if l < last:
+            np.maximum(h, 0.0, out=h)
+    probs = _segment_softmax(h, model.cards, model.seg_offsets, out=probs, work=work)
     return SoftBatch(probs=probs, cards=model.cards, seg_offsets=model.seg_offsets)
 
 
@@ -268,8 +367,16 @@ def soft_marginals(model: GeneratorModel, scale: float, specs) -> SoftMarginals:
     """The soft marginals of `specs` (order <= 2) from one forward pass."""
     if any(s.order > 2 for s in specs):
         raise UnsupportedOrder("soft marginals support order 1 and 2 only")
-    layout = gram_layout(model, [s.attrs for s in specs if s.order == 2])
-    probs = forward(model).probs
+    return gram_marginals(model, scale, gram_layout(model, [s.attrs for s in specs if s.order == 2]))
+
+
+def gram_marginals(model: GeneratorModel, scale: float, layout: GramLayout,
+                   ctx: TrainContext | None = None) -> SoftMarginals:
+    """The one-way soft marginals and the blocks of `layout`, from one
+    forward pass; through a context, the pass is kept for the next step."""
+    probs = forward(model, ctx).probs
+    if ctx is not None:
+        ctx.keep_forward()
     c = scale / probs.shape[0]
     return SoftMarginals(layout, c * probs.sum(axis=0),
                          [gram for *_, gram in _gram_blocks(probs, layout, c)])
@@ -324,20 +431,30 @@ def fold_targets(model: GeneratorModel, targets, scale: float) -> MarginalTarget
     return folded
 
 
-def loss_and_grad(model: GeneratorModel, targets: MarginalTargets):
+def loss_and_grad(model: GeneratorModel, targets: MarginalTargets,
+                  ctx: TrainContext | None = None):
     """Weighted marginal-matching loss and its exact gradient.
 
     Loss = sum_i w_i * ||soft_marginal_i - noisy_i||_F^2 over the folded
     targets (see `fold_targets`). Returns (loss, grads) with grads shaped and
-    typed like model.layers; the loss is summed in float64.
+    typed like model.layers, the views of the context's gradient block; the
+    loss is summed in float64. A forward pass the context kept for the
+    current weights is used instead of a new one.
     """
-    acts, probs = _forward_full(model)
+    if ctx is None:
+        model = model.copy()  # a context of its own leaves `model` unbound
+        ctx = TrainContext(model)
+    _check_bound(model, ctx)
+    if not ctx.has_forward():
+        forward(model, ctx)
+    probs = ctx.probs
     b = probs.shape[0]
     c = targets.scale / b
     err1 = c * probs.sum(axis=0) - targets.mean1
     resid1 = targets.weight1 * err1
     loss = targets.const + float((resid1 * err1).sum(dtype=np.float64))
-    dprobs = np.repeat(resid1[None, :], b, axis=0)
+    dprobs = ctx.backward[-1]
+    dprobs[...] = resid1
     blocks = _gram_blocks(probs, targets.layout, c)
     for (blk, p_rows, p_cols, gram), weight, mean in zip(blocks, targets.weight2, targets.mean2):
         err = gram - mean
@@ -351,51 +468,48 @@ def loss_and_grad(model: GeneratorModel, targets: MarginalTargets):
     dprobs *= 2.0 * c
 
     # softmax backward per segment: dz = p * (g - sum(g * p))
-    dlogits = probs * (dprobs - _per_segment(np.add, dprobs * probs, model.cards, model.seg_offsets))
+    work = ctx.work(model.out_width)
+    np.multiply(dprobs, probs, out=work)
+    dprobs -= _per_segment(np.add, work, model.cards, model.seg_offsets, out=work)
+    dprobs *= probs
 
-    grads = [None] * len(model.layers)
-    dh = dlogits
-    for l in range(len(model.layers) - 1, -1, -1):
-        W, _ = model.layers[l]
-        h_in = acts[l]
-        if l < len(model.layers) - 1:
-            dh = dh * (acts[l + 1] > 0)  # ReLU mask
-        grads[l] = (h_in.T @ dh, dh.sum(axis=0))
+    inputs = [model.Z] + ctx.outputs[:-1]
+    last = len(model.layers) - 1
+    for l in range(last, -1, -1):
+        dh = ctx.backward[l]
+        if l < last:
+            dh *= np.greater(ctx.outputs[l], 0.0, out=ctx.work(dh.shape[1]))  # ReLU mask
+        gW, gb = ctx.grads[l]
+        np.matmul(inputs[l].T, dh, out=gW)
+        np.sum(dh, axis=0, out=gb)
         if l > 0:
-            dh = dh @ W.T
-    return loss, grads
+            np.matmul(dh, model.layers[l][0].T, out=ctx.backward[l - 1])
+    return loss, ctx.grads
 
 
-@dataclass
-class AdamState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    t: int = 0
-
-    @classmethod
-    def for_model(cls, model: GeneratorModel) -> "AdamState":
-        return cls(
-            m=[(np.zeros_like(W), np.zeros_like(b)) for W, b in model.layers],
-            v=[(np.zeros_like(W), np.zeros_like(b)) for W, b in model.layers],
-            t=0,
-        )
-
-
-def adam_step(model: GeneratorModel, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update, in place."""
-    state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
-    for l, (W, b) in enumerate(model.layers):
-        for k, (param, g) in enumerate(zip((W, b), grads[l])):
-            m = state.m[l][k]
-            v = state.v[l][k]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+def adam_step(ctx: TrainContext, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+              eps: float = 1e-8) -> None:
+    """One Adam update of the bound model's weights from the context's
+    gradient block, in place: param -= lr * (m / bc1) / (sqrt(v / bc2) + eps),
+    element for element as in that expression, over whole blocks. The scratch
+    block and then the spent gradient hold the temporaries."""
+    ctx.t += 1
+    ctx.drop_forward()
+    bc1 = 1.0 - beta1 ** ctx.t
+    bc2 = 1.0 - beta2 ** ctx.t
+    m, v, g, s = ctx.m, ctx.v, ctx.grad, ctx.scratch
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=s)
+    v *= beta2
+    s = np.multiply(g, 1.0 - beta2, out=s)
+    s *= g
+    v += s
+    s = np.divide(m, bc1, out=s)
+    s *= lr
+    root = np.sqrt(np.divide(v, bc2, out=g), out=g)
+    root += eps
+    s /= root
+    ctx.params -= s
 
 
 def sample_hard(model: GeneratorModel, n_rows: int, seed: int) -> Dataset:

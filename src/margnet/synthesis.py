@@ -20,15 +20,17 @@ import numpy as np
 from .domain import Dataset, Domain
 from .errors import InsufficientBudget
 from .generator import (
-    AdamState,
     GeneratorModel,
+    GramLayout,
     SoftMarginals,
+    TrainContext,
     adam_step,
     fold_targets,
+    gram_layout,
+    gram_marginals,
     init_generator,
     loss_and_grad,
     sample_hard,
-    soft_marginals,
 )
 from .marginals import (Marginal, MarginalSpec, compute_marginal, l1_distance, marginal_spec,
                         selection_candidates)
@@ -220,36 +222,68 @@ def compute_weights(measurements: list[Measurement], d: int) -> None:
         m.weight = float(w)
 
 
-def train(model: GeneratorModel, measurements: list[Measurement], scale: float,
-          iters: int, lr: float) -> float:
+def train(model: GeneratorModel, ctx: TrainContext, measurements: list[Measurement],
+          scale: float, iters: int, lr: float) -> float:
     """Run `iters` gradient steps on the weighted marginal loss; returns the
-    final loss. A fresh optimizer state is used for every training pass."""
-    state = AdamState.for_model(model)
+    final loss. Every pass starts Adam afresh, with zeroed moments."""
+    ctx.reset_adam()
     targets = fold_targets(model, measurements, scale)
     loss = 0.0
     for _ in range(iters):
-        loss, grads = loss_and_grad(model, targets)
-        adam_step(model, grads, state, lr)
+        loss, _ = loss_and_grad(model, targets, ctx)
+        adam_step(ctx, lr)
     return loss
 
 
-def candidate_scores(soft: SoftMarginals, exact: dict, candidates: list[MarginalSpec],
-                     rho_m: float) -> np.ndarray:
+@dataclass
+class CandidateIndex:
+    """Where the candidates' cells sit in the Gram blocks of `layout`, laid
+    end to end, grouped by cell count: per group the cell count, the
+    candidates' positions, a (k, n_cells) gather index and the exact counts
+    in the same shape."""
+
+    layout: GramLayout
+    size: int
+    groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def candidate_index(model: GeneratorModel, candidates: list[MarginalSpec],
+                    exact: dict) -> CandidateIndex:
+    layout = gram_layout(model, [s.attrs for s in candidates])
+    starts = np.cumsum([0] + [rows * cols for rows, cols in (blk.shape for blk in layout.blocks)])
+    by_cells: dict = {}
+    for i, spec in enumerate(candidates):
+        k, rows, cols = layout.where[spec.attrs]
+        n_cols = layout.blocks[k].shape[1]
+        cells = np.add.outer(np.arange(rows.start, rows.stop) * n_cols,
+                             np.arange(cols.start, cols.stop)).reshape(-1)
+        by_cells.setdefault(spec.n_cells, []).append((i, starts[k] + cells, exact[spec.attrs].counts))
+    groups = [(n, np.array([i for i, _, _ in group]), np.stack([c for _, c, _ in group]),
+               np.stack([e for _, _, e in group])) for n, group in by_cells.items()]
+    return CandidateIndex(layout, len(candidates), groups)
+
+
+def candidate_scores(soft: SoftMarginals, index: CandidateIndex, rho_m: float) -> np.ndarray:
     """Selection scores: expected estimation improvement minus expected noise.
 
     q_i = ||M_i(G) - M_i||_1 - n_i / sqrt(pi * rho_m), with M_i(G) the model's
-    soft marginal (read from `soft`) and M_i the exact marginal.
+    soft marginal (read from `soft`, which must be at `index.layout`) and M_i
+    the exact marginal. Each cell-count group is one gather and one row sum,
+    whose sums equal `l1_distance` per candidate to the bit.
     """
-    scores = np.empty(len(candidates))
-    for i, spec in enumerate(candidates):
-        est = soft.marginal(spec)
-        gap = l1_distance(est, exact[spec.attrs])
-        scores[i] = gap - spec.n_cells / math.sqrt(math.pi * rho_m)
+    if soft.layout is not index.layout:
+        raise ValueError("soft marginals are not at the candidates' layout")
+    cells = np.concatenate([block.reshape(-1) for block in soft.blocks])
+    scores = np.empty(index.size)
+    for n_cells, positions, gather, exact in index.groups:
+        est = cells[gather].astype(np.float64)
+        scores[positions] = np.abs(est - exact).sum(axis=1) - n_cells / math.sqrt(math.pi * rho_m)
     return scores
 
 
-def warmup(ds: Dataset, domain: Domain, model: GeneratorModel, acct: Accountant,
-           rho_m: float, config: SynthConfig, rng_measure) -> tuple[list[Measurement], float]:
+def warmup(ds: Dataset, domain: Domain, model: GeneratorModel, ctx: TrainContext,
+           acct: Accountant, rho_m: float, config: SynthConfig,
+           rng_measure) -> tuple[list[Measurement], float]:
     """Measure every one-way marginal, estimate the record count, fit the model.
 
     Returns (measurements, n_estimate). Charges d * rho_m to the accountant;
@@ -270,11 +304,11 @@ def warmup(ds: Dataset, domain: Domain, model: GeneratorModel, acct: Accountant,
                                         rho_m=rho_m, sigma=sigma, round=0))
     n_estimate = max(1.0, float(np.median([m.noisy.counts.sum() for m in measurements])))
     compute_weights(measurements, d)
-    train(model, measurements, n_estimate, config.train_iters, config.lr)
+    train(model, ctx, measurements, n_estimate, config.train_iters, config.lr)
     return measurements, n_estimate
 
 
-def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
+def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel, ctx: TrainContext,
                    measurements: list[Measurement], acct: Accountant, rho_total: float,
                    rho_s: float, rho_m: float, config: SynthConfig, scale: float,
                    rng_select, rng_measure, trace: SelectionTrace) -> GeneratorModel:
@@ -297,11 +331,12 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
     if not candidates:
         return model.copy()
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
+    index = candidate_index(model, candidates, exact)
     selected_before: set = set()
     spent = 0.0
     tol = _BUDGET_SLACK * rho_total
     prev_model = model.copy()
-    soft = soft_marginals(model, scale, candidates)
+    soft = gram_marginals(model, scale, index.layout, ctx)
     k = 0
     while (k < config.fixed_rounds) if fixed else (spent < rho_total - tol):
         k += 1
@@ -311,7 +346,7 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
             rho_s, rho_m = split_budget((rho_total - spent) * (1.0 - _BUDGET_SLACK), 1.0)
         prev_model = model.copy()
 
-        scores = candidate_scores(soft, exact, candidates, rho_m)
+        scores = candidate_scores(soft, index, rho_m)
         idx = exponential_mechanism(scores, SCORE_SENSITIVITY, rho_s, rng_select)
         acct.spend(rho_s, f"select:round:{k}")
         chosen = candidates[idx]
@@ -325,11 +360,12 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
                                         rho_m=rho_m, sigma=NoiseParams(rho_m).sigma,
                                         round=k, newly_selected=True))
         compute_weights(measurements, d)
-        train(model, measurements, scale, config.train_iters, config.lr)
+        train(model, ctx, measurements, scale, config.train_iters, config.lr)
         spent += rho_s + rho_m
 
-        # the trained model's marginals: this round's improvement, next round's scores
-        soft = soft_marginals(model, scale, candidates)
+        # the trained model's marginals: this round's improvement, next
+        # round's scores; their forward pass is the next pass's first
+        soft = gram_marginals(model, scale, index.layout, ctx)
         improvement = l1_distance(soft.marginal(chosen), est_before)
         noise_floor = chosen.n_cells / math.sqrt(math.pi * rho_m)
         doubled = (not fixed and improvement < noise_floor
@@ -346,7 +382,7 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel,
 
     # closing pass over everything measured, always for the full iteration
     # count (training never early-stops)
-    train(model, measurements, scale, config.train_iters, config.lr)
+    train(model, ctx, measurements, scale, config.train_iters, config.lr)
     return prev_model
 
 
@@ -385,14 +421,19 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
                            config.batch_size, rng_init_seed, dtype=TRAIN_DTYPE)
     trace = SelectionTrace(rho_budget=rho, config=config.to_json_dict(d), seed=config.seed)
 
-    measurements, n_estimate = warmup(ds, domain, model, acct, rho_m, config, rng_measure)
+    # one context serves every training pass and scoring forward pass; the
+    # weights leave it once training ends, so it is freed before sampling
+    ctx = TrainContext(model)
+    measurements, n_estimate = warmup(ds, domain, model, ctx, acct, rho_m, config, rng_measure)
     trace.warmup = list(measurements)
     trace.n_estimate = n_estimate
 
     # the loop's phase budget is what the warm-up left: rho - d * rho_m
-    prev_model = selection_loop(ds, domain, model, measurements, acct, acct.remaining,
+    prev_model = selection_loop(ds, domain, model, ctx, measurements, acct, acct.remaining,
                                 rho_s, rho_m, config, n_estimate,
                                 rng_select, rng_measure, trace)
+    model = model.copy()
+    del ctx
 
     trace.measurements = [m for m in measurements if m.round > 0]
     trace.ledger = list(acct.ledger)

@@ -9,13 +9,14 @@ from margnet import generator
 from margnet.domain import AttributeMeta, Domain
 from margnet.errors import CheckpointError, UnsupportedOrder
 from margnet.generator import (
-    AdamState,
     SoftBatch,
+    TrainContext,
     _segment_softmax,
     adam_step,
     fold_targets,
     forward,
     gram_layout,
+    gram_marginals,
     init_generator,
     load_checkpoint,
     loss_and_grad,
@@ -340,11 +341,20 @@ def test_loss_linear_in_weights():
 
 # --------------------------------------------------------------------- adam
 
+def context_with_grads(model, grads):
+    """A context bound to `model` whose gradient block holds `grads`."""
+    ctx = TrainContext(model)
+    for (gW, gb), (W, b) in zip(ctx.grads, grads):
+        gW[...] = W
+        gb[...] = b
+    return ctx
+
+
 def test_adam_zero_grad_fixed_point():
     m = tiny_model()
     before = [W.copy() for W, _ in m.layers]
     zero = [(np.zeros_like(W), np.zeros_like(b)) for W, b in m.layers]
-    adam_step(m, zero, AdamState.for_model(m), lr=0.1)
+    adam_step(context_with_grads(m, zero), lr=0.1)
     for (W, _), Wb in zip(m.layers, before):
         assert np.array_equal(W, Wb)
 
@@ -354,7 +364,7 @@ def test_adam_first_step_is_signed_lr():
     rng = np.random.default_rng(2)
     grads = [(rng.normal(0, 1, W.shape), rng.normal(0, 1, b.shape)) for W, b in m.layers]
     before = [(W.copy(), b.copy()) for W, b in m.layers]
-    adam_step(m, grads, AdamState.for_model(m), lr=1e-3)
+    adam_step(context_with_grads(m, grads), lr=1e-3)
     for (W, b), (W0, b0), (gW, gb) in zip(m.layers, before, grads):
         assert np.allclose(W - W0, -1e-3 * np.sign(gW), atol=1e-6)
         assert np.allclose(b - b0, -1e-3 * np.sign(gb), atol=1e-6)
@@ -364,9 +374,171 @@ def test_adam_zero_lr():
     m = tiny_model(seed=10)
     grads = [(np.ones_like(W), np.ones_like(b)) for W, b in m.layers]
     before = [W.copy() for W, _ in m.layers]
-    adam_step(m, grads, AdamState.for_model(m), lr=0.0)
+    adam_step(context_with_grads(m, grads), lr=0.0)
     for (W, _), W0 in zip(m.layers, before):
         assert np.array_equal(W, W0)
+
+
+# --------------------------------------------------------- training context
+
+def reference_adam_step(model, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-layer Adam update the context's whole-block step replaced,
+    kept as an oracle; `state` is {"m": [...], "v": [...], "t": int}."""
+    state["t"] += 1
+    bc1 = 1.0 - beta1 ** state["t"]
+    bc2 = 1.0 - beta2 ** state["t"]
+    for l, (W, b) in enumerate(model.layers):
+        for k, (param, g) in enumerate(zip((W, b), grads[l])):
+            m = state["m"][l][k]
+            v = state["v"][l][k]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def training_setup(dtype, seed):
+    m = tiny_model(cards=(3, 1, 4), hidden=(12, 9), latent=5, batch=7, seed=seed, dtype=dtype)
+    return m, fold_targets(m, repeated_spec_targets(m, seed), 13.0)
+
+
+def fresh_array_loss_and_grad(model, targets):
+    """The step as it was before the training context, every array allocated
+    afresh, kept as an oracle of the context's arithmetic and reduction order."""
+    def per_segment(ufunc, x):
+        return np.repeat(ufunc.reduceat(x, model.seg_offsets, axis=1), model.cards, axis=1)
+
+    h = model.Z
+    acts = [h]
+    for l, (W, b) in enumerate(model.layers):
+        a = h @ W + b
+        h = np.maximum(a, 0.0) if l < len(model.layers) - 1 else a
+        acts.append(h)
+    e = np.exp(h - per_segment(np.maximum, h))
+    probs = e / per_segment(np.add, e)
+    b = probs.shape[0]
+    c = targets.scale / b
+    err1 = c * probs.sum(axis=0) - targets.mean1
+    resid1 = targets.weight1 * err1
+    loss = targets.const + float((resid1 * err1).sum(dtype=np.float64))
+    dprobs = np.repeat(resid1[None, :], b, axis=0)
+    blocks = generator._gram_blocks(probs, targets.layout, c)
+    for (blk, p_rows, p_cols, gram), weight, mean in zip(blocks, targets.weight2, targets.mean2):
+        err = gram - mean
+        resid = weight * err
+        loss += float((resid * err).sum(dtype=np.float64))
+        if blk.cols is blk.rows:
+            dprobs[:, blk.rows] += p_rows @ (resid + resid.T)
+        else:
+            dprobs[:, blk.rows] += p_cols @ resid.T
+            dprobs[:, blk.cols] += p_rows @ resid
+    dprobs *= 2.0 * c
+    dh = probs * (dprobs - per_segment(np.add, dprobs * probs))
+    grads = [None] * len(model.layers)
+    for l in range(len(model.layers) - 1, -1, -1):
+        if l < len(model.layers) - 1:
+            dh = dh * (acts[l + 1] > 0)
+        grads[l] = (acts[l].T @ dh, dh.sum(axis=0))
+        if l > 0:
+            dh = dh @ model.layers[l][0].T
+    return loss, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_context_steps_match_fresh_array_steps(layout_slack, dtype):
+    # K steps through one context leave the weights, to the bit, where K steps
+    # of the fresh-array step and the per-layer Adam update leave them
+    m, targets = training_setup(dtype, seed=1)
+    oracle = m.copy()
+    state = {"m": [(np.zeros_like(W), np.zeros_like(b)) for W, b in oracle.layers],
+             "v": [(np.zeros_like(W), np.zeros_like(b)) for W, b in oracle.layers], "t": 0}
+    ctx = TrainContext(m)
+    for _ in range(6):
+        loss, grads = loss_and_grad(m, targets, ctx)
+        want_loss, want_grads = fresh_array_loss_and_grad(oracle, targets)
+        assert loss == want_loss
+        for pair, want in zip(grads, want_grads):
+            for g, w in zip(pair, want):
+                assert same_bits(g, w)
+        adam_step(ctx, lr=3e-3)
+        reference_adam_step(oracle, want_grads, state, lr=3e-3)
+    for (W, b), (W0, b0) in zip(m.layers, oracle.layers):
+        assert same_bits(W, W0) and same_bits(b, b0)
+
+
+def count_forwards(monkeypatch):
+    calls = []
+    real = generator.forward
+    monkeypatch.setattr(generator, "forward", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def assert_cold_step(m, targets, loss, grads):
+    """`loss` and `grads` equal a step with a forward pass of its own."""
+    want_loss, want_grads = loss_and_grad(m, targets)
+    assert loss == want_loss
+    for pair, want in zip(grads, want_grads):
+        for g, w in zip(pair, want):
+            assert same_bits(g, w)
+
+
+def test_step_reuses_the_kept_forward(layout_slack, monkeypatch):
+    m, targets = training_setup(np.float32, seed=2)
+    ctx = TrainContext(m)
+    gram_marginals(m, 13.0, targets.layout, ctx)
+    assert ctx.has_forward()
+    calls = count_forwards(monkeypatch)
+    loss, grads = loss_and_grad(m, targets, ctx)
+    assert calls == []
+    assert_cold_step(m, targets, loss, grads)
+
+
+def test_adam_step_drops_the_kept_forward(monkeypatch):
+    m, targets = training_setup(np.float32, seed=3)
+    ctx = TrainContext(m)
+    loss_and_grad(m, targets, ctx)
+    gram_marginals(m, 13.0, targets.layout, ctx)
+    adam_step(ctx, lr=1e-2)
+    assert not ctx.has_forward()
+    calls = count_forwards(monkeypatch)
+    loss, grads = loss_and_grad(m, targets, ctx)
+    assert len(calls) == 1
+    assert_cold_step(m, targets, loss, grads)
+
+
+def test_in_place_weight_edits_never_see_a_stale_forward():
+    # finite_difference_check's edits, made through one context whose
+    # forward pass was kept just before each edit
+    m, targets = training_setup(np.float64, seed=4)
+    ctx = TrainContext(m)
+    for W, b in m.layers:
+        for arr in (W, b):
+            for idx in [(0,) * arr.ndim, tuple(s - 1 for s in arr.shape)]:
+                orig = arr[idx]
+                for value in (orig + 1e-5, orig - 1e-5, orig - 1e-5, orig):
+                    kept = arr[idx]
+                    gram_marginals(m, 13.0, targets.layout, ctx)
+                    arr[idx] = value
+                    assert ctx.has_forward() == (value == kept)
+                    loss, grads = loss_and_grad(m, targets, ctx)
+                    assert_cold_step(m, targets, loss, grads)
+
+
+def test_context_keeps_the_weights_and_rejects_other_models():
+    m = tiny_model(cards=(3, 2), hidden=(8, 6), seed=24, dtype=np.float32)
+    before = [(W.copy(), b.copy()) for W, b in m.layers]
+    ctx = TrainContext(m)
+    assert m.layers is ctx.layers
+    for (W, b), (W0, b0) in zip(m.layers, before):
+        assert same_bits(W, W0) and same_bits(b, b0)
+    assert same_bits(forward(m, ctx).probs, forward(m).probs)
+    with pytest.raises(ValueError):
+        forward(m.copy(), ctx)
 
 
 # ------------------------------------------------------------------ sampling
@@ -517,15 +689,14 @@ def test_float32_step_never_upcasts():
     targets = fitted_targets(m, seed=0)
     for arr in (targets.weight1, targets.mean1, *targets.weight2, *targets.mean2):
         assert arr.dtype == np.float32
-    state = AdamState.for_model(m)
+    ctx = TrainContext(m)
+    assert ctx.params.dtype == ctx.m.dtype == ctx.v.dtype == ctx.probs.dtype == np.float32
     for _ in range(2):
-        loss, grads = loss_and_grad(m, targets)
+        loss, grads = loss_and_grad(m, targets, ctx)
         assert isinstance(loss, float)
         assert all(g.dtype == np.float32 for pair in grads for g in pair)
-        adam_step(m, grads, state, lr=1e-3)
+        adam_step(ctx, lr=1e-3)
         assert all(p.dtype == np.float32 for pair in m.layers for p in pair)
-        assert all(x.dtype == np.float32 for moments in (state.m, state.v)
-                   for pair in moments for x in pair)
     assert m.copy().dtype == np.float32
 
 

@@ -7,13 +7,15 @@ import pytest
 
 from margnet.domain import Dataset
 from margnet.errors import InsufficientBudget
-from margnet.generator import forward, init_generator
+from margnet import generator
+from margnet.generator import TrainContext, forward, gram_marginals, init_generator
 from margnet.marginals import (Marginal, compute_marginal, l1_distance, marginal_spec,
                                selection_candidates, tvd)
 from margnet.privacy import Accountant
 from margnet.synthesis import (
     Measurement,
     SynthConfig,
+    candidate_index,
     candidate_scores,
     compute_weights,
     run_margnet,
@@ -21,7 +23,7 @@ from margnet.synthesis import (
     trace_from_json_dict,
     warmup,
 )
-from margnet.generator import soft_marginal, soft_marginals
+from margnet.generator import soft_marginal
 
 from conftest import categorical_domain, random_dataset
 
@@ -100,7 +102,7 @@ def test_warmup_charges_d_rho_m():
     cfg = tiny_config(train_iters=2)
     model = init_generator(dom, [8], 4, 8, seed=0)
     rng = np.random.default_rng(0)
-    warmup(ds, dom, model, acct, 0.01, cfg, rng)
+    warmup(ds, dom, model, TrainContext(model), acct, 0.01, cfg, rng)
     assert acct.rho_used == pytest.approx(0.03)
     assert [lab for lab, _ in acct.ledger] == [f"warmup:one-way:{i}" for i in range(3)]
 
@@ -112,7 +114,7 @@ def test_warmup_insufficient_budget_before_noise():
     model = init_generator(dom, [8], 4, 8, seed=0)
     rng = np.random.default_rng(0)
     with pytest.raises(InsufficientBudget):
-        warmup(ds, dom, model, acct, 0.01, tiny_config(), rng)
+        warmup(ds, dom, model, TrainContext(model), acct, 0.01, tiny_config(), rng)
     assert acct.rho_used == 0.0
     assert acct.ledger == []
 
@@ -126,7 +128,7 @@ def test_warmup_noise_free_training_converges():
     cfg = tiny_config(train_iters=300, lr=1e-2, noise_free=True)
     model = init_generator(dom, [16], 8, 32, seed=1)
     rng_m = np.random.default_rng(1)
-    _, n_est = warmup(ds, dom, model, acct, 0.01, cfg, rng_m)
+    _, n_est = warmup(ds, dom, model, TrainContext(model), acct, 0.01, cfg, rng_m)
     assert n_est == 400.0  # noise-free sums are exact
     sb = forward(model)
     for a in range(2):
@@ -137,6 +139,19 @@ def test_warmup_noise_free_training_converges():
 
 # ---------------------------------------------------------------- scoring
 
+def scores_of(model, scale, exact, candidates, rho_m):
+    index = candidate_index(model, candidates, exact)
+    return candidate_scores(gram_marginals(model, scale, index.layout), index, rho_m)
+
+
+def per_spec_scores(model, scale, exact, candidates, rho_m):
+    """The per-spec loop that one gather per cell count replaced, kept as an
+    oracle: a block read, an `l1_distance` and the noise term per candidate."""
+    soft = generator.soft_marginals(model, scale, candidates)
+    return np.array([l1_distance(soft.marginal(s), exact[s.attrs])
+                     - s.n_cells / math.sqrt(math.pi * rho_m) for s in candidates])
+
+
 def test_candidate_scores_perfect_fit():
     dom = categorical_domain([2, 2])
     ds = random_dataset(dom.cards, 100, seed=5)
@@ -145,7 +160,7 @@ def test_candidate_scores_perfect_fit():
     # make the "exact" marginal equal the model's soft marginal
     soft = soft_marginal(forward(model), spec, 100.0)
     rho_m = 0.25
-    scores = candidate_scores(soft_marginals(model, 100.0, [spec]), {spec.attrs: soft}, [spec], rho_m)
+    scores = scores_of(model, 100.0, {spec.attrs: soft}, [spec], rho_m)
     assert scores[0] == pytest.approx(-spec.n_cells / math.sqrt(math.pi * rho_m))
 
 
@@ -156,7 +171,7 @@ def test_candidate_scores_arithmetic():
     spec = marginal_spec(ds, (0, 1))
     exact = {spec.attrs: compute_marginal(ds, spec)}
     rho_m = 1.0 / math.pi  # noise term becomes exactly n_i
-    scores = candidate_scores(soft_marginals(model, 50.0, [spec]), exact, [spec], rho_m)
+    scores = scores_of(model, 50.0, exact, [spec], rho_m)
     gap = l1_distance(soft_marginal(forward(model), spec, 50.0), exact[spec.attrs])
     assert scores[0] == pytest.approx(gap - 4.0)
 
@@ -169,12 +184,55 @@ def test_candidate_scores_match_per_spec_soft_marginals():
     candidates = selection_candidates(dom.cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
     rho_m, scale = 0.07, 400.0
-    scores = candidate_scores(soft_marginals(model, scale, candidates), exact, candidates, rho_m)
+    scores = scores_of(model, scale, exact, candidates, rho_m)
     sb = forward(model)
     want = [l1_distance(soft_marginal(sb, s, scale), exact[s.attrs])
             - s.n_cells / math.sqrt(math.pi * rho_m) for s in candidates]
     assert len(scores) == 10
     assert np.max(np.abs(scores - np.array(want))) <= 1e-9
+
+
+@pytest.mark.parametrize("dense_slack", [None, 0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_candidate_scores_equal_per_spec_l1_to_the_bit(monkeypatch, dense_slack, dtype):
+    # mixed cardinalities give 21 cell-count groups, some past the 128 cells
+    # where numpy's pairwise sum starts to split; DENSE_SLACK = 0 puts every
+    # first attribute's pairs in a block row of their own
+    if dense_slack is not None:
+        monkeypatch.setattr(generator, "DENSE_SLACK", dense_slack)
+    dom = categorical_domain([3, 1, 4, 2, 5, 3, 20, 13])
+    ds = random_dataset(dom.cards, 500, seed=13)
+    model = init_generator(dom, [16], 5, 13, seed=5, dtype=dtype)
+    candidates = selection_candidates(dom.cards)
+    exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
+    index = candidate_index(model, candidates, exact)
+    assert len(index.groups) == len({s.n_cells for s in candidates}) == 21
+    assert len(index.layout.blocks) == (1 if dense_slack is None else 7)
+    scores = scores_of(model, 500.0, exact, candidates, 0.03)
+    assert scores.tolist() == per_spec_scores(model, 500.0, exact, candidates, 0.03).tolist()
+
+
+def test_candidate_scores_on_a_sparse_layout():
+    # a few pairs over many attributes are past DENSE_SLACK by themselves
+    dom = categorical_domain([4, 3, 5, 2, 6, 3, 4, 5, 2, 3])
+    ds = random_dataset(dom.cards, 300, seed=14)
+    model = init_generator(dom, [16], 5, 9, seed=6, dtype=np.float32)
+    candidates = [marginal_spec(dom.cards, p) for p in [(0, 7), (0, 9), (2, 5), (3, 8), (6, 9)]]
+    exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
+    index = candidate_index(model, candidates, exact)
+    assert len(index.layout.blocks) == 4
+    scores = scores_of(model, 300.0, exact, candidates, 0.2)
+    assert scores.tolist() == per_spec_scores(model, 300.0, exact, candidates, 0.2).tolist()
+
+
+def test_candidate_scores_need_the_index_layout():
+    dom = categorical_domain([2, 3, 2])
+    model = init_generator(dom, [8], 4, 8, seed=7)
+    candidates = selection_candidates(dom.cards)
+    ds = random_dataset(dom.cards, 50, seed=15)
+    index = candidate_index(model, candidates, {s.attrs: compute_marginal(ds, s) for s in candidates})
+    with pytest.raises(ValueError):
+        candidate_scores(generator.soft_marginals(model, 50.0, candidates), index, 0.1)
 
 
 # ---------------------------------------------------------------- full runs
