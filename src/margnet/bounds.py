@@ -74,7 +74,11 @@ def chi2_cdf(x: float, dof: int) -> float:
     return _gammainc(dof / 2.0, x / 2.0)
 
 
-def chi2_inverse_cdf(p: float, dof: int, tol: float = 1e-8) -> float:
+# absolute width at which chi2_inverse_cdf stops bisecting
+CHI2_INVERSE_TOL = 1e-8
+
+
+def chi2_inverse_cdf(p: float, dof: int) -> float:
     """Numeric inverse of the chi-squared CDF (bisection)."""
     if not 0 < p < 1:
         raise InvalidDelta(f"quantile level must be in (0, 1), got {p}")
@@ -82,7 +86,7 @@ def chi2_inverse_cdf(p: float, dof: int, tol: float = 1e-8) -> float:
     while chi2_cdf(hi, dof) < p:
         hi *= 2.0
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > CHI2_INVERSE_TOL:
         mid = (lo + hi) / 2.0
         if chi2_cdf(mid, dof) < p:
             lo = mid

@@ -157,9 +157,9 @@ def cmd_convert(args) -> None:
     if (args.epsilon is None) == (args.rho is None):
         raise ValueError("give exactly one of --epsilon or --rho")
     if args.epsilon is not None:
-        print(f"rho={dp_to_zcdp_rho(args.epsilon, args.delta):.6f}")
+        print(f"rho={dp_to_zcdp_rho(args.epsilon, args.delta)!r}")
     else:
-        print(f"epsilon={zcdp_to_dp_epsilon(args.rho, args.delta):.6f}")
+        print(f"epsilon={zcdp_to_dp_epsilon(args.rho, args.delta)!r}")
 
 
 def cmd_check(args) -> None:

@@ -53,6 +53,8 @@ _CHECKPOINT_DTYPES = ("float32", "float64")
 # block row of their own, which holds exactly the requested cells.
 DENSE_SLACK = 8
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def _segment(cards, offsets, attr: int) -> slice:
     """Columns of attribute `attr` in a layout where it starts at offsets[attr]."""
@@ -487,27 +489,26 @@ def loss_and_grad(model: GeneratorModel, targets: MarginalTargets,
     return loss, ctx.grads
 
 
-def adam_step(ctx: TrainContext, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+def adam_step(ctx: TrainContext, lr: float) -> None:
     """One Adam update of the bound model's weights from the context's
-    gradient block, in place: param -= lr * (m / bc1) / (sqrt(v / bc2) + eps),
+    gradient block, in place: param -= lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS),
     element for element as in that expression, over whole blocks. The scratch
     block and then the spent gradient hold the temporaries."""
     ctx.t += 1
     ctx.drop_forward()
-    bc1 = 1.0 - beta1 ** ctx.t
-    bc2 = 1.0 - beta2 ** ctx.t
+    bc1 = 1.0 - ADAM_BETA1 ** ctx.t
+    bc2 = 1.0 - ADAM_BETA2 ** ctx.t
     m, v, g, s = ctx.m, ctx.v, ctx.grad, ctx.scratch
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=s)
-    v *= beta2
-    s = np.multiply(g, 1.0 - beta2, out=s)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    v *= ADAM_BETA2
+    s = np.multiply(g, 1.0 - ADAM_BETA2, out=s)
     s *= g
     v += s
     s = np.divide(m, bc1, out=s)
     s *= lr
     root = np.sqrt(np.divide(v, bc2, out=g), out=g)
-    root += eps
+    root += ADAM_EPS
     s /= root
     ctx.params -= s
 
@@ -639,7 +640,10 @@ def load_checkpoint(path):
             buf = f.read(8 * n)
             if len(buf) != 8 * n:
                 raise CheckpointError("checkpoint truncated")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).astype(dtype)
+            arr = np.frombuffer(buf, dtype="<f8").reshape(shape)
+            if not (np.abs(arr) <= np.finfo(dtype).max).all():  # false for NaN too
+                raise CheckpointError(f"checkpoint holds a value that is not a finite {dtype.name}")
+            return arr.astype(dtype)
 
         def read_layers():
             layers = []

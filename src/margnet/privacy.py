@@ -92,63 +92,36 @@ def exponential_mechanism(scores, delta_q: float, rho_s: float, rng: np.random.G
     return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, scores.size - 1))
 
 
-def _log_delta(rho: float, eps: float, alphas: np.ndarray) -> np.ndarray:
-    # log of exp((a-1)(a*rho - eps)) * (1 - 1/a)^a / (a - 1), elementwise in a.
-    a = alphas
-    return (a - 1.0) * (a * rho - eps) + a * np.log1p(-1.0 / a) - np.log(a - 1.0)
-
-
-_ALPHA_GRID = 1.0 + np.logspace(-5, np.log10(63.0), 512)
-
-
-def _log_delta_scalar(rho: float, eps: float, a: float) -> float:
+def _log_delta(rho: float, eps: float, a: float) -> float:
+    # log of exp((a-1)(a*rho - eps)) * (1 - 1/a)^a / (a - 1)
     return (a - 1.0) * (a * rho - eps) + a * math.log1p(-1.0 / a) - math.log(a - 1.0)
 
 
 def _best_log_delta(rho: float, eps: float) -> float:
     """min over alpha > 1 of the zCDP->DP conversion expression (in log space).
 
-    A dense grid over (1, 64] locates the minimum, which is then refined by
-    golden-section search. If the minimum sits at the grid's upper edge the
-    bracket is extended by doubling, the routine path for small rho (for
-    example epsilon = 0.3, delta = 1e-5).
+    The expression is strictly convex in alpha: its derivative
+    (2*alpha - 1)*rho - eps + log(1 - 1/alpha) rises from -inf at alpha -> 1
+    to +inf, with second derivative 2*rho + 1/(alpha*(alpha - 1)) > 0. So the
+    minimum is the derivative's one sign change, found by doubling an upper
+    end from alpha = 2 and bisecting down to adjacent doubles. The value is
+    taken at the upper end: when the minimiser lies within one ulp of 1 the
+    lower end stays at 1, where the expression is undefined.
     """
-    grid = _ALPHA_GRID
-    vals = _log_delta(rho, eps, grid)
-    i = int(np.argmin(vals))
-    if i == len(grid) - 1:
-        lo, hi = grid[i - 1], grid[i]
-        f_hi = vals[i]
-        while hi < 1e9:
-            nxt = hi * 2.0
-            f_nxt = _log_delta_scalar(rho, eps, nxt)
-            if f_nxt > f_hi:
-                lo, hi = hi / 2.0, nxt
-                break
-            hi, f_hi = nxt, f_nxt
-    else:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[i + 1]
-    # golden-section refinement on the bracketed unimodal section
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _log_delta_scalar(rho, eps, c)
-    fd = _log_delta_scalar(rho, eps, d)
-    for _ in range(120):
-        if b - a < 1e-8 * max(1.0, b):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _log_delta_scalar(rho, eps, c)
+    def rising(a: float) -> bool:
+        return (2.0 * a - 1.0) * rho - eps + math.log1p(-1.0 / a) >= 0.0
+
+    lo, hi = 1.0, 2.0
+    while not rising(hi):
+        lo, hi = hi, hi * 2.0
+    while True:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            return _log_delta(rho, eps, hi)  # no double between the ends
+        if rising(mid):
+            hi = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _log_delta_scalar(rho, eps, d)
-    mid = (a + b) / 2.0
-    return min(_log_delta_scalar(rho, eps, mid), float(vals[i]))
+            lo = mid
 
 
 def zcdp_to_dp_epsilon(rho: float, delta: float) -> float:

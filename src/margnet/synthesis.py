@@ -158,25 +158,42 @@ class SelectionTrace:
         }
 
 
+def _positive(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return value
+
+
+def _spec(cards, attrs, order: int) -> MarginalSpec:
+    # marginal_spec then requires ascending indices, all in range
+    if not (isinstance(attrs, list) and len(attrs) == order
+            and all(type(a) is int for a in attrs)):
+        raise ValueError(f"attrs must be a list of {order} attribute indices, got {attrs!r}")
+    return marginal_spec(cards, attrs)
+
+
 def trace_from_json_dict(obj: dict, cards) -> SelectionTrace:
-    """Rebuild a SelectionTrace (as far as diagnostics need it) from its JSON."""
+    """Rebuild a SelectionTrace (as far as diagnostics need it) from its JSON.
+
+    Every budget and noise scale must be a positive finite number, every count
+    finite, every warm-up marginal one-way and every selected one two-way."""
     if not isinstance(obj, dict):
         raise ValueError(f"a trace is a JSON object, got {type(obj).__name__}")
     if obj.get("format") != "margnet-trace-v1":
         raise ValueError(f"not a synthesis trace: format={obj.get('format')!r}")
-    n_estimate = obj["n_estimate"]
-    if isinstance(n_estimate, bool) or not isinstance(n_estimate, (int, float)) \
-            or not 0 < n_estimate < math.inf:
-        raise ValueError(f"n_estimate must be a positive finite number, got {n_estimate!r}")
+    n_estimate = _positive("n_estimate", obj["n_estimate"])
 
-    def meas(entry: dict) -> Measurement:
-        spec = marginal_spec(cards, entry["attrs"])
-        return Measurement(spec=spec, noisy=Marginal(spec, np.asarray(entry["counts"])),
-                           rho_m=entry["rho_m"], sigma=entry["sigma"], round=entry["round"])
+    def meas(entry: dict, order: int) -> Measurement:
+        spec = _spec(cards, entry["attrs"], order)
+        noisy = Marginal(spec, np.asarray(entry["counts"]))
+        if not np.isfinite(noisy.counts).all():
+            raise ValueError(f"counts of {list(spec.attrs)} must be finite")
+        return Measurement(spec=spec, noisy=noisy, rho_m=_positive("rho_m", entry["rho_m"]),
+                           sigma=_positive("sigma", entry["sigma"]), round=entry["round"])
 
     trace = SelectionTrace(
-        warmup=[meas(e) for e in obj.get("warmup", [])],
-        measurements=[meas(e) for e in obj.get("measurements", [])],
+        warmup=[meas(e, 1) for e in obj.get("warmup", [])],
+        measurements=[meas(e, 2) for e in obj.get("measurements", [])],
         n_estimate=n_estimate,
         rho_budget=obj.get("rho_budget", 0.0),
         ledger=[(label, rho) for label, rho in obj.get("ledger", [])],
@@ -185,7 +202,8 @@ def trace_from_json_dict(obj: dict, cards) -> SelectionTrace:
     )
     for e in obj.get("rounds", []):
         trace.rounds.append(RoundRecord(
-            round=e["round"], attrs=tuple(e["attrs"]), rho_s=e["rho_s"], rho_m=e["rho_m"],
+            round=e["round"], attrs=_spec(cards, e["attrs"], 2).attrs,
+            rho_s=_positive("rho_s", e["rho_s"]), rho_m=_positive("rho_m", e["rho_m"]),
             score=e["score"], improvement=e["improvement"],
             noise_floor=e.get("noise_floor", 0.0), doubled=e["doubled"],
         ))

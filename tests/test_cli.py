@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import margnet
 from margnet.cli import main
@@ -158,13 +160,22 @@ def test_eval_domain_mismatch_exits_2(gauss_files, tmp_path):
     assert run_cli("eval", "--real", csv, "--synth", narrow, "--domain", domain) == 2
 
 
-def test_convert_round_trip(capsys):
+def test_convert_prints_full_precision(capsys):
     assert run_cli("convert", "--epsilon", "1.0", "--delta", "1e-5") == 0
-    rho = float(capsys.readouterr().out.strip().split("=")[1])
-    assert run_cli("convert", "--rho", str(rho), "--delta", "1e-5") == 0
-    eps = float(capsys.readouterr().out.strip().split("=")[1])
-    # rho passes through the printed 6-decimal value, so allow that quantization
-    assert abs(eps - 1.0) <= 1e-4
+    assert capsys.readouterr().out == "rho=0.030556595185771585\n"
+    assert run_cli("convert", "--epsilon", "1e-3") == 0
+    assert capsys.readouterr().out == "rho=1.2015087258987476e-07\n"
+
+
+def test_convert_round_trip(capsys):
+    # the printed rho is the exact double, so it converts back to at most
+    # epsilon, short of it by no more than the rho bisection's width
+    for epsilon in (1.0, 1e-3, 1e-4):
+        assert run_cli("convert", "--epsilon", repr(epsilon), "--delta", "1e-5") == 0
+        rho = capsys.readouterr().out.strip().split("=")[1]
+        assert run_cli("convert", "--rho", rho, "--delta", "1e-5") == 0
+        eps = float(capsys.readouterr().out.strip().split("=")[1])
+        assert epsilon * (1 - 1e-8) <= eps <= epsilon, epsilon
 
 
 def test_convert_both_directions_rejected():
@@ -265,24 +276,96 @@ def _first_measurement(field, value):
     return mangle
 
 
-@pytest.mark.parametrize("mangle", [
-    _first_measurement("counts", [1.0, 2.0]),
-    _first_measurement("attrs", 5),
-    lambda t: [1, 2],
-    lambda t: "x",
-    lambda t: {**t, "n_estimate": "abc"},
-], ids=["counts-value0", "attrs-5", "list", "string", "n-estimate-str"])
-def test_check_malformed_trace_exits_2(gauss_files, finished_run, tmp_path, capsys, mangle):
+def _last_round(field, value):
+    def mangle(trace):
+        trace["rounds"][-1][field] = value
+        return trace
+    return mangle
+
+
+def _first_count(value):
+    def mangle(trace):
+        trace["measurements"][0]["counts"][0] = value
+        return trace
+    return mangle
+
+
+def _one_way(trace, section):
+    entry = trace[section][-1]
+    entry["attrs"] = entry["attrs"][:1]
+    if "counts" in entry:
+        entry["counts"] = entry["counts"][:10]  # a one-way marginal's 10 cells
+    return trace
+
+
+MALFORMED_TRACES = {
+    "counts-value0": _first_measurement("counts", [1.0, 2.0]),
+    "attrs-5": _first_measurement("attrs", 5),
+    "list": lambda t: [1, 2],
+    "string": lambda t: "x",
+    "n-estimate-str": lambda t: {**t, "n_estimate": "abc"},
+    "last-rho-s-0": _last_round("rho_s", 0),
+    "last-rho-s-null": _last_round("rho_s", None),
+    "last-rho-s-negative": _last_round("rho_s", -1),
+    "last-rho-s-true": _last_round("rho_s", True),
+    "last-rho-m-nan": _last_round("rho_m", math.nan),
+    "measurement-rho-m-0": _first_measurement("rho_m", 0),
+    "measurement-sigma-inf": _first_measurement("sigma", math.inf),
+    "count-nan": _first_count(math.nan),
+    "count-inf": _first_count(math.inf),
+    "round-one-way": lambda t: _one_way(t, "rounds"),
+    "round-attrs-reversed": _last_round("attrs", [2, 0]),
+    "measurement-one-way": lambda t: _one_way(t, "measurements"),
+    "warmup-attrs-float": lambda t: {**t, "warmup": [{**t["warmup"][0], "attrs": [0.5]}]},
+}
+
+
+def _check_with_trace(gauss_files, finished_run, tmp_path, trace_obj):
+    """Run check on a rewritten trace; returns (exit code, report path)."""
     csv, domain = gauss_files
-    trace_path, ckpt = finished_run
+    _, ckpt = finished_run
     bad = tmp_path / "bad.trace.json"
-    bad.write_text(json.dumps(mangle(json.load(open(trace_path)))))
+    bad.write_text(json.dumps(trace_obj))  # writes NaN and Infinity, as json.loads reads them
     report = tmp_path / "bounds.json"
-    assert run_cli("check", "--trace", str(bad), "--checkpoint", ckpt,
-                   "--data", csv, "--domain", domain, "--out", str(report)) == 2
+    return run_cli("check", "--trace", str(bad), "--checkpoint", ckpt,
+                   "--data", csv, "--domain", domain, "--out", str(report)), report
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TRACES))
+def test_check_malformed_trace_exits_2(gauss_files, finished_run, tmp_path, capsys, case):
+    trace = MALFORMED_TRACES[case](json.load(open(finished_run[0])))
+    code, report = _check_with_trace(gauss_files, finished_run, tmp_path, trace)
+    assert code == 2
     err = capsys.readouterr().err
-    assert "malformed trace" in err
+    assert err.startswith("error: malformed trace: ")
     assert len(err.strip().splitlines()) == 1
+    assert not report.exists()
+
+
+TRACE_FIELDS = [("n_estimate",)] + [
+    (section, field) for section, fields in [
+        ("rounds", ("rho_s", "rho_m", "attrs")),
+        ("measurements", ("rho_m", "sigma", "attrs", "counts")),
+        ("warmup", ("rho_m", "sigma", "attrs", "counts")),
+    ] for field in fields]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.sampled_from(TRACE_FIELDS), index=st.integers(0, 1000),
+       value=st.sampled_from([0, -1, math.nan, math.inf, "x", None, True, []]))
+def test_check_rejects_any_bad_trace_field(gauss_files, finished_run, tmp_path, capsys,
+                                           where, index, value):
+    trace = json.load(open(finished_run[0]))
+    if len(where) == 1:
+        trace[where[0]] = value
+    else:
+        entries = trace[where[0]]
+        entries[index % len(entries)][where[1]] = value
+    capsys.readouterr()
+    code, report = _check_with_trace(gauss_files, finished_run, tmp_path, trace)
+    assert code in (1, 2)
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not report.exists()
 
 
@@ -315,6 +398,23 @@ def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tm
     assert message in err
     assert len(err.strip().splitlines()) == 1
     assert "malformed domain file" not in err
+
+
+def test_check_non_finite_checkpoint_weight_exits_1(gauss_files, finished_run, tmp_path,
+                                                    capsys):
+    csv, domain = gauss_files
+    trace_path, ckpt = finished_run
+    data = bytearray(open(ckpt, "rb").read())
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    data[16 + hlen:24 + hlen] = struct.pack("<d", math.nan)  # the first weight
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(data))
+    report = tmp_path / "bounds.json"
+    assert run_cli("check", "--trace", trace_path, "--checkpoint", str(bad),
+                   "--data", csv, "--domain", domain, "--out", str(report)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint holds a value that is not a finite float32\n"
+    assert not report.exists()
 
 
 def test_check_checkpoint_cards_mismatch_exits_2(gauss_files, finished_run, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import struct
 
 import numpy as np
@@ -602,6 +603,33 @@ def test_checkpoint_truncated(tmp_path):
         p.write_bytes(data[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, where, value):
+    # the first stored weight or the last latent entry
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, tiny_model(seed=21), tiny_model(seed=22))
+    data = bytearray(p.read_bytes())
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    at = 16 + hlen if where == "first" else len(data) - 8
+    data[at:at + 8] = struct.pack("<d", value)
+    p.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="not a finite float"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_rejects_float32_overflow(tmp_path):
+    # a finite float64 beyond float32's range would load as inf
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, tiny_model(seed=23, dtype=np.float32))
+    data = bytearray(p.read_bytes())
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    data[16 + hlen:24 + hlen] = struct.pack("<d", 1e300)
+    p.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="not a finite float"):
+        load_checkpoint(p)
 
 
 def _rewrite_header(path, edit):

@@ -10,6 +10,7 @@ from margnet.privacy import (
     Accountant,
     NoiseParams,
     RHO_RTOL,
+    _best_log_delta,
     dp_to_zcdp_rho,
     exponential_mechanism,
     gaussian_mechanism,
@@ -219,8 +220,8 @@ def test_inverse_against_bisection_oracle():
 
 
 def test_small_epsilon_conversion_is_silent():
-    # at epsilon = 0.3 the optimal Renyi order lies above the alpha grid, so
-    # the search bracket is extended; that routine path must not warn. The
+    # at epsilon = 0.3 the optimal Renyi order is near 49, so the derivative
+    # bisection first doubles its upper end five times; no step may warn. The
     # pin is the one-bisection rho; the bisection's exactness is checked
     # against a grid oracle in test_rho_is_largest_feasible_under_grid_oracle
     with warnings.catch_warnings():
@@ -261,3 +262,51 @@ def test_small_budgets_keep_their_rho(eps):
     rho = dp_to_zcdp_rho(eps, 1e-5)
     assert rho > 0
     assert zcdp_to_dp_epsilon(rho, 1e-5) <= eps
+
+
+# dp_to_zcdp_rho's results, bit for bit. Every synth run's budget, and so every
+# written trace, follows from one of these numbers.
+PINNED_RHO = {
+    (1e-4, 1e-5): 3.4906073338447637e-09, (1e-4, 1e-9): 3.228856557679904e-10,
+    (1e-3, 1e-5): 1.2015087258987476e-07, (1e-3, 1e-9): 2.547197696856074e-08,
+    (0.3, 1e-5): 0.003302986550261267, (0.3, 1e-9): 0.001476745360560016,
+    (1.0, 1e-5): 0.030556595185771585, (1.0, 1e-9): 0.014973057666793466,
+    (4.0, 1e-5): 0.3731439826078713, (4.0, 1e-9): 0.20631290914025158,
+    (20.0, 1e-5): 5.39203803986311, (20.0, 1e-9): 3.5973862279206514,
+}
+
+
+@pytest.mark.parametrize("eps,delta", list(PINNED_RHO))
+def test_rho_is_pinned(eps, delta):
+    assert dp_to_zcdp_rho(eps, delta) == PINNED_RHO[eps, delta]
+
+
+# (rho, epsilon) pairs for the minimum over alpha: the pinned conversions'
+# operating points, a grid from rho = 3.49e-9 (optimal alpha about 1.4e4 at
+# epsilon = 1e-4, 2.9e9 at epsilon = 20) to rho = 1, and rho = 1e11 with
+# epsilon at and above rho. The grid keeps |min| above 0.3: where the minimum
+# is near 0 its terms are O(1) and cancel, so the oracle's min over 50,000
+# rounded values undercuts an exact minimiser's value by ~1e-14 absolute.
+MIN_PAIRS = (
+    [(rho, eps) for (eps, _), rho in PINNED_RHO.items()]
+    + [(rho, eps) for rho in (3.49e-9, 1e-6, 1e-3, 0.03, 1.0)
+       for eps in (1e-4, 1e-3, 0.3, 1.0, 4.0, 20.0)]
+    + [(1e11, eps) for eps in (1.01e11, 1.1e11, 2e11, 1e12)]
+)
+
+
+@pytest.mark.parametrize("rho,eps", MIN_PAIRS)
+def test_min_log_delta_matches_grid_oracle(rho, eps):
+    want = oracle_min_log_delta(rho, eps, alpha_hi=1e12)
+    assert _best_log_delta(rho, eps) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1.0, 20.0])
+def test_minimiser_within_one_ulp_of_one(eps):
+    # at rho = 1e11 the derivative is positive at every double above 1, so the
+    # bisection's lower end stays at alpha = 1, where the expression is
+    # -inf + inf; the minimum over doubles is the value at the next double
+    a = float(np.nextafter(1.0, 2.0))
+    want = (a - 1) * (a * 1e11 - eps) + a * math.log1p(-1 / a) - math.log(a - 1)
+    assert math.isfinite(want)
+    assert _best_log_delta(1e11, eps) == want
