@@ -25,7 +25,7 @@ from .domain import Dataset
 from .errors import InvalidDelta, NoRounds
 from .generator import GeneratorModel, soft_marginals
 from .marginals import Marginal, compute_marginal, l1_distance, marginal_spec, selection_candidates
-from .privacy import SCORE_SENSITIVITY
+from .privacy import SCORE_SENSITIVITY, expected_noise_l1
 
 
 def _gammainc(a: float, x: float) -> float:
@@ -211,11 +211,15 @@ def unselected_bound(trace, model: GeneratorModel, prev_model: GeneratorModel,
                      ds: Dataset, scale: float, delta: float) -> BoundReport:
     """Confidence upper bound on the L1 error of each unmeasured marginal.
 
-    For the final selection round K with chosen spec theta and budget rho_s_K,
-    the exponential mechanism guarantees (w.p. >= 1 - delta per marginal):
+    The final selection round K chose spec theta with the exponential
+    mechanism at budget rho_s_K over the scores
+    q_i = ||M_i - Mhat_i^{K-1}||_1 - n_i / sqrt(pi rho_m_K), with rho_m_K the
+    round's measurement budget. Its utility guarantee
+    q_t >= q_i - Delta_q * log(|C|/delta) / sqrt(2 rho_s_K) gives, w.p.
+    >= 1 - delta per marginal:
 
         B_{i,K} = ||M_t - Mhat_t^{K-1}||_1
-                  + (n_i - n_t) / sqrt(pi rho_s_K)
+                  + (n_i - n_t) / sqrt(pi rho_m_K)
                   + Delta_q * log(|C|/delta) / sqrt(2 rho_s_K)
 
     and the reported per-spec bound is B_{i,K} plus the exactly computed model
@@ -239,7 +243,7 @@ def unselected_bound(trace, model: GeneratorModel, prev_model: GeneratorModel,
     for spec in unmeasured:
         b_ik = (
             theta_err
-            + (spec.n_cells - theta.n_cells) / math.sqrt(math.pi * rho_s_k)
+            + expected_noise_l1(spec.n_cells - theta.n_cells, final.rho_m)
             + SCORE_SENSITIVITY * math.log(n_candidates / delta) / math.sqrt(2.0 * rho_s_k)
         )
         est = soft_final.marginal(spec)

@@ -113,6 +113,10 @@ class Domain:
                                            bin_edges=uniform_bin_edges(lo, hi, bins)))
             else:
                 raise ValueError(f"unknown attribute type {spec['type']!r}")
+        names = [a.name for a in attrs]
+        if len(set(names)) < len(names):
+            repeated = next(name for name in names if names.count(name) > 1)
+            raise ValueError(f"attribute name {repeated!r} is not unique")
         return cls(attrs)
 
     @classmethod

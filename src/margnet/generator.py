@@ -6,11 +6,13 @@ vector per attribute. Every soft marginal of the generated data is read from
 one operator: each two-way marginal is a block of the Gram matrix
 G = (S/b) P^T P and each one-way marginal is a segment of the column sums
 g1 = (S/b) 1^T P, with S the record scale. Only the blocks of G that the
-requested marginals need are formed (see `gram_layout`).
+requested marginals need are formed (see `gram_layout`). g1 and those blocks
+lie end to end in one flat cell vector, so each marginal is one gather.
 
-The weighted squared-error loss against noisy targets folds into weights and
-weighted-mean targets laid out like those blocks (W2, T2) and like g1 (w1, t1),
-plus a constant for repeated measurements of one spec. With R = W2 * (G - T2)
+The weighted squared-error loss against noisy targets folds, in one scatter,
+into a weight and a weighted-mean target per cell of that vector: (w1, t1) in
+g1's part and (W2, T2) in the blocks', plus a constant for repeated
+measurements of one spec. With R = W2 * (G - T2)
 and r1 = w1 * (g1 - t1) the gradient is dP = (2S/b) (P (R + R^T) + 1 r1^T):
 two GEMMs per block, one block for a compact target set. Backpropagation is
 written out by hand; no autograd.
@@ -278,10 +280,11 @@ def soft_marginal(batch: SoftBatch, spec: MarginalSpec, scale: float) -> Margina
 
 
 class GramBlock(NamedTuple):
-    """Rows x cols of G, each a slice or an index array of output columns."""
+    """Rows x cols of G (slices or index arrays of output columns), row-major from `start`."""
     rows: slice | np.ndarray
     cols: slice | np.ndarray
     shape: tuple[int, int]
+    start: int
 
 
 def _columns(cards, offsets, attrs):
@@ -298,14 +301,20 @@ def _columns(cards, offsets, attrs):
 
 @dataclass
 class GramLayout:
-    """Where the two-way marginals of a spec set sit in G = (S/b) P^T P:
-    where[attrs] = (k, r, c) places the marginal of `attrs` at rows r and
-    columns c of blocks[k]."""
+    """One flat cell vector over the operator: g1 = (S/b) 1^T P, then each of
+    `blocks` of G = (S/b) P^T P, `size` cells in all. cells[attrs] holds the
+    flat positions of the marginal over `attrs`, row-major like its counts,
+    for every one-way marginal and every two-way one the blocks hold."""
 
-    cards: tuple[int, ...]
-    seg_offsets: tuple[int, ...]
-    blocks: list[GramBlock] = field(default_factory=list)
-    where: dict = field(default_factory=dict)
+    blocks: list[GramBlock]
+    cells: dict
+    size: int
+
+    def parts(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of a flat cell vector: its g1 part, then each block."""
+        ends = [blk.start for blk in self.blocks] + [self.size]
+        return [flat[:ends[0]]] + [flat[blk.start:end].reshape(blk.shape)
+                                   for blk, end in zip(self.blocks, ends[1:])]
 
 
 def gram_layout(model: GeneratorModel, pairs) -> GramLayout:
@@ -326,16 +335,20 @@ def gram_layout(model: GeneratorModel, pairs) -> GramLayout:
         for a, c in pairs:
             partners.setdefault(a, []).append(c)
         groups = [([a], cs, [(a, c) for c in cs]) for a, cs in partners.items()]
-    layout = GramLayout(cards, offsets)
+    cells = {(a,): np.arange(o, o + card) for a, (o, card) in enumerate(zip(offsets, cards))}
+    blocks = []
+    start = model.out_width
     for row_attrs, col_attrs, owned in groups:
         rows, n_rows, row_starts = _columns(cards, offsets, row_attrs)
         cols, n_cols, col_starts = (rows, n_rows, row_starts) if col_attrs is row_attrs \
             else _columns(cards, offsets, col_attrs)
+        grid = np.arange(start, start + n_rows * n_cols).reshape(n_rows, n_cols)
         for a, c in owned:
-            layout.where[(a, c)] = (len(layout.blocks), _segment(cards, row_starts, a),
-                                    _segment(cards, col_starts, c))
-        layout.blocks.append(GramBlock(rows, cols, (n_rows, n_cols)))
-    return layout
+            cells[(a, c)] = grid[_segment(cards, row_starts, a),
+                                 _segment(cards, col_starts, c)].ravel()
+        blocks.append(GramBlock(rows, cols, (n_rows, n_cols), start))
+        start += grid.size
+    return GramLayout(blocks, cells, start)
 
 
 def _gram_blocks(probs: np.ndarray, layout: GramLayout, c: float):
@@ -349,20 +362,15 @@ def _gram_blocks(probs: np.ndarray, layout: GramLayout, c: float):
 
 @dataclass
 class SoftMarginals:
-    """One- and two-way soft marginals of one soft batch P at one scale S:
-    `ones` = (S/b) 1^T P holds each one-way marginal as its segment, and
-    blocks[k] holds block k of G = (S/b) P^T P as placed by `layout`."""
+    """One- and two-way soft marginals of one soft batch P at one scale S, as
+    the flat cell vector of `layout`: g1 = (S/b) 1^T P, then its blocks of
+    G = (S/b) P^T P. Each marginal is one gather."""
 
     layout: GramLayout
-    ones: np.ndarray
-    blocks: list[np.ndarray]
+    cells: np.ndarray
 
     def marginal(self, spec: MarginalSpec) -> Marginal:
-        if spec.order == 1:
-            seg = _segment(self.layout.cards, self.layout.seg_offsets, spec.attrs[0])
-            return Marginal(spec, self.ones[seg])
-        k, rows, cols = self.layout.where[spec.attrs]
-        return Marginal(spec, self.blocks[k][rows, cols])
+        return Marginal(spec, self.cells[self.layout.cells[spec.attrs]])
 
 
 def soft_marginals(model: GeneratorModel, scale: float, specs) -> SoftMarginals:
@@ -374,19 +382,19 @@ def soft_marginals(model: GeneratorModel, scale: float, specs) -> SoftMarginals:
 
 def gram_marginals(model: GeneratorModel, scale: float, layout: GramLayout,
                    ctx: TrainContext | None = None) -> SoftMarginals:
-    """The one-way soft marginals and the blocks of `layout`, from one
-    forward pass; through a context, the pass is kept for the next step."""
+    """The flat cell vector of `layout` from one forward pass; through a
+    context, the pass is kept for the next step."""
     probs = forward(model, ctx).probs
     if ctx is not None:
         ctx.keep_forward()
     c = scale / probs.shape[0]
-    return SoftMarginals(layout, c * probs.sum(axis=0),
-                         [gram for *_, gram in _gram_blocks(probs, layout, c)])
+    grams = [gram.ravel() for *_, gram in _gram_blocks(probs, layout, c)]
+    return SoftMarginals(layout, np.concatenate([c * probs.sum(axis=0), *grams]))
 
 
 @dataclass
 class MarginalTargets:
-    """A weighted target set folded onto the operator's layout.
+    """A weighted target set folded onto the operator's flat cell vector.
 
     sum_j w_j ||est - y_j||^2 over the measurements of one spec equals
     W ||est - ybar||^2 + sum_j w_j ||y_j - ybar||^2 with W = sum_j w_j and ybar
@@ -396,41 +404,31 @@ class MarginalTargets:
 
     scale: float
     layout: GramLayout
-    weight1: np.ndarray  # w1, like g1: segment a holds W of spec (a,)
-    mean1: np.ndarray  # t1, like g1: segment a holds ybar of spec (a,)
-    weight2: list[np.ndarray]  # W2, like the blocks: spec (a, c)'s place holds its W
-    mean2: list[np.ndarray]  # T2, like the blocks: spec (a, c)'s place holds its ybar
+    weight: np.ndarray  # a spec's cells hold its W, every other cell 0
+    mean: np.ndarray  # a spec's cells hold its ybar, every other cell 0
     const: float = 0.0
+    parts: list = field(init=False, repr=False)  # views: g1's (w1, t1), each block's (W2, T2)
+
+    def __post_init__(self):
+        self.parts = list(zip(self.layout.parts(self.weight), self.layout.parts(self.mean)))
 
 
 def fold_targets(model: GeneratorModel, targets, scale: float) -> MarginalTargets:
     """Fold targets (objects with .spec of order <= 2, .noisy and .weight)
-    into per-cell weights and weighted means in the model's dtype; the means
-    and the constant are computed in float64 first."""
-    groups: dict = {}
-    for t in targets:
-        if t.spec.order > 2:
-            raise UnsupportedOrder("training targets must be one- or two-way marginals")
-        groups.setdefault(t.spec.attrs, []).append(t)
-    layout = gram_layout(model, [attrs for attrs in groups if len(attrs) == 2])
-    width, dtype = model.out_width, model.dtype
-    folded = MarginalTargets(scale, layout, np.zeros(width, dtype), np.zeros(width, dtype),
-                             [np.zeros(blk.shape, dtype) for blk in layout.blocks],
-                             [np.zeros(blk.shape, dtype) for blk in layout.blocks])
-    for attrs, group in groups.items():
-        total = sum(t.weight for t in group)
-        if total == 0:
-            continue  # weightless measurements add nothing to the loss
-        mean = sum(t.weight * t.noisy.counts for t in group) / total
-        folded.const += sum(t.weight * float(((t.noisy.counts - mean) ** 2).sum()) for t in group)
-        if len(attrs) == 1:
-            folded.weight1[model.segment(attrs[0])] = total
-            folded.mean1[model.segment(attrs[0])] = mean
-        else:
-            k, rows, cols = layout.where[attrs]
-            folded.weight2[k][rows, cols] = total
-            folded.mean2[k][rows, cols] = mean.reshape(group[0].spec.cards)
-    return folded
+    into per-cell weights and weighted means in the model's dtype: one float64
+    scatter in target order sums each cell as a per-spec loop over them would."""
+    if any(t.spec.order > 2 for t in targets):
+        raise UnsupportedOrder("training targets must be one- or two-way marginals")
+    layout = gram_layout(model, [t.spec.attrs for t in targets if t.spec.order == 2])
+    at = np.concatenate([layout.cells[t.spec.attrs] for t in targets])
+    w = np.repeat([t.weight for t in targets], [t.spec.n_cells for t in targets])
+    y = np.concatenate([t.noisy.counts for t in targets])
+    total = np.bincount(at, w, layout.size)
+    mean = np.divide(np.bincount(at, w * y, layout.size), total,
+                     out=np.zeros(layout.size), where=total != 0)
+    const = float(w @ (y - mean[at]) ** 2)
+    dtype = model.dtype
+    return MarginalTargets(scale, layout, total.astype(dtype), mean.astype(dtype), const)
 
 
 def loss_and_grad(model: GeneratorModel, targets: MarginalTargets,
@@ -452,13 +450,14 @@ def loss_and_grad(model: GeneratorModel, targets: MarginalTargets,
     probs = ctx.probs
     b = probs.shape[0]
     c = targets.scale / b
-    err1 = c * probs.sum(axis=0) - targets.mean1
-    resid1 = targets.weight1 * err1
+    (weight1, mean1), *block_targets = targets.parts
+    err1 = c * probs.sum(axis=0) - mean1
+    resid1 = weight1 * err1
     loss = targets.const + float((resid1 * err1).sum(dtype=np.float64))
     dprobs = ctx.backward[-1]
     dprobs[...] = resid1
     blocks = _gram_blocks(probs, targets.layout, c)
-    for (blk, p_rows, p_cols, gram), weight, mean in zip(blocks, targets.weight2, targets.mean2):
+    for (blk, p_rows, p_cols, gram), (weight, mean) in zip(blocks, block_targets):
         err = gram - mean
         resid = weight * err
         loss += float((resid * err).sum(dtype=np.float64))

@@ -71,6 +71,13 @@ def gaussian_mechanism(counts: np.ndarray, rho: float, rng: np.random.Generator)
     return counts + sigma * COUNT_SENSITIVITY * rng.standard_normal(counts.shape)
 
 
+def expected_noise_l1(n_cells, rho: float) -> float:
+    """Expected L1 norm of the Gaussian mechanism's noise over `n_cells` cells
+    at budget `rho`: each cell's |N(0, 1/(2 rho))| has mean 1/sqrt(pi rho).
+    Linear in `n_cells`, so a difference of cell counts gives the difference."""
+    return n_cells / math.sqrt(math.pi * rho)
+
+
 def exponential_mechanism(scores, delta_q: float, rho_s: float, rng: np.random.Generator) -> int:
     """Sample an index with probability proportional to exp(eps * q / (2 * delta_q)).
 

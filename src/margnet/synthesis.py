@@ -34,7 +34,8 @@ from .generator import (
 )
 from .marginals import (Marginal, MarginalSpec, compute_marginal, l1_distance, marginal_spec,
                         selection_candidates)
-from .privacy import SCORE_SENSITIVITY, Accountant, NoiseParams, exponential_mechanism, gaussian_mechanism
+from .privacy import (SCORE_SENSITIVITY, Accountant, NoiseParams, expected_noise_l1,
+                      exponential_mechanism, gaussian_mechanism)
 
 # Relative budget headroom left unspent so float rounding can never push the
 # ledger total past the budget.
@@ -56,7 +57,6 @@ class SynthConfig:
     latent_dim: int = 64
     fixed_rounds: int | None = None  # None: adaptive; K: K equal-budget rounds
     seed: int = 0
-    noise_free: bool = False  # test hook: skip measurement noise (not private)
 
     def __post_init__(self):
         if self.train_iters < 1:
@@ -84,7 +84,6 @@ class SynthConfig:
             "mode": "adaptive" if self.fixed_rounds is None else "fixed_round",
             "fixed_rounds": self.fixed_rounds,
             "seed": self.seed,
-            "noise_free": self.noise_free,
             "dtype": np.dtype(TRAIN_DTYPE).name,
         }
 
@@ -223,12 +222,6 @@ def split_budget(rho: float, c: float) -> tuple[float, float]:
     return rho_s, unit - rho_s
 
 
-def _measure(counts: np.ndarray, rho_m: float, rng, noise_free: bool) -> np.ndarray:
-    if noise_free:
-        return np.asarray(counts, dtype=float).copy()
-    return gaussian_mechanism(counts, rho_m, rng)
-
-
 def compute_weights(measurements: list[Measurement], d: int) -> None:
     """Training weights: sqrt(rho_m) base, amplified d-fold for the newly
     selected measurement, then scaled so the maximum weight equals d."""
@@ -255,10 +248,10 @@ def train(model: GeneratorModel, ctx: TrainContext, measurements: list[Measureme
 
 @dataclass
 class CandidateIndex:
-    """Where the candidates' cells sit in the Gram blocks of `layout`, laid
-    end to end, grouped by cell count: per group the cell count, the
-    candidates' positions, a (k, n_cells) gather index and the exact counts
-    in the same shape."""
+    """Where the candidates' cells sit in the flat cell vector of `layout`,
+    grouped by cell count: per group the cell count, the candidates'
+    positions, a (k, n_cells) gather index and the exact counts in the same
+    shape."""
 
     layout: GramLayout
     size: int
@@ -268,16 +261,12 @@ class CandidateIndex:
 def candidate_index(model: GeneratorModel, candidates: list[MarginalSpec],
                     exact: dict) -> CandidateIndex:
     layout = gram_layout(model, [s.attrs for s in candidates])
-    starts = np.cumsum([0] + [rows * cols for rows, cols in (blk.shape for blk in layout.blocks)])
     by_cells: dict = {}
     for i, spec in enumerate(candidates):
-        k, rows, cols = layout.where[spec.attrs]
-        n_cols = layout.blocks[k].shape[1]
-        cells = np.add.outer(np.arange(rows.start, rows.stop) * n_cols,
-                             np.arange(cols.start, cols.stop)).reshape(-1)
-        by_cells.setdefault(spec.n_cells, []).append((i, starts[k] + cells, exact[spec.attrs].counts))
-    groups = [(n, np.array([i for i, _, _ in group]), np.stack([c for _, c, _ in group]),
-               np.stack([e for _, _, e in group])) for n, group in by_cells.items()]
+        by_cells.setdefault(spec.n_cells, []).append(i)
+    groups = [(n, np.array(group), np.stack([layout.cells[candidates[i].attrs] for i in group]),
+               np.stack([exact[candidates[i].attrs].counts for i in group]))
+              for n, group in by_cells.items()]
     return CandidateIndex(layout, len(candidates), groups)
 
 
@@ -285,17 +274,17 @@ def candidate_scores(soft: SoftMarginals, index: CandidateIndex, rho_m: float) -
     """Selection scores: expected estimation improvement minus expected noise.
 
     q_i = ||M_i(G) - M_i||_1 - n_i / sqrt(pi * rho_m), with M_i(G) the model's
-    soft marginal (read from `soft`, which must be at `index.layout`) and M_i
-    the exact marginal. Each cell-count group is one gather and one row sum,
-    whose sums equal `l1_distance` per candidate to the bit.
+    soft marginal (read from `soft`, which must be at `index.layout`), M_i
+    the exact marginal and the last term `expected_noise_l1`. Each cell-count
+    group is one gather and one row sum, whose sums equal `l1_distance` per
+    candidate to the bit.
     """
     if soft.layout is not index.layout:
         raise ValueError("soft marginals are not at the candidates' layout")
-    cells = np.concatenate([block.reshape(-1) for block in soft.blocks])
     scores = np.empty(index.size)
     for n_cells, positions, gather, exact in index.groups:
-        est = cells[gather].astype(np.float64)
-        scores[positions] = np.abs(est - exact).sum(axis=1) - n_cells / math.sqrt(math.pi * rho_m)
+        est = soft.cells[gather].astype(np.float64)
+        scores[positions] = np.abs(est - exact).sum(axis=1) - expected_noise_l1(n_cells, rho_m)
     return scores
 
 
@@ -316,7 +305,7 @@ def warmup(ds: Dataset, domain: Domain, model: GeneratorModel, ctx: TrainContext
     measurements = []
     for a in range(d):
         spec = marginal_spec(ds, (a,))
-        noisy = _measure(compute_marginal(ds, spec).counts, rho_m, rng_measure, config.noise_free)
+        noisy = gaussian_mechanism(compute_marginal(ds, spec).counts, rho_m, rng_measure)
         acct.spend(rho_m, f"warmup:one-way:{a}")
         measurements.append(Measurement(spec=spec, noisy=Marginal(spec, noisy),
                                         rho_m=rho_m, sigma=sigma, round=0))
@@ -370,7 +359,7 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel, ctx: Trai
         chosen = candidates[idx]
 
         est_before = soft.marginal(chosen)
-        noisy = _measure(exact[chosen.attrs].counts, rho_m, rng_measure, config.noise_free)
+        noisy = gaussian_mechanism(exact[chosen.attrs].counts, rho_m, rng_measure)
         acct.spend(rho_m, f"measure:round:{k}")
         for m in measurements:
             m.newly_selected = False
@@ -385,7 +374,7 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel, ctx: Trai
         # round's scores; their forward pass is the next pass's first
         soft = gram_marginals(model, scale, index.layout, ctx)
         improvement = l1_distance(soft.marginal(chosen), est_before)
-        noise_floor = chosen.n_cells / math.sqrt(math.pi * rho_m)
+        noise_floor = expected_noise_l1(chosen.n_cells, rho_m)
         doubled = (not fixed and improvement < noise_floor
                    and chosen.attrs not in selected_before)
         selected_before.add(chosen.attrs)

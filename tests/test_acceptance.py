@@ -19,6 +19,7 @@ from margnet.domain import Dataset, auto_numeric_domain, encode, gen_gaussian_da
 from margnet.generator import fold_targets, forward, init_generator, loss_and_grad, soft_marginal
 from margnet.marginals import Marginal, compute_marginal, fidelity_error, marginal_spec
 from margnet.privacy import dp_to_zcdp_rho, exponential_mechanism, gaussian_mechanism, zcdp_to_dp_epsilon
+from margnet import synthesis
 from margnet.bounds import selected_lower_bound, selected_upper_bound, unselected_bound
 from margnet.synthesis import Measurement, SynthConfig, run_margnet
 
@@ -210,14 +211,16 @@ def frobenius_sq(a, b):
     return float(diff @ diff)
 
 
-def test_criterion_6_selected_lower_bound_deterministic():
+def test_criterion_6_selected_lower_bound_deterministic(monkeypatch):
     """Noise-free runs: observed selected loss >= rank floor, every batch size."""
+    monkeypatch.setattr(synthesis, "gaussian_mechanism",
+                        lambda counts, rho, rng: np.asarray(counts, dtype=float).copy())
     cards = (6, 6, 6)
     dom = categorical_domain(cards)
     ds = random_dataset(cards, 600, seed=66)
     gaps = []
     for b in (1, 2, 4):
-        cfg = tiny_cfg(0.5, 3, batch_size=b, train_iters=40, seed=b, noise_free=True)
+        cfg = tiny_cfg(0.5, 3, batch_size=b, train_iters=40, seed=b)
         res = run_margnet(ds, dom, cfg)
         seen = []
         for r in res.trace.rounds:
@@ -290,6 +293,29 @@ def test_criterion_7b_unselected_bound_coverage():
     report("criterion 7b: unselected bound coverage", violations <= allowed,
            f"{violations}/{trials} violations <= allowed {allowed:.1f} "
            f"(mean unselected per run {unselected_total / trials:.2f})")
+
+
+def test_unselected_bound_coverage_mixed_cardinalities():
+    """Criterion 7b's runs over cards (2, 2, 8), counted per marginal: the
+    pairs' cell counts differ, so the bound's middle term is not 0."""
+    cards = (2, 2, 8)
+    dom = categorical_domain(cards)
+    ds = random_dataset(cards, 800, seed=78)
+    delta = 0.05
+    trials, violations, entries = 200, 0, 0
+    for t in range(trials):
+        cfg = tiny_cfg(0.02, 3, c=4.0, train_iters=12, seed=5000 + t)
+        res = run_margnet(ds, dom, cfg)
+        if not res.trace.rounds:
+            continue
+        rep = unselected_bound(res.trace, res.model, res.prev_model, ds,
+                               scale=res.n_estimate, delta=delta)
+        entries += len(rep.entries)
+        violations += sum(e.observed > e.bound for e in rep.entries)
+    # each entry fails with probability at most delta: its binomial mean + 3 sd
+    allowed = delta * entries + 3 * math.sqrt(delta * (1 - delta) * entries)
+    report("unselected bound coverage, mixed cardinalities", violations <= allowed,
+           f"{violations}/{entries} per-marginal violations <= allowed {allowed:.1f}")
 
 
 # -------------------------------------------------------------- criterion 8

@@ -304,7 +304,8 @@ def test_bounds_read_from_gram_match_per_spec_marginals():
         spec = marginal_spec(ds, e.attrs)
         est = soft_marginal(forward(model), spec, scale)
         drift = l1_distance(soft_marginal(forward(prev), spec, scale), est)
-        b_ik = (theta_err + (spec.n_cells - theta.n_cells) / math.sqrt(math.pi * 0.02)
+        # the middle term is the score's noise term, at the round's rho_m
+        b_ik = (theta_err + (spec.n_cells - theta.n_cells) / math.sqrt(math.pi * 0.18)
                 + math.log(6 / delta) / math.sqrt(2 * 0.02))
         assert e.bound == pytest.approx(b_ik + drift, abs=1e-9)
         assert e.observed == pytest.approx(l1_distance(est, compute_marginal(ds, spec)), abs=1e-9)

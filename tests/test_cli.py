@@ -445,6 +445,9 @@ BAD_DOMAINS = {
     "bins-list": {"attributes": [{"name": "x0", "type": "numeric", "min": 0, "max": 1,
                                   "bins": [3]}]},
     "attributes-empty": {"attributes": []},
+    "duplicate-name": {"attributes": [
+        {"name": "x0", "type": "numeric", "min": 0, "max": 1, "bins": 3},
+        {"name": "x0", "type": "categorical", "values": ["a", "b"]}]},
 }
 
 

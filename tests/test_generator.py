@@ -178,7 +178,7 @@ def test_gram_layout_block_rows_hold_only_requested_cells():
     assert [blk.shape for blk in layout.blocks] == [(500, 9), (2, 7), (3, 4)]
     targets = make_targets(m.cards, [(0, 2)], [np.ones(1500)])
     folded = fold_targets(m, targets, 1.0)
-    assert [w.shape for w in folded.weight2] == [(500, 3)]
+    assert [w.shape for w, _ in folded.parts[1:]] == [(500, 3)]
 
 
 def test_soft_marginal_rejects_three_way():
@@ -305,6 +305,47 @@ def test_gradient_matches_finite_differences_repeated_specs(layout_slack):
     assert finite_difference_check(m, repeated_spec_targets(m, 5), scale=10.0) < 1e-4
 
 
+def per_spec_fold(model, targets):
+    """The per-spec fold the one-scatter fold replaced, kept as an oracle:
+    per spec, Python sums over its targets in target order give the total
+    weight, the weighted mean and the constant; the first two are written to
+    the spec's cells in the model's dtype. Returns (weight, mean, const)."""
+    groups: dict = {}
+    for t in targets:
+        groups.setdefault(t.spec.attrs, []).append(t)
+    layout = gram_layout(model, [attrs for attrs in groups if len(attrs) == 2])
+    weight, mean = np.zeros(layout.size, model.dtype), np.zeros(layout.size, model.dtype)
+    const = 0.0
+    for attrs, group in groups.items():
+        total = sum(t.weight for t in group)
+        if total == 0:
+            continue
+        ybar = sum(t.weight * t.noisy.counts for t in group) / total
+        const += sum(t.weight * float(((t.noisy.counts - ybar) ** 2).sum()) for t in group)
+        weight[layout.cells[attrs]] = total
+        mean[layout.cells[attrs]] = ybar
+    return weight, mean, const
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fold_targets_equal_the_per_spec_fold_to_the_bit(layout_slack, dtype, seed):
+    # spec (0, 2) is measured four times, once with zero weight, so its sums
+    # have three terms and their order shows; spec (1,) twice; spec (1, 2)'s
+    # only measurement has zero weight
+    m = tiny_model(cards=(3, 1, 4), hidden=(6,), seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    targets = repeated_spec_targets(m, seed)
+    for weight in (0.0, 2.7):
+        targets += make_targets(m.cards, [(0, 2)], [rng.normal(4, 2, 12)], weight=weight)
+    targets[5].weight = 0.0
+    folded = fold_targets(m, targets, 13.0)
+    weight, mean, const = per_spec_fold(m, targets)
+    assert same_bits(folded.weight, weight) and same_bits(folded.mean, mean)
+    assert not folded.weight[folded.layout.cells[(1, 2)]].any()
+    assert folded.const == pytest.approx(const, rel=1e-12, abs=0)
+
+
 def test_fold_targets_rejects_three_way():
     m = tiny_model(cards=(2, 2, 2))
     targets = make_targets(m.cards, [(0, 1, 2)], [np.ones(8)])
@@ -424,12 +465,14 @@ def fresh_array_loss_and_grad(model, targets):
     probs = e / per_segment(np.add, e)
     b = probs.shape[0]
     c = targets.scale / b
-    err1 = c * probs.sum(axis=0) - targets.mean1
-    resid1 = targets.weight1 * err1
+    weight1, *weight2 = targets.layout.parts(targets.weight)
+    mean1, *mean2 = targets.layout.parts(targets.mean)
+    err1 = c * probs.sum(axis=0) - mean1
+    resid1 = weight1 * err1
     loss = targets.const + float((resid1 * err1).sum(dtype=np.float64))
     dprobs = np.repeat(resid1[None, :], b, axis=0)
     blocks = generator._gram_blocks(probs, targets.layout, c)
-    for (blk, p_rows, p_cols, gram), weight, mean in zip(blocks, targets.weight2, targets.mean2):
+    for (blk, p_rows, p_cols, gram), weight, mean in zip(blocks, weight2, mean2):
         err = gram - mean
         resid = weight * err
         loss += float((resid * err).sum(dtype=np.float64))
@@ -715,7 +758,7 @@ def test_float32_step_never_upcasts():
     # one float64 operand anywhere in a step turns its GEMMs back into float64
     m = tiny_model(cards=(3, 2, 4), hidden=(8, 8), seed=22, dtype=np.float32)
     targets = fitted_targets(m, seed=0)
-    for arr in (targets.weight1, targets.mean1, *targets.weight2, *targets.mean2):
+    for arr in (targets.weight, targets.mean):
         assert arr.dtype == np.float32
     ctx = TrainContext(m)
     assert ctx.params.dtype == ctx.m.dtype == ctx.v.dtype == ctx.probs.dtype == np.float32

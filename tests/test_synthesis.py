@@ -7,7 +7,7 @@ import pytest
 
 from margnet.domain import Dataset
 from margnet.errors import InsufficientBudget
-from margnet import generator
+from margnet import generator, synthesis
 from margnet.generator import TrainContext, forward, gram_marginals, init_generator
 from margnet.marginals import (Marginal, compute_marginal, l1_distance, marginal_spec,
                                selection_candidates, tvd)
@@ -119,13 +119,20 @@ def test_warmup_insufficient_budget_before_noise():
     assert acct.ledger == []
 
 
-def test_warmup_noise_free_training_converges():
+@pytest.fixture
+def noise_free(monkeypatch):
+    """Measure without noise: the exact counts, as a fresh float64 copy."""
+    monkeypatch.setattr(synthesis, "gaussian_mechanism",
+                        lambda counts, rho, rng: np.asarray(counts, dtype=float).copy())
+
+
+def test_warmup_noise_free_training_converges(noise_free):
     dom = categorical_domain([3, 3])
     rng = np.random.default_rng(8)
     rows = np.stack([rng.integers(0, 3, 400), rng.integers(0, 3, 400)], axis=1)
     ds = Dataset(rows=rows, cards=dom.cards)
     acct = Accountant(rho_budget=1.0)
-    cfg = tiny_config(train_iters=300, lr=1e-2, noise_free=True)
+    cfg = tiny_config(train_iters=300, lr=1e-2)
     model = init_generator(dom, [16], 8, 32, seed=1)
     rng_m = np.random.default_rng(1)
     _, n_est = warmup(ds, dom, model, TrainContext(model), acct, 0.01, cfg, rng_m)
