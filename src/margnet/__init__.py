@@ -15,7 +15,6 @@ from .domain import (
 from .evaluation import EvalReport, evaluate
 from .generator import (
     GeneratorModel,
-    SoftBatch,
     TrainContext,
     adam_step,
     fold_targets,

@@ -8,7 +8,7 @@ Commands raise; `main` maps each error class to its exit code: 0 success,
 1 I/O failure or unreadable checkpoint, 2 bad configuration or malformed
 input, 3 infeasible budget. Every run's effective configuration, including
 the resolved seed, is written next to its outputs, and a run writes all of
-its outputs or none.
+its outputs or none. No output path may name an input or another output.
 """
 
 from __future__ import annotations
@@ -63,6 +63,26 @@ def _write_outputs(outputs) -> None:
         raise
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return False
+
+
+def _check_paths(inputs: dict, outputs: dict) -> None:
+    """Raise ValueError when an output path (flag -> path) names the same
+    file as an input or an earlier output, before anything is read."""
+    seen = list(inputs.items())
+    for flag, path in outputs.items():
+        for other_flag, other in seen:
+            if _same_file(path, other):
+                raise ValueError(f"{flag} and {other_flag} name the same file: {path}")
+        seen.append((flag, path))
+
+
 def _write_text(text: str):
     return lambda path: Path(path).write_text(text, encoding="utf-8")
 
@@ -90,6 +110,10 @@ def _fixed_rounds(mode: str) -> int | None:
 
 
 def cmd_synth(args) -> None:
+    trace_path = args.trace or f"{args.out}.trace.json"
+    ckpt_path = args.checkpoint or f"{args.out}.ckpt"
+    _check_paths({"--data": args.data, "--domain": args.domain},
+                 {"--out": args.out, "--trace": trace_path, "--checkpoint": ckpt_path})
     domain = Domain.load(args.domain)
     ds = encode(load_csv(args.data, domain), domain)
     fixed_rounds = _fixed_rounds(args.mode)
@@ -109,8 +133,6 @@ def cmd_synth(args) -> None:
     result = run_margnet(ds, domain, config)
 
     table = decode(result.synth, domain, result.decode_seed)
-    trace_path = args.trace or f"{args.out}.trace.json"
-    ckpt_path = args.checkpoint or f"{args.out}.ckpt"
     trace_dict = result.trace.to_json_dict()
     trace_dict["epsilon"] = args.epsilon
     trace_dict["delta"] = args.delta
@@ -130,13 +152,15 @@ def cmd_synth(args) -> None:
 
 
 def cmd_eval(args) -> None:
+    out = args.out or f"{args.synth}.eval.json"
+    _check_paths({"--real": args.real, "--synth": args.synth, "--domain": args.domain},
+                 {"--out": out})
     domain = Domain.load(args.domain)
     real = encode(load_csv(args.real, domain), domain)
     synth = encode(load_csv(args.synth, domain), domain)
     seed = _resolve_seed(args.seed)
     report = evaluate(real, synth, n_queries=args.queries, seed=seed,
                       config={"real": args.real, "synth": args.synth, "domain": args.domain})
-    out = args.out or f"{args.synth}.eval.json"
     _write_outputs([(out, _write_text(report.to_json() + "\n"))])
     print(f"fidelity_error={report.fidelity_error:.6f} query_error={report.query_error:.6f} "
           f"(n_queries={report.n_queries}, seed={seed})")
@@ -163,6 +187,9 @@ def cmd_convert(args) -> None:
 
 
 def cmd_check(args) -> None:
+    out = args.out or f"{args.trace}.bounds.json"
+    _check_paths({"--trace": args.trace, "--checkpoint": args.checkpoint, "--data": args.data,
+                  "--domain": args.domain}, {"--out": out})
     domain = Domain.load(args.domain)
     ds = encode(load_csv(args.data, domain), domain)
     trace_bytes = Path(args.trace).read_bytes()
@@ -196,7 +223,6 @@ def cmd_check(args) -> None:
         "selected_upper": upper.to_json_dict(),
         "unselected": unsel.to_json_dict(),
     }
-    out = args.out or f"{args.trace}.bounds.json"
     _write_outputs([(out, _write_text(json.dumps(report, indent=2) + "\n"))])
     print(f"selected lower bound: observed={observed_selected:.6g} >= bound={lower:.6g} "
           f"(gap={observed_selected - lower:.6g})")

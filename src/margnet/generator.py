@@ -25,14 +25,17 @@ float32) with the model's dtype in the header.
 
 Training runs through a `TrainContext`: one allocation holding the weights
 (the model's layers become views of it), the gradient, Adam's state and every
-buffer of a step, filled in place. `loss_and_grad` without a context makes
-one of its own over a copy of the model; `forward` without one allocates.
+buffer of a step, filled in place. Its buffers always hold the forward pass
+of its current weights: the constructor runs one, and whoever changes the
+weights runs the next. `loss_and_grad` without a context makes one of its
+own over a copy of the model; `forward` without one allocates.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -94,16 +97,6 @@ class GeneratorModel:
 
     def segment(self, attr: int) -> slice:
         return _segment(self.cards, self.seg_offsets, attr)
-
-
-@dataclass
-class SoftBatch:
-    probs: np.ndarray  # (batch_size, sum(cards))
-    cards: tuple[int, ...]
-    seg_offsets: tuple[int, ...]
-
-    def segment(self, attr: int) -> np.ndarray:
-        return self.probs[:, _segment(self.cards, self.seg_offsets, attr)]
 
 
 def init_generator(
@@ -182,11 +175,11 @@ class TrainContext:
     element and the order of each reduction, so results are the same to the
     bit as with fresh arrays.
 
-    `keep_forward` marks the forward pass in the buffers as the next step's
-    and snapshots the weights into the scratch block; the step reuses it only
-    while the weights still equal the snapshot bit for bit, and an Adam step
-    drops it. Edit a bound model's weights in place only; a replaced array
-    leaves the block.
+    The buffers hold the forward pass of the current weights from
+    construction on, so a step and a read of the soft marginals share it.
+    Whoever changes the weights (an Adam step, an edit in place) runs
+    `forward(model, ctx)` next. Edit a bound model's weights in place only;
+    a replaced array leaves the block.
     """
 
     def __init__(self, model: GeneratorModel):
@@ -211,8 +204,8 @@ class TrainContext:
         self.backward = bufs[n_layers:2 * n_layers]  # the loss's gradient wrt each output
         self.probs, self._work = bufs[-2:]
         self.t = 0
-        self._kept = False
         model.layers = self.layers
+        forward(model, self)
 
     def work(self, width: int) -> np.ndarray:
         """The work buffer as a (batch, width) array."""
@@ -225,29 +218,17 @@ class TrainContext:
         self.v[...] = 0
         self.t = 0
 
-    def keep_forward(self) -> None:
-        np.copyto(self.scratch, self.params)
-        self._kept = True
-
-    def has_forward(self) -> bool:
-        """Whether the buffers hold the kept forward pass of the current weights."""
-        bits = np.dtype(f"u{self.params.itemsize}")
-        return self._kept and np.array_equal(self.scratch.view(bits), self.params.view(bits))
-
-    def drop_forward(self) -> None:
-        self._kept = False
-
 
 def _check_bound(model: GeneratorModel, ctx: TrainContext) -> None:
     if model.layers is not ctx.layers:
         raise ValueError("the model is not bound to this training context")
 
 
-def forward(model: GeneratorModel, ctx: TrainContext | None = None) -> SoftBatch:
-    """Soft batch from the frozen latent Z. Through a context, every layer's
-    output stays in its buffers for the backward pass, and the returned
-    probabilities are its softmax buffer, overwritten by the next pass;
-    without one, they are fresh arrays."""
+def forward(model: GeneratorModel, ctx: TrainContext | None = None) -> np.ndarray:
+    """The soft batch P (batch_size, sum(cards)) from the frozen latent Z.
+    Through a context, every layer's output stays in its buffers for the
+    backward pass, and P is its softmax buffer, overwritten by the next pass;
+    without one, every array is fresh."""
     if ctx is None:
         outputs = [np.empty((model.batch_size, W.shape[1]), model.dtype) for W, _ in model.layers]
         probs, work = np.empty_like(outputs[-1]), None
@@ -261,18 +242,19 @@ def forward(model: GeneratorModel, ctx: TrainContext | None = None) -> SoftBatch
         h += b
         if l < last:
             np.maximum(h, 0.0, out=h)
-    probs = _segment_softmax(h, model.cards, model.seg_offsets, out=probs, work=work)
-    return SoftBatch(probs=probs, cards=model.cards, seg_offsets=model.seg_offsets)
+    return _segment_softmax(h, model.cards, model.seg_offsets, out=probs, work=work)
 
 
-def soft_marginal(batch: SoftBatch, spec: MarginalSpec, scale: float) -> Marginal:
-    """Differentiable marginal estimate of the soft batch, scaled to `scale` records."""
-    b = batch.probs.shape[0]
+def soft_marginal(model: GeneratorModel, probs: np.ndarray, spec: MarginalSpec,
+                  scale: float) -> Marginal:
+    """Differentiable marginal estimate of `model`'s soft batch `probs`,
+    scaled to `scale` records."""
+    b = probs.shape[0]
     if spec.order == 1:
-        counts = scale * batch.segment(spec.attrs[0]).mean(axis=0)
+        counts = scale * probs[:, model.segment(spec.attrs[0])].mean(axis=0)
     elif spec.order == 2:
-        U = batch.segment(spec.attrs[0])
-        V = batch.segment(spec.attrs[1])
+        U = probs[:, model.segment(spec.attrs[0])]
+        V = probs[:, model.segment(spec.attrs[1])]
         counts = (scale / b) * (U.T @ V).reshape(-1)
     else:
         raise UnsupportedOrder("soft marginals support order 1 and 2 only")
@@ -377,16 +359,12 @@ def soft_marginals(model: GeneratorModel, scale: float, specs) -> SoftMarginals:
     """The soft marginals of `specs` (order <= 2) from one forward pass."""
     if any(s.order > 2 for s in specs):
         raise UnsupportedOrder("soft marginals support order 1 and 2 only")
-    return gram_marginals(model, scale, gram_layout(model, [s.attrs for s in specs if s.order == 2]))
+    layout = gram_layout(model, [s.attrs for s in specs if s.order == 2])
+    return gram_marginals(forward(model), scale, layout)
 
 
-def gram_marginals(model: GeneratorModel, scale: float, layout: GramLayout,
-                   ctx: TrainContext | None = None) -> SoftMarginals:
-    """The flat cell vector of `layout` from one forward pass; through a
-    context, the pass is kept for the next step."""
-    probs = forward(model, ctx).probs
-    if ctx is not None:
-        ctx.keep_forward()
+def gram_marginals(probs: np.ndarray, scale: float, layout: GramLayout) -> SoftMarginals:
+    """The flat cell vector of `layout` over the soft batch `probs`."""
     c = scale / probs.shape[0]
     grams = [gram.ravel() for *_, gram in _gram_blocks(probs, layout, c)]
     return SoftMarginals(layout, np.concatenate([c * probs.sum(axis=0), *grams]))
@@ -438,15 +416,12 @@ def loss_and_grad(model: GeneratorModel, targets: MarginalTargets,
     Loss = sum_i w_i * ||soft_marginal_i - noisy_i||_F^2 over the folded
     targets (see `fold_targets`). Returns (loss, grads) with grads shaped and
     typed like model.layers, the views of the context's gradient block; the
-    loss is summed in float64. A forward pass the context kept for the
-    current weights is used instead of a new one.
+    loss is summed in float64. The forward pass is the one the context holds.
     """
     if ctx is None:
         model = model.copy()  # a context of its own leaves `model` unbound
         ctx = TrainContext(model)
     _check_bound(model, ctx)
-    if not ctx.has_forward():
-        forward(model, ctx)
     probs = ctx.probs
     b = probs.shape[0]
     c = targets.scale / b
@@ -492,9 +467,9 @@ def adam_step(ctx: TrainContext, lr: float) -> None:
     """One Adam update of the bound model's weights from the context's
     gradient block, in place: param -= lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS),
     element for element as in that expression, over whole blocks. The scratch
-    block and then the spent gradient hold the temporaries."""
+    block and then the spent gradient hold the temporaries. The caller runs
+    `forward(model, ctx)` next, so the buffers follow the new weights."""
     ctx.t += 1
-    ctx.drop_forward()
     bc1 = 1.0 - ADAM_BETA1 ** ctx.t
     bc2 = 1.0 - ADAM_BETA2 ** ctx.t
     m, v, g, s = ctx.m, ctx.v, ctx.grad, ctx.scratch
@@ -523,7 +498,7 @@ def sample_hard(model: GeneratorModel, n_rows: int, seed: int) -> Dataset:
     the running sum.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    probs = forward(model).probs.astype(np.float64, copy=False)
+    probs = forward(model).astype(np.float64, copy=False)
     b = probs.shape[0]
     picks = rng.integers(0, b, size=n_rows)
     cols = []
@@ -614,13 +589,21 @@ def _check_header(header: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (model, prev_model_or_None), in the dtype the header records."""
+    """Returns (model, prev_model_or_None), in the dtype the header records.
+
+    The header length and the array sizes the header implies are checked
+    against the file's size before any read, so a corrupt size ends in a
+    CheckpointError, never in a huge allocation or a silently short model."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"not a generator checkpoint (bad magic header): {path}")
         try:
             (hlen,) = struct.unpack("<Q", f.read(8))
+            if hlen > size - f.tell():
+                raise CheckpointError(f"corrupt checkpoint header: its length {hlen} runs "
+                                      f"past the end of the {size}-byte file")
             header = json.loads(f.read(hlen).decode("utf-8"))
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from None
@@ -633,13 +616,15 @@ def load_checkpoint(path):
             raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
         _check_header(header)
         dtype = np.dtype(header.get("dtype", "float64"))
+        shapes = [s for layer in header["layer_shapes"] for s in layer]
+        shapes = shapes * (1 + header["has_prev"]) + [[header["batch_size"], header["latent_dim"]]]
+        need = 8 * sum(map(math.prod, shapes))
+        if need != size - f.tell():
+            raise CheckpointError(f"checkpoint size mismatch: its arrays need {need} bytes, "
+                                  f"{size - f.tell()} follow the header")
 
         def read_arr(shape):
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise CheckpointError("checkpoint truncated")
-            arr = np.frombuffer(buf, dtype="<f8").reshape(shape)
+            arr = np.frombuffer(f.read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
             if not (np.abs(arr) <= np.finfo(dtype).max).all():  # false for NaN too
                 raise CheckpointError(f"checkpoint holds a value that is not a finite {dtype.name}")
             return arr.astype(dtype)

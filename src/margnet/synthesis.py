@@ -26,6 +26,7 @@ from .generator import (
     TrainContext,
     adam_step,
     fold_targets,
+    forward,
     gram_layout,
     gram_marginals,
     init_generator,
@@ -236,13 +237,15 @@ def compute_weights(measurements: list[Measurement], d: int) -> None:
 def train(model: GeneratorModel, ctx: TrainContext, measurements: list[Measurement],
           scale: float, iters: int, lr: float) -> float:
     """Run `iters` gradient steps on the weighted marginal loss; returns the
-    final loss. Every pass starts Adam afresh, with zeroed moments."""
+    final loss. Every pass starts Adam afresh, with zeroed moments, and ends
+    with the context holding the forward pass of the trained weights."""
     ctx.reset_adam()
     targets = fold_targets(model, measurements, scale)
     loss = 0.0
     for _ in range(iters):
         loss, _ = loss_and_grad(model, targets, ctx)
         adam_step(ctx, lr)
+        forward(model, ctx)
     return loss
 
 
@@ -343,7 +346,7 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel, ctx: Trai
     spent = 0.0
     tol = _BUDGET_SLACK * rho_total
     prev_model = model.copy()
-    soft = gram_marginals(model, scale, index.layout, ctx)
+    soft = gram_marginals(ctx.probs, scale, index.layout)
     k = 0
     while (k < config.fixed_rounds) if fixed else (spent < rho_total - tol):
         k += 1
@@ -371,8 +374,8 @@ def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel, ctx: Trai
         spent += rho_s + rho_m
 
         # the trained model's marginals: this round's improvement, next
-        # round's scores; their forward pass is the next pass's first
-        soft = gram_marginals(model, scale, index.layout, ctx)
+        # round's scores
+        soft = gram_marginals(ctx.probs, scale, index.layout)
         improvement = l1_distance(soft.marginal(chosen), est_before)
         noise_floor = expected_noise_l1(chosen.n_cells, rho_m)
         doubled = (not fixed and improvement < noise_floor

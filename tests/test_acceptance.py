@@ -228,9 +228,9 @@ def test_criterion_6_selected_lower_bound_deterministic(monkeypatch):
                 seen.append(r.attrs)
         assert seen, "no two-way marginal was selected"
         exact = [compute_marginal(ds, marginal_spec(ds, a)) for a in seen]
-        batch = forward(res.model)
+        probs = forward(res.model)
         observed = sum(
-            frobenius_sq(soft_marginal(batch, m.spec, res.n_estimate), m) for m in exact
+            frobenius_sq(soft_marginal(res.model, probs, m.spec, res.n_estimate), m) for m in exact
         )
         bound = selected_lower_bound(exact, b)
         assert observed >= bound, f"b={b}: observed {observed} < bound {bound}"

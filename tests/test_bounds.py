@@ -298,12 +298,12 @@ def test_bounds_read_from_gram_match_per_spec_marginals():
     trace = mk_trace((0, 2), rho_s=0.02, rho_m=0.18)
     rep = unselected_bound(trace, model, prev, ds, scale=scale, delta=delta)
     theta = marginal_spec(ds, (0, 2))
-    theta_err = l1_distance(soft_marginal(forward(prev), theta, scale), compute_marginal(ds, theta))
+    theta_err = l1_distance(soft_marginal(prev, forward(prev), theta, scale), compute_marginal(ds, theta))
     assert len(rep.entries) == 5
     for e in rep.entries:
         spec = marginal_spec(ds, e.attrs)
-        est = soft_marginal(forward(model), spec, scale)
-        drift = l1_distance(soft_marginal(forward(prev), spec, scale), est)
+        est = soft_marginal(model, forward(model), spec, scale)
+        drift = l1_distance(soft_marginal(prev, forward(prev), spec, scale), est)
         # the middle term is the score's noise term, at the round's rho_m
         b_ik = (theta_err + (spec.n_cells - theta.n_cells) / math.sqrt(math.pi * 0.18)
                 + math.log(6 / delta) / math.sqrt(2 * 0.02))
@@ -321,7 +321,7 @@ def test_bounds_read_from_gram_match_per_spec_marginals():
     for e in up.entries:
         spec = marginal_spec(ds, e.attrs)
         combined, sigma_bar = combine_measurements([m for m in ms if m.spec.attrs == e.attrs])
-        est = soft_marginal(forward(model), spec, scale).counts
+        est = soft_marginal(model, forward(model), spec, scale).counts
         want = 2.0 * (((combined - est) ** 2).sum()
                       + sigma_bar ** 2 * chi2_inverse_cdf(1 - delta, spec.n_cells))
         assert e.bound == pytest.approx(want, abs=1e-9)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -592,3 +593,131 @@ def test_main_leaves_other_errors_to_their_traceback(monkeypatch, error):
     monkeypatch.setattr(margnet.cli, "cmd_convert", fail)
     with pytest.raises(type(error)):
         run_cli("convert", "--epsilon", "1.0")
+
+
+# ------------------------------------------------------------ output paths
+
+COLLISIONS = {
+    # (command, the flag given the path, the flag whose path it is)
+    "synth-out-is-data": ("synth", "--out", "--data"),
+    "synth-checkpoint-is-domain": ("synth", "--checkpoint", "--domain"),
+    "synth-trace-is-out": ("synth", "--trace", "--out"),
+    "eval-out-is-real": ("eval", "--out", "--real"),
+    "check-out-is-data": ("check", "--out", "--data"),
+}
+
+
+@pytest.mark.parametrize("case", list(COLLISIONS))
+def test_output_path_naming_another_path_exits_2(gauss_files, finished_run, tmp_path, capsys,
+                                                 case):
+    # checked before anything is read: no input is replaced and nothing is written
+    cmd, given, taken = COLLISIONS[case]
+    for name, src in zip(["g.csv", "g.domain.json", "s.trace.json", "s.ckpt"],
+                         [*gauss_files, *finished_run]):
+        shutil.copyfile(src, tmp_path / name)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    flags = {
+        "synth": {"--data": "g.csv", "--domain": "g.domain.json", "--out": "o.csv"},
+        "eval": {"--real": "g.csv", "--synth": "g.csv", "--domain": "g.domain.json",
+                 "--out": "e.json"},
+        "check": {"--trace": "s.trace.json", "--checkpoint": "s.ckpt", "--data": "g.csv",
+                  "--domain": "g.domain.json", "--out": "b.json"},
+    }[cmd]
+    flags[given] = flags[taken]
+    argv = [cmd] + [a for k, v in flags.items() for a in (k, str(tmp_path / v))]
+    if cmd == "synth":
+        argv += ["--epsilon", "1.0", "--seed", "1", *SMALL_SYNTH_FLAGS]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{given} and {taken} name the same file" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_output_path_through_a_link_is_the_same_file(gauss_files, tmp_path, capsys):
+    csv, domain = gauss_files
+    data = tmp_path / "g.csv"
+    data.write_bytes(open(csv, "rb").read())
+    os.link(data, tmp_path / "hard.csv")
+    os.symlink(data, tmp_path / "soft.csv")
+    for out in ("hard.csv", "soft.csv"):
+        assert run_cli("synth", "--data", str(data), "--domain", domain, "--epsilon", "1.0",
+                       "--out", str(tmp_path / out), *SMALL_SYNTH_FLAGS) == 2
+    assert data.read_bytes() == open(csv, "rb").read()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "hard.csv", "soft.csv"]
+
+
+# -------------------------------------------------------------- checkpoints
+
+def _with_header(data, edit):
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    blob = json.dumps(edit(json.loads(data[16:16 + hlen]))).encode()
+    return data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen:]
+
+
+def _wide_hidden_layer(header):
+    # chains validly, latent 64 -> 2**54 -> sum(cards), so its first array
+    # alone needs 64 * 2**54 * 8 = 2**63 bytes
+    out = sum(header["cards"])
+    return {**header, "latent_dim": 64,
+            "layer_shapes": [[[64, 2**54], [2**54]], [[2**54, out], [out]]]}
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda d: d[:8] + struct.pack("<Q", 2**62) + d[16:], "runs past the end"),
+    (lambda d: d[:8] + struct.pack("<Q", 2**64 - 1) + d[16:], "runs past the end"),
+    (lambda d: _with_header(d, _wide_hidden_layer), "size mismatch"),
+    (lambda d: _with_header(d, lambda h: {**h, "batch_size": h["batch_size"] - 1}),
+     "size mismatch"),
+    (lambda d: d + bytes(8), "size mismatch"),
+], ids=["header-2**62", "header-2**64-1", "hidden-2**54", "batch-size-short", "trailing-bytes"])
+def test_check_checkpoint_sizes_must_match_the_file(gauss_files, finished_run, tmp_path, capsys,
+                                                    mangle, message):
+    # the sizes are checked against the file before any read, so a huge one
+    # never reaches an allocation and a short or padded file is not loaded
+    csv, domain = gauss_files
+    trace, ckpt = finished_run
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(mangle(open(ckpt, "rb").read()))
+    report = tmp_path / "bounds.json"
+    assert run_cli("check", "--trace", trace, "--checkpoint", str(bad), "--data", csv,
+                   "--domain", domain, "--out", str(report)) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert message in err
+    assert not report.exists()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_check_survives_a_damaged_checkpoint(gauss_files, finished_run, tmp_path, capsys, data):
+    # a checkpoint cut at a random offset, or with random bytes over a span of
+    # its header length, header JSON or arrays, ends with a documented code
+    csv, domain = gauss_files
+    trace, ckpt = finished_run
+    blob = open(ckpt, "rb").read()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    where = data.draw(st.sampled_from(["cut", "length", "header", "arrays"]))
+    if where == "cut":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        lo, hi = {"length": (8, 16), "header": (16, 16 + hlen),
+                  "arrays": (16 + hlen, len(blob))}[where]
+        start = data.draw(st.integers(lo, hi - 1))
+        junk = data.draw(st.binary(min_size=1, max_size=hi - start))
+        blob = blob[:start] + junk + blob[start + len(junk):]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    report = tmp_path / "bounds.json"
+    if report.exists():
+        report.unlink()
+    capsys.readouterr()
+    code = run_cli("check", "--trace", trace, "--checkpoint", str(bad), "--data", csv,
+                   "--domain", domain, "--out", str(report))
+    assert code in (0, 1, 2)
+    if code:
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]

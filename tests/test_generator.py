@@ -10,14 +10,12 @@ from margnet import generator
 from margnet.domain import AttributeMeta, Domain
 from margnet.errors import CheckpointError, UnsupportedOrder
 from margnet.generator import (
-    SoftBatch,
     TrainContext,
     _segment_softmax,
     adam_step,
     fold_targets,
     forward,
     gram_layout,
-    gram_marginals,
     init_generator,
     load_checkpoint,
     loss_and_grad,
@@ -27,7 +25,7 @@ from margnet.generator import (
     soft_marginals,
 )
 from margnet.marginals import Marginal, compute_marginal, marginal_spec
-from margnet.synthesis import Measurement
+from margnet.synthesis import Measurement, train
 
 from conftest import categorical_domain
 
@@ -84,16 +82,16 @@ def test_forward_zero_head_is_uniform():
     m = tiny_model(cards=(2, 4))
     W, b = m.layers[-1]
     m.layers[-1] = (np.zeros_like(W), np.zeros_like(b))
-    sb = forward(m)
-    assert np.allclose(sb.segment(0), 0.5)
-    assert np.allclose(sb.segment(1), 0.25)
+    probs = forward(m)
+    assert np.allclose(probs[:, m.segment(0)], 0.5)
+    assert np.allclose(probs[:, m.segment(1)], 0.25)
 
 
 def test_forward_rows_on_simplex():
     m = tiny_model(cards=(3, 5, 2), batch=17)
-    sb = forward(m)
+    probs = forward(m)
     for a in range(3):
-        seg = sb.segment(a)
+        seg = probs[:, m.segment(a)]
         assert np.all(seg >= 0)
         assert np.allclose(seg.sum(axis=1), 1.0, atol=1e-6)
 
@@ -114,7 +112,7 @@ def test_segment_softmax_mixed_cardinalities_on_simplex():
 
 def test_forward_fixed_input_repeatable():
     m = tiny_model()
-    assert np.array_equal(forward(m).probs, forward(m).probs)
+    assert np.array_equal(forward(m), forward(m))
 
 
 # ------------------------------------------------------------ soft marginal
@@ -122,24 +120,22 @@ def test_forward_fixed_input_repeatable():
 def test_soft_marginal_single_outer_product():
     m = tiny_model(cards=(2, 2), batch=1)
     probs = np.array([[1.0, 0.0, 0.0, 1.0]])
-    sb = SoftBatch(probs=probs, cards=m.cards, seg_offsets=m.seg_offsets)
-    got = soft_marginal(sb, marginal_spec(m.cards, (0, 1)), scale=10.0)
+    got = soft_marginal(m, probs, marginal_spec(m.cards, (0, 1)), scale=10.0)
     assert got.counts.tolist() == [0.0, 10.0, 0.0, 0.0]
 
 
 def test_soft_marginal_uniform():
     m = tiny_model(cards=(2, 2), batch=3)
     probs = np.full((3, 4), 0.5)
-    sb = SoftBatch(probs=probs, cards=m.cards, seg_offsets=m.seg_offsets)
-    got = soft_marginal(sb, marginal_spec(m.cards, (0, 1)), scale=4.0)
+    got = soft_marginal(m, probs, marginal_spec(m.cards, (0, 1)), scale=4.0)
     assert np.allclose(got.counts, 1.0)
 
 
 def test_soft_marginal_marginalizes_exactly():
     m = tiny_model(cards=(3, 4), batch=11, seed=2)
-    sb = forward(m)
-    two = soft_marginal(sb, marginal_spec(m.cards, (0, 1)), 7.0).counts.reshape(3, 4)
-    one = soft_marginal(sb, marginal_spec(m.cards, (0,)), 7.0).counts
+    probs = forward(m)
+    two = soft_marginal(m, probs, marginal_spec(m.cards, (0, 1)), 7.0).counts.reshape(3, 4)
+    one = soft_marginal(m, probs, marginal_spec(m.cards, (0,)), 7.0).counts
     assert np.allclose(two.sum(axis=1), one, atol=1e-12)
 
 
@@ -152,9 +148,9 @@ def test_soft_marginals_blocks_match_per_spec(layout_slack, pairs):
     m = tiny_model(cards=(3, 1, 4, 2), hidden=(10,), batch=13, seed=6)
     specs = [marginal_spec(m.cards, attrs) for attrs in [(a,) for a in range(4)] + pairs]
     soft = soft_marginals(m, 37.0, specs)
-    sb = forward(m)
+    probs = forward(m)
     for spec in specs:
-        assert np.allclose(soft.marginal(spec).counts, soft_marginal(sb, spec, 37.0).counts,
+        assert np.allclose(soft.marginal(spec).counts, soft_marginal(m, probs, spec, 37.0).counts,
                            rtol=1e-12, atol=1e-12)
 
 
@@ -183,18 +179,16 @@ def test_gram_layout_block_rows_hold_only_requested_cells():
 
 def test_soft_marginal_rejects_three_way():
     m = tiny_model(cards=(2, 2, 2))
-    sb = forward(m)
     with pytest.raises(UnsupportedOrder):
-        soft_marginal(sb, marginal_spec(m.cards, (0, 1, 2)), 1.0)
+        soft_marginal(m, forward(m), marginal_spec(m.cards, (0, 1, 2)), 1.0)
 
 
 def test_soft_batch_rank_at_most_b():
     # the implied two-way joint table of a b-row soft batch has rank <= b
     for b in (1, 2, 4):
         m = tiny_model(cards=(6, 7), hidden=(16,), batch=b, seed=b)
-        sb = forward(m)
-        joint = soft_marginal(sb, marginal_spec(m.cards, (0, 1)), 100.0).counts.reshape(6, 7)
-        svals = np.linalg.svd(joint, compute_uv=False)
+        joint = soft_marginal(m, forward(m), marginal_spec(m.cards, (0, 1)), 100.0).counts
+        svals = np.linalg.svd(joint.reshape(6, 7), compute_uv=False)
         assert np.all(svals[b:] < 1e-8)
 
 
@@ -355,9 +349,9 @@ def test_fold_targets_rejects_three_way():
 
 def test_perfect_fit_zero_loss_zero_grad():
     m = tiny_model(cards=(2, 3), seed=3)
-    sb = forward(m)
+    probs = forward(m)
     specs = [(0,), (1,), (0, 1)]
-    counts = [soft_marginal(sb, marginal_spec(m.cards, s), 5.0).counts for s in specs]
+    counts = [soft_marginal(m, probs, marginal_spec(m.cards, s), 5.0).counts for s in specs]
     targets = make_targets(m.cards, specs, counts)
     loss, grads = loss_and_grad(m, fold_targets(m, targets, 5.0))
     assert loss < 1e-20
@@ -510,6 +504,7 @@ def test_context_steps_match_fresh_array_steps(layout_slack, dtype):
             for g, w in zip(pair, want):
                 assert same_bits(g, w)
         adam_step(ctx, lr=3e-3)
+        forward(m, ctx)
         reference_adam_step(oracle, want_grads, state, lr=3e-3)
     for (W, b), (W0, b0) in zip(m.layers, oracle.layers):
         assert same_bits(W, W0) and same_bits(b, b0)
@@ -531,46 +526,23 @@ def assert_cold_step(m, targets, loss, grads):
             assert same_bits(g, w)
 
 
-def test_step_reuses_the_kept_forward(layout_slack, monkeypatch):
-    m, targets = training_setup(np.float32, seed=2)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_context_holds_the_forward_of_its_weights(layout_slack, monkeypatch, dtype):
+    # from construction and after every training pass, the context's softmax
+    # buffer is the forward pass of its weights, and a step runs none of its own
+    m = tiny_model(cards=(3, 1, 4), hidden=(12, 9), latent=5, batch=7, seed=2, dtype=dtype)
+    measurements = repeated_spec_targets(m, 2)
+    targets = fold_targets(m, measurements, 13.0)
     ctx = TrainContext(m)
-    gram_marginals(m, 13.0, targets.layout, ctx)
-    assert ctx.has_forward()
     calls = count_forwards(monkeypatch)
-    loss, grads = loss_and_grad(m, targets, ctx)
-    assert calls == []
-    assert_cold_step(m, targets, loss, grads)
-
-
-def test_adam_step_drops_the_kept_forward(monkeypatch):
-    m, targets = training_setup(np.float32, seed=3)
-    ctx = TrainContext(m)
-    loss_and_grad(m, targets, ctx)
-    gram_marginals(m, 13.0, targets.layout, ctx)
-    adam_step(ctx, lr=1e-2)
-    assert not ctx.has_forward()
-    calls = count_forwards(monkeypatch)
-    loss, grads = loss_and_grad(m, targets, ctx)
-    assert len(calls) == 1
-    assert_cold_step(m, targets, loss, grads)
-
-
-def test_in_place_weight_edits_never_see_a_stale_forward():
-    # finite_difference_check's edits, made through one context whose
-    # forward pass was kept just before each edit
-    m, targets = training_setup(np.float64, seed=4)
-    ctx = TrainContext(m)
-    for W, b in m.layers:
-        for arr in (W, b):
-            for idx in [(0,) * arr.ndim, tuple(s - 1 for s in arr.shape)]:
-                orig = arr[idx]
-                for value in (orig + 1e-5, orig - 1e-5, orig - 1e-5, orig):
-                    kept = arr[idx]
-                    gram_marginals(m, 13.0, targets.layout, ctx)
-                    arr[idx] = value
-                    assert ctx.has_forward() == (value == kept)
-                    loss, grads = loss_and_grad(m, targets, ctx)
-                    assert_cold_step(m, targets, loss, grads)
+    for iters in (0, 1, 3):
+        if iters:
+            train(m, ctx, measurements, 13.0, iters, lr=1e-2)
+        assert same_bits(ctx.probs, forward(m.copy()))
+        calls.clear()
+        loss, grads = loss_and_grad(m, targets, ctx)
+        assert calls == []
+        assert_cold_step(m, targets, loss, grads)
 
 
 def test_context_keeps_the_weights_and_rejects_other_models():
@@ -580,7 +552,7 @@ def test_context_keeps_the_weights_and_rejects_other_models():
     assert m.layers is ctx.layers
     for (W, b), (W0, b0) in zip(m.layers, before):
         assert same_bits(W, W0) and same_bits(b, b0)
-    assert same_bits(forward(m, ctx).probs, forward(m).probs)
+    assert same_bits(forward(m, ctx), forward(m))
     with pytest.raises(ValueError):
         forward(m.copy(), ctx)
 
@@ -600,11 +572,11 @@ def test_sample_hard_matches_soft_marginals():
     m = tiny_model(cards=(3, 4), hidden=(16,), batch=8, seed=12)
     n = 100_000
     ds = sample_hard(m, n, seed=5)
-    sb = forward(m)
+    probs = forward(m)
     for a in range(2):
         spec = marginal_spec(m.cards, (a,))
         emp = compute_marginal(ds, spec).counts / n
-        soft = soft_marginal(sb, spec, 1.0).counts
+        soft = soft_marginal(m, probs, spec, 1.0).counts
         assert np.max(np.abs(emp - soft)) < 0.01
 
 
@@ -623,7 +595,7 @@ def test_checkpoint_round_trip(tmp_path):
     p = tmp_path / "model.ckpt"
     save_checkpoint(p, m, prev)
     back, back_prev = load_checkpoint(p)
-    assert np.array_equal(forward(back).probs, forward(m).probs)
+    assert np.array_equal(forward(back), forward(m))
     for (Wa, ba), (Wb, bb) in zip(back_prev.layers, prev.layers):
         assert np.array_equal(Wa, Wb)
         assert np.array_equal(ba, bb)
@@ -695,7 +667,7 @@ def test_checkpoint_round_trip_float32(tmp_path):
             assert Wa.dtype == ba.dtype == np.float32
             assert Wa.tobytes() == Wb.tobytes() and ba.tobytes() == bb.tobytes()
     assert back.Z.dtype == np.float32 and back.Z.tobytes() == m.Z.tobytes()
-    assert forward(back).probs.tobytes() == forward(m).probs.tobytes()
+    assert forward(back).tobytes() == forward(m).tobytes()
 
 
 def test_checkpoint_without_dtype_loads_float64(tmp_path):
@@ -767,6 +739,7 @@ def test_float32_step_never_upcasts():
         assert isinstance(loss, float)
         assert all(g.dtype == np.float32 for pair in grads for g in pair)
         adam_step(ctx, lr=1e-3)
+        forward(m, ctx)
         assert all(p.dtype == np.float32 for pair in m.layers for p in pair)
     assert m.copy().dtype == np.float32
 

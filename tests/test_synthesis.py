@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -137,10 +138,10 @@ def test_warmup_noise_free_training_converges(noise_free):
     rng_m = np.random.default_rng(1)
     _, n_est = warmup(ds, dom, model, TrainContext(model), acct, 0.01, cfg, rng_m)
     assert n_est == 400.0  # noise-free sums are exact
-    sb = forward(model)
+    probs = forward(model)
     for a in range(2):
         spec = marginal_spec(ds, (a,))
-        soft = soft_marginal(sb, spec, n_est)
+        soft = soft_marginal(model, probs, spec, n_est)
         assert tvd(soft, compute_marginal(ds, spec)) < 0.05
 
 
@@ -148,7 +149,7 @@ def test_warmup_noise_free_training_converges(noise_free):
 
 def scores_of(model, scale, exact, candidates, rho_m):
     index = candidate_index(model, candidates, exact)
-    return candidate_scores(gram_marginals(model, scale, index.layout), index, rho_m)
+    return candidate_scores(gram_marginals(forward(model), scale, index.layout), index, rho_m)
 
 
 def per_spec_scores(model, scale, exact, candidates, rho_m):
@@ -165,7 +166,7 @@ def test_candidate_scores_perfect_fit():
     model = init_generator(dom, [8], 4, 8, seed=2)
     spec = marginal_spec(ds, (0, 1))
     # make the "exact" marginal equal the model's soft marginal
-    soft = soft_marginal(forward(model), spec, 100.0)
+    soft = soft_marginal(model, forward(model), spec, 100.0)
     rho_m = 0.25
     scores = scores_of(model, 100.0, {spec.attrs: soft}, [spec], rho_m)
     assert scores[0] == pytest.approx(-spec.n_cells / math.sqrt(math.pi * rho_m))
@@ -179,7 +180,7 @@ def test_candidate_scores_arithmetic():
     exact = {spec.attrs: compute_marginal(ds, spec)}
     rho_m = 1.0 / math.pi  # noise term becomes exactly n_i
     scores = scores_of(model, 50.0, exact, [spec], rho_m)
-    gap = l1_distance(soft_marginal(forward(model), spec, 50.0), exact[spec.attrs])
+    gap = l1_distance(soft_marginal(model, forward(model), spec, 50.0), exact[spec.attrs])
     assert scores[0] == pytest.approx(gap - 4.0)
 
 
@@ -192,8 +193,8 @@ def test_candidate_scores_match_per_spec_soft_marginals():
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
     rho_m, scale = 0.07, 400.0
     scores = scores_of(model, scale, exact, candidates, rho_m)
-    sb = forward(model)
-    want = [l1_distance(soft_marginal(sb, s, scale), exact[s.attrs])
+    probs = forward(model)
+    want = [l1_distance(soft_marginal(model, probs, s, scale), exact[s.attrs])
             - s.n_cells / math.sqrt(math.pi * rho_m) for s in candidates]
     assert len(scores) == 10
     assert np.max(np.abs(scores - np.array(want))) <= 1e-9
@@ -343,6 +344,28 @@ def test_run_trains_in_float32_and_measures_in_float64():
                for r in res.trace.rounds)
 
 
+@pytest.mark.parametrize("fixed_rounds", [None, 3], ids=["adaptive", "fixed-3"])
+def test_run_runs_one_forward_per_weight_state(monkeypatch, fixed_rounds):
+    # the context's constructor, one after each Adam step of the warm-up, of
+    # every round's pass and of the closing pass, then sample_hard's; counted
+    # under every name a margnet module binds it to
+    calls = []
+    real = generator.forward
+    for name, module in list(sys.modules.items()):
+        if name == "margnet" or name.startswith("margnet."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr,
+                                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    dom = categorical_domain([2, 3, 2])
+    ds = random_dataset(dom.cards, 300, seed=4)
+    iters = 3
+    res = run_margnet(ds, dom, tiny_config(train_iters=iters, fixed_rounds=fixed_rounds))
+    rounds = len(res.trace.rounds)
+    assert rounds >= 1
+    assert len(calls) == 1 + iters * (rounds + 2) + 1
+
+
 def test_trace_json_round_trip():
     dom = categorical_domain([3, 2, 3])
     ds = random_dataset(dom.cards, 400, seed=13)
@@ -366,7 +389,7 @@ def test_em_scores_use_pre_round_model():
     assert len(res.trace.rounds) >= 1
     final = res.trace.rounds[-1]
     spec = marginal_spec(ds, final.attrs)
-    est = soft_marginal(forward(res.prev_model), spec, res.n_estimate)
+    est = soft_marginal(res.prev_model, forward(res.prev_model), spec, res.n_estimate)
     gap = l1_distance(est, compute_marginal(ds, spec))
     recomputed = gap - spec.n_cells / math.sqrt(math.pi * final.rho_m)
     assert recomputed == pytest.approx(final.score, rel=1e-12)
