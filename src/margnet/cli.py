@@ -5,10 +5,12 @@ Subcommands: synth (private synthesis), eval (utility metrics), gen-gauss
 (fitting-error bound diagnostics on a finished run).
 
 Commands raise; `main` maps each error class to its exit code: 0 success,
-1 I/O failure or unreadable checkpoint, 2 bad configuration or malformed
-input, 3 infeasible budget. Every run's effective configuration, including
-the resolved seed, is written next to its outputs, and a run writes all of
-its outputs or none. No output path may name an input or another output.
+1 I/O failure, unreadable checkpoint or failed allocation, 2 bad
+configuration or malformed input, 3 infeasible budget. Every run's effective
+configuration, including the resolved seed, is written next to its outputs,
+and a run writes all of its outputs or none. No output path, nor the temp
+path it is written to first, may name an input, another output or another
+temp path.
 """
 
 from __future__ import annotations
@@ -44,14 +46,19 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 
+def _tmp_path(path: str) -> str:
+    """Where an output is written before it is renamed into place."""
+    return f"{path}.tmp"
+
+
 def _write_outputs(outputs) -> None:
-    """Write each (path, write_fn) pair to `path.tmp`, then rename them all
+    """Write each (path, write_fn) pair to its temp path, then rename them all
     into place. On any failure the temp files and the outputs already renamed
     are deleted, so a failed run leaves no file of its own behind."""
     written = []
     try:
         for path, write in outputs:
-            written.append(f"{path}.tmp")
+            written.append(_tmp_path(path))
             write(written[-1])
         for i, (path, _) in enumerate(outputs):
             os.replace(written[i], path)
@@ -73,14 +80,16 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_paths(inputs: dict, outputs: dict) -> None:
-    """Raise ValueError when an output path (flag -> path) names the same
-    file as an input or an earlier output, before anything is read."""
+    """Raise ValueError when an output path (flag -> path) or its temp path
+    names the same file as an input, another output or another temp path,
+    before anything is read. Inputs may name the same file."""
     seen = list(inputs.items())
     for flag, path in outputs.items():
-        for other_flag, other in seen:
-            if _same_file(path, other):
-                raise ValueError(f"{flag} and {other_flag} name the same file: {path}")
-        seen.append((flag, path))
+        for name, new in ((flag, path), (f"{flag}'s temp file", _tmp_path(path))):
+            for other_name, other in seen:
+                if _same_file(new, other):
+                    raise ValueError(f"{name} and {other_name} name the same file: {new}")
+            seen.append((name, new))
 
 
 def _write_text(text: str):
@@ -300,6 +309,8 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (OSError, CheckpointError) as e:
         code, message = EXIT_IO, str(e)
+    except MemoryError as e:  # an input too large to allocate
+        code, message = EXIT_IO, str(e) or "out of memory"
     except InsufficientBudget as e:
         code, message = EXIT_BUDGET, f"infeasible budget: {e}"
     except (MargNetError, ValueError) as e:

@@ -104,11 +104,7 @@ class Domain:
                 labels = [str(v) for v in spec["values"]]
                 attrs.append(AttributeMeta(spec["name"], "categorical", len(labels), category_labels=labels))
             elif spec["type"] == "numeric":
-                try:
-                    lo, hi, bins = float(spec["min"]), float(spec["max"]), int(spec["bins"])
-                except TypeError:
-                    raise ValueError(f"attribute {spec['name']!r}: min, max and bins must be "
-                                     f"numbers") from None
+                lo, hi, bins = _numeric_range(spec)
                 attrs.append(AttributeMeta(spec["name"], "numeric", bins,
                                            bin_edges=uniform_bin_edges(lo, hi, bins)))
             else:
@@ -132,6 +128,30 @@ class Domain:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.to_json_dict(), f, indent=2)
             f.write("\n")
+
+
+def _finite_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _numeric_range(spec: dict) -> tuple[float, float, int]:
+    """A numeric attribute's (min, max, bins): min and max finite JSON
+    numbers, bins a whole one from 1 to the largest count of edges an array
+    can index. A bool or a string is not a number."""
+    lo, hi, bins = spec["min"], spec["max"], spec["bins"]
+    if not (_finite_number(lo) and _finite_number(hi)):
+        raise ValueError(f"attribute {spec['name']!r}: min and max must be finite numbers, "
+                         f"got {lo!r} and {hi!r}")
+    top = np.iinfo(np.intp).max - 1
+    if not (_finite_number(bins) and bins == int(bins) and 1 <= bins <= top):
+        raise ValueError(f"attribute {spec['name']!r}: bins must be a whole number from 1 "
+                         f"to {top}, got {bins!r}")
+    return float(lo), float(hi), int(bins)
 
 
 @dataclass
@@ -206,7 +226,7 @@ def load_csv(path, domain: Domain) -> RawTable:
     numeric = [meta.kind == "numeric" for meta in domain.attributes]
     dtype = [(name, float if is_num else object) for name, is_num in zip(names, numeric)]
     with open(path, "r", encoding="utf-8", newline="") as f:
-        usecols = _header_columns(csv.reader(f), domain)
+        usecols = _header_columns(_csv_rows(f, path), domain)
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -217,11 +237,25 @@ def load_csv(path, domain: Domain) -> RawTable:
             ok = False
         if not ok:
             f.seek(0)
-            _raise_bad_cell(f, domain, usecols)
+            _raise_bad_cell(_csv_rows(f, path), domain, usecols)
             raise ValueError(f"{path}: the numpy and csv readers disagree on this file")
     columns = [data[name].tolist() if is_num else [cell.strip() for cell in data[name]]
                for name, is_num in zip(names, numeric)]
     return RawTable(header=domain.names, columns=columns)
+
+
+def _csv_rows(f, path):
+    """The rows of a CSV file, header first. A row the csv module cannot read
+    (a field past its size limit) is a ValueError naming the row, numbered
+    from 0 after the header."""
+    row_no = -1
+    try:
+        for row in csv.reader(f):
+            yield row
+            row_no += 1
+    except csv.Error as e:
+        where = "the header" if row_no < 0 else f"row {row_no}"
+        raise ValueError(f"{path}: {where}: {e}") from None
 
 
 def _header_columns(reader, domain: Domain) -> list[int]:
@@ -246,10 +280,9 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def _raise_bad_cell(f, domain: Domain, usecols: list[int]) -> None:
-    """Rescan a CSV cell by cell and raise the ParseError of its first bad
-    cell. Rows are numbered from 0 after the header, blank lines included."""
-    reader = csv.reader(f)
+def _raise_bad_cell(reader, domain: Domain, usecols: list[int]) -> None:
+    """Rescan a CSV's rows cell by cell and raise the ParseError of its first
+    bad cell. Rows are numbered from 0 after the header, blank lines included."""
     next(reader)
     for row_no, row in enumerate(reader):
         if not row:

@@ -487,8 +487,9 @@ def adam_step(ctx: TrainContext, lr: float) -> None:
     ctx.params -= s
 
 
-def sample_hard(model: GeneratorModel, n_rows: int, seed: int) -> Dataset:
-    """Draw a discrete dataset from the fitted soft batch.
+def sample_hard(model: GeneratorModel, probs: np.ndarray, n_rows: int, seed: int) -> Dataset:
+    """Draw a discrete dataset from `model`'s soft batch `probs` (its forward
+    pass, which this function does not run).
 
     Each output row picks one of the b soft rows uniformly, then samples every
     attribute independently from that row's categorical segment, which makes
@@ -498,7 +499,7 @@ def sample_hard(model: GeneratorModel, n_rows: int, seed: int) -> Dataset:
     the running sum.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    probs = forward(model).astype(np.float64, copy=False)
+    probs = probs.astype(np.float64, copy=False)
     b = probs.shape[0]
     picks = rng.integers(0, b, size=n_rows)
     cols = []

@@ -1,12 +1,15 @@
 """End-to-end synthesis: budget split, one-way warm-up, adaptive two-way
 selection under the privacy filter, weighted marginal training, and sampling.
 
-The selection loop alternates exponential-mechanism selection (budget rho_s
-per round) with Gaussian measurement (rho_m per round) and a training pass.
-In adaptive mode both per-round budgets double when a first-time-selected
-marginal improves the model by less than the expected noise level, and the
-last round absorbs whatever budget remains. Fixed-round mode (no doubling,
-equal budget per round) is the ablation of that schedule.
+`run_margnet` holds the whole run. After the warm-up, each round is
+exponential-mechanism selection (budget rho_s), Gaussian measurement (rho_m)
+and a training pass that amplifies the newest measurement; a closing pass
+follows the last round. In adaptive mode both per-round budgets double when
+a first-time-selected marginal improves the model by less than the expected
+noise level, and the last round absorbs whatever budget the warm-up left.
+Fixed-round mode (no doubling, equal budget per round) is the ablation of
+that schedule. Sampling draws from the final forward pass, which the
+training context already holds.
 """
 
 from __future__ import annotations
@@ -97,7 +100,6 @@ class Measurement:
     sigma: float
     weight: float = 1.0
     round: int = 0  # 0 = warm-up
-    newly_selected: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -224,11 +226,14 @@ def split_budget(rho: float, c: float) -> tuple[float, float]:
 
 
 def compute_weights(measurements: list[Measurement], d: int) -> None:
-    """Training weights: sqrt(rho_m) base, amplified d-fold for the newly
-    selected measurement, then scaled so the maximum weight equals d."""
+    """Training weights: sqrt(rho_m) base, amplified d-fold for the newest
+    measurement (the list's last) when a round selected it, then scaled so
+    the maximum weight equals d."""
     if not measurements:
         raise ValueError("no measurements to weight")
-    base = np.array([math.sqrt(m.rho_m) * (d if m.newly_selected else 1.0) for m in measurements])
+    base = np.array([math.sqrt(m.rho_m) for m in measurements])
+    if measurements[-1].round > 0:
+        base[-1] *= d
     base *= d / base.max()
     for m, w in zip(measurements, base):
         m.weight = float(w)
@@ -318,84 +323,6 @@ def warmup(ds: Dataset, domain: Domain, model: GeneratorModel, ctx: TrainContext
     return measurements, n_estimate
 
 
-def selection_loop(ds: Dataset, domain: Domain, model: GeneratorModel, ctx: TrainContext,
-                   measurements: list[Measurement], acct: Accountant, rho_total: float,
-                   rho_s: float, rho_m: float, config: SynthConfig, scale: float,
-                   rng_select, rng_measure, trace: SelectionTrace) -> GeneratorModel:
-    """Select-measure-train rounds over the two-way candidates.
-
-    The modes differ only in the per-round budget schedule. Adaptive mode
-    starts at (rho_s, rho_m), doubles both when a first-time-selected marginal
-    improves the model by less than the expected noise, and stops once the
-    phase budget rho_total is spent. Fixed-round mode runs exactly
-    config.fixed_rounds equal-budget rounds and never doubles.
-
-    Returns the model state before the final round (needed by the unselected-
-    marginal diagnostics); `model` itself is trained in place.
-    """
-    d = domain.d
-    fixed = config.fixed_rounds is not None
-    if fixed:
-        rho_s, rho_m = split_budget(rho_total * (1.0 - _BUDGET_SLACK), config.fixed_rounds)
-    candidates = selection_candidates(domain.cards)
-    if not candidates:
-        return model.copy()
-    exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
-    index = candidate_index(model, candidates, exact)
-    selected_before: set = set()
-    spent = 0.0
-    tol = _BUDGET_SLACK * rho_total
-    prev_model = model.copy()
-    soft = gram_marginals(ctx.probs, scale, index.layout)
-    k = 0
-    while (k < config.fixed_rounds) if fixed else (spent < rho_total - tol):
-        k += 1
-        # a round the remaining budget cannot cover gets all of it instead,
-        # less a sliver so float rounding in the running sums cannot overspend
-        if not fixed and spent + rho_s + rho_m > rho_total * (1.0 - _BUDGET_SLACK):
-            rho_s, rho_m = split_budget((rho_total - spent) * (1.0 - _BUDGET_SLACK), 1.0)
-        prev_model = model.copy()
-
-        scores = candidate_scores(soft, index, rho_m)
-        idx = exponential_mechanism(scores, SCORE_SENSITIVITY, rho_s, rng_select)
-        acct.spend(rho_s, f"select:round:{k}")
-        chosen = candidates[idx]
-
-        est_before = soft.marginal(chosen)
-        noisy = gaussian_mechanism(exact[chosen.attrs].counts, rho_m, rng_measure)
-        acct.spend(rho_m, f"measure:round:{k}")
-        for m in measurements:
-            m.newly_selected = False
-        measurements.append(Measurement(spec=chosen, noisy=Marginal(chosen, noisy),
-                                        rho_m=rho_m, sigma=NoiseParams(rho_m).sigma,
-                                        round=k, newly_selected=True))
-        compute_weights(measurements, d)
-        train(model, ctx, measurements, scale, config.train_iters, config.lr)
-        spent += rho_s + rho_m
-
-        # the trained model's marginals: this round's improvement, next
-        # round's scores
-        soft = gram_marginals(ctx.probs, scale, index.layout)
-        improvement = l1_distance(soft.marginal(chosen), est_before)
-        noise_floor = expected_noise_l1(chosen.n_cells, rho_m)
-        doubled = (not fixed and improvement < noise_floor
-                   and chosen.attrs not in selected_before)
-        selected_before.add(chosen.attrs)
-        trace.rounds.append(RoundRecord(
-            round=k, attrs=chosen.attrs, rho_s=rho_s, rho_m=rho_m,
-            score=float(scores[idx]), improvement=improvement,
-            noise_floor=noise_floor, doubled=doubled,
-        ))
-        if doubled:
-            rho_s *= 2.0
-            rho_m *= 2.0
-
-    # closing pass over everything measured, always for the full iteration
-    # count (training never early-stops)
-    train(model, ctx, measurements, scale, config.train_iters, config.lr)
-    return prev_model
-
-
 @dataclass
 class SynthResult:
     synth: Dataset
@@ -409,7 +336,10 @@ class SynthResult:
 
 
 def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult:
-    """Full pipeline: split, warm-up, selection loop, sample."""
+    """Full pipeline: split, warm-up, select-measure-train rounds, closing
+    pass, sample. `prev_model` is the model before the final round, which the
+    unselected-marginal diagnostics need; a table with no two-way candidate
+    runs no round, and its `prev_model` is the warm-up model."""
     t0 = time.perf_counter()
     d = domain.d
     c = config.resolved_c(d)
@@ -431,28 +361,79 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
                            config.batch_size, rng_init_seed, dtype=TRAIN_DTYPE)
     trace = SelectionTrace(rho_budget=rho, config=config.to_json_dict(d), seed=config.seed)
 
-    # one context serves every training pass and scoring forward pass; the
-    # weights leave it once training ends, so it is freed before sampling
+    # one context serves every training pass, scoring read and the sampling
+    # draw; the weights leave it once sampling ends, so it is freed before
+    # decoding
     ctx = TrainContext(model)
     measurements, n_estimate = warmup(ds, domain, model, ctx, acct, rho_m, config, rng_measure)
     trace.warmup = list(measurements)
     trace.n_estimate = n_estimate
 
-    # the loop's phase budget is what the warm-up left: rho - d * rho_m
-    prev_model = selection_loop(ds, domain, model, ctx, measurements, acct, acct.remaining,
-                                rho_s, rho_m, config, n_estimate,
-                                rng_select, rng_measure, trace)
+    # the rounds' budget is what the warm-up left: rho - d * rho_m
+    rounds_budget = acct.remaining
+    fixed = config.fixed_rounds is not None
+    if fixed:
+        rho_s, rho_m = split_budget(rounds_budget * (1.0 - _BUDGET_SLACK), config.fixed_rounds)
+    candidates = selection_candidates(domain.cards)
+    exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
+    index = candidate_index(model, candidates, exact)
+    selected_before: set = set()
+    spent = 0.0
+    tol = _BUDGET_SLACK * rounds_budget
+    prev_model = model.copy()
+    soft = gram_marginals(ctx.probs, n_estimate, index.layout)
+    k = 0
+    while candidates and ((k < config.fixed_rounds) if fixed else (spent < rounds_budget - tol)):
+        k += 1
+        # a round the remaining budget cannot cover gets all of it instead,
+        # less a sliver so float rounding in the running sums cannot overspend
+        if not fixed and spent + rho_s + rho_m > rounds_budget * (1.0 - _BUDGET_SLACK):
+            rho_s, rho_m = split_budget((rounds_budget - spent) * (1.0 - _BUDGET_SLACK), 1.0)
+        prev_model = model.copy()
+
+        scores = candidate_scores(soft, index, rho_m)
+        idx = exponential_mechanism(scores, SCORE_SENSITIVITY, rho_s, rng_select)
+        acct.spend(rho_s, f"select:round:{k}")
+        chosen = candidates[idx]
+
+        est_before = soft.marginal(chosen)
+        noisy = gaussian_mechanism(exact[chosen.attrs].counts, rho_m, rng_measure)
+        acct.spend(rho_m, f"measure:round:{k}")
+        measurements.append(Measurement(spec=chosen, noisy=Marginal(chosen, noisy),
+                                        rho_m=rho_m, sigma=NoiseParams(rho_m).sigma, round=k))
+        compute_weights(measurements, d)
+        train(model, ctx, measurements, n_estimate, config.train_iters, config.lr)
+        spent += rho_s + rho_m
+
+        # the trained model's marginals: this round's improvement, next
+        # round's scores
+        soft = gram_marginals(ctx.probs, n_estimate, index.layout)
+        improvement = l1_distance(soft.marginal(chosen), est_before)
+        noise_floor = expected_noise_l1(chosen.n_cells, rho_m)
+        doubled = (not fixed and improvement < noise_floor
+                   and chosen.attrs not in selected_before)
+        selected_before.add(chosen.attrs)
+        trace.rounds.append(RoundRecord(
+            round=k, attrs=chosen.attrs, rho_s=rho_s, rho_m=rho_m,
+            score=float(scores[idx]), improvement=improvement,
+            noise_floor=noise_floor, doubled=doubled,
+        ))
+        if doubled:
+            rho_s *= 2.0
+            rho_m *= 2.0
+
+    # closing pass over everything measured, always for the full iteration
+    # count (training never early-stops)
+    if k:
+        train(model, ctx, measurements, n_estimate, config.train_iters, config.lr)
+    synth = sample_hard(model, ctx.probs, int(round(n_estimate)), sample_seed)
     model = model.copy()
     del ctx
 
     trace.measurements = [m for m in measurements if m.round > 0]
     trace.ledger = list(acct.ledger)
-
-    n_rows = int(round(n_estimate))
-    synth = sample_hard(model, n_rows, sample_seed)
     return SynthResult(
         synth=synth, trace=trace, model=model, prev_model=prev_model,
         accountant=acct, n_estimate=n_estimate,
         wall_clock_seconds=time.perf_counter() - t0, decode_seed=decode_seed,
     )
-

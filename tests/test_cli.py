@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -438,6 +439,12 @@ def test_check_checkpoint_cards_mismatch_exits_2(gauss_files, finished_run, tmp_
     assert not report.exists()
 
 
+def _numeric(**fields):
+    """A one-attribute numeric domain with `fields` replaced."""
+    return {"attributes": [{"name": "x0", "type": "numeric", "min": 0, "max": 1, "bins": 3,
+                            **fields}]}
+
+
 BAD_DOMAINS = {
     "attributes-int": {"attributes": 5},
     "top-level-list": [1, 2],
@@ -449,6 +456,14 @@ BAD_DOMAINS = {
     "duplicate-name": {"attributes": [
         {"name": "x0", "type": "numeric", "min": 0, "max": 1, "bins": 3},
         {"name": "x0", "type": "categorical", "values": ["a", "b"]}]},
+    # JSON reads 1e400 as inf; json.dumps writes inf as Infinity, which reads back alike
+    "bins-1e400": _numeric(bins=math.inf),
+    "bins-2.5": _numeric(bins=2.5),
+    "bins-true": _numeric(bins=True),
+    "bins-string": _numeric(bins="7"),
+    "max-string-inf": _numeric(max="inf"),
+    "max-1e400": _numeric(max=math.inf),
+    "min-nan": _numeric(min=math.nan),
 }
 
 
@@ -487,6 +502,7 @@ BAD_INPUTS = {
 }
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_line(gauss_files, finished_run, tmp_path, capsys, case):
     # a malformed domain or an out-of-range value is a configuration error:
@@ -513,6 +529,49 @@ def test_bad_input_exits_2_with_one_line(gauss_files, finished_run, tmp_path, ca
     assert len(err.strip().splitlines()) == 1
     if "-domain-" in case:
         assert err.startswith("error: malformed domain file: ")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", ["synth", "eval", "check"])
+def test_domain_too_large_to_allocate_exits_1(gauss_files, finished_run, tmp_path, capsys, cmd):
+    # 10**15 bins is a well-formed domain whose bin edges no host can hold:
+    # the allocation is refused at once and ends like any other I/O failure
+    csv, domain = gauss_files
+    trace, ckpt = finished_run
+    bad = tmp_path / "huge.domain.json"
+    bad.write_text(json.dumps(_numeric(bins=10**15)))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    f = SimpleNamespace(csv=csv, trace=trace, ckpt=ckpt, out=lambda name: str(out_dir / name))
+    capsys.readouterr()
+    assert run_cli(*_command(cmd, f, str(bad))) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+@pytest.mark.parametrize("cmd", ["synth", "eval"])
+def test_csv_field_past_the_csv_limit_exits_2(gauss_files, tmp_path, capsys, cmd, where):
+    # the csv module reads a field of at most 131072 characters; a longer one
+    # in the header, or in a row the cell-by-cell rescan reads, names its row
+    csv, domain = gauss_files
+    lines = Path(csv).read_text().splitlines()
+    long = "9" * 140_000
+    if where == "header":
+        lines[0] += "," + long
+    else:
+        lines[3] = ",".join([long] + lines[3].split(",")[1:])
+    bad = tmp_path / "long.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    f = SimpleNamespace(csv=str(bad), trace=None, ckpt=None, out=lambda name: str(out_dir / name))
+    capsys.readouterr()
+    assert run_cli(*_command(cmd, f, domain)) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert ("the header" if where == "header" else "row 2") in err and "field limit" in err
     assert list(out_dir.iterdir()) == []
 
 
@@ -576,7 +635,9 @@ def test_check_non_json_file_exits_2(gauss_files, finished_run, tmp_path, capsys
     (margnet.errors.InsufficientBudget("too little"), 3, "error: infeasible budget: too little"),
     (margnet.errors.DomainMismatch("other cards"), 2, "error: other cards"),
     (ValueError("out of range"), 2, "error: out of range"),
-], ids=["os", "checkpoint", "budget", "margnet", "value"])
+    (MemoryError("Unable to allocate 8 PiB"), 1, "error: Unable to allocate 8 PiB"),
+    (MemoryError(), 1, "error: out of memory"),
+], ids=["os", "checkpoint", "budget", "margnet", "value", "memory", "memory-no-message"])
 def test_main_maps_error_class_to_exit_code(monkeypatch, capsys, error, code, message):
     def fail(args):
         raise error
@@ -598,12 +659,22 @@ def test_main_leaves_other_errors_to_their_traceback(monkeypatch, error):
 # ------------------------------------------------------------ output paths
 
 COLLISIONS = {
-    # (command, the flag given the path, the flag whose path it is)
-    "synth-out-is-data": ("synth", "--out", "--data"),
-    "synth-checkpoint-is-domain": ("synth", "--checkpoint", "--domain"),
-    "synth-trace-is-out": ("synth", "--trace", "--out"),
-    "eval-out-is-real": ("eval", "--out", "--real"),
-    "check-out-is-data": ("check", "--out", "--data"),
+    # (command, the paths given to flags, the start of the error's subject)
+    "synth-out-is-data": ("synth", {"--out": "g.csv"}, "--out and --data"),
+    "synth-checkpoint-is-domain": ("synth", {"--checkpoint": "g.domain.json"},
+                                   "--checkpoint and --domain"),
+    "synth-trace-is-out": ("synth", {"--trace": "o.csv"}, "--trace and --out"),
+    "eval-out-is-real": ("eval", {"--out": "g.csv"}, "--out and --real"),
+    "check-out-is-data": ("check", {"--out": "g.csv"}, "--out and --data"),
+    # an output is first written to PATH.tmp, then renamed to PATH
+    "synth-out-temp-is-data": ("synth", {"--data": "g.csv.tmp", "--out": "g.csv"},
+                               "--out's temp file and --data"),
+    "synth-trace-temp-is-out": ("synth", {"--out": "a.tmp", "--trace": "a"},
+                                "--trace's temp file and --out"),
+    "eval-out-temp-is-real": ("eval", {"--real": "g.csv.tmp", "--synth": "g.csv.tmp",
+                                       "--out": "g.csv"}, "--out's temp file and --real"),
+    "check-out-temp-is-data": ("check", {"--data": "g.csv.tmp", "--out": "g.csv"},
+                               "--out's temp file and --data"),
 }
 
 
@@ -611,9 +682,9 @@ COLLISIONS = {
 def test_output_path_naming_another_path_exits_2(gauss_files, finished_run, tmp_path, capsys,
                                                  case):
     # checked before anything is read: no input is replaced and nothing is written
-    cmd, given, taken = COLLISIONS[case]
-    for name, src in zip(["g.csv", "g.domain.json", "s.trace.json", "s.ckpt"],
-                         [*gauss_files, *finished_run]):
+    cmd, given, subject = COLLISIONS[case]
+    for name, src in zip(["g.csv", "g.csv.tmp", "g.domain.json", "s.trace.json", "s.ckpt"],
+                         [gauss_files[0], *gauss_files, *finished_run]):
         shutil.copyfile(src, tmp_path / name)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     flags = {
@@ -622,8 +693,7 @@ def test_output_path_naming_another_path_exits_2(gauss_files, finished_run, tmp_
                  "--out": "e.json"},
         "check": {"--trace": "s.trace.json", "--checkpoint": "s.ckpt", "--data": "g.csv",
                   "--domain": "g.domain.json", "--out": "b.json"},
-    }[cmd]
-    flags[given] = flags[taken]
+    }[cmd] | given
     argv = [cmd] + [a for k, v in flags.items() for a in (k, str(tmp_path / v))]
     if cmd == "synth":
         argv += ["--epsilon", "1.0", "--seed", "1", *SMALL_SYNTH_FLAGS]
@@ -631,7 +701,7 @@ def test_output_path_naming_another_path_exits_2(gauss_files, finished_run, tmp_
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert f"{given} and {taken} name the same file" in err
+    assert f"{subject} name the same file" in err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -721,3 +791,64 @@ def test_check_survives_a_damaged_checkpoint(gauss_files, finished_run, tmp_path
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
+
+
+# ------------------------------------------------------------------ fuzzing
+
+@pytest.fixture(scope="module")
+def small_gauss(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    csv = str(root / "g.csv")
+    assert run_cli("gen-gauss", "--dims", "3", "--rows", "60", "--corr", "0.8",
+                   "--out", csv, "--seed", "3") == 0
+    return (root / "g.csv").read_bytes(), json.loads((root / "g.domain.json").read_text())
+
+
+# no mid-sized count such as 10**8 bins, which a host might start to allocate;
+# 10**15 is refused at once
+DOMAIN_VALUES = [0, -1, 2.5, math.inf, math.nan, "x", None, True, [], 10**15]
+JUNK_BYTES = st.lists(st.sampled_from([b"\x00", b'"', b",", b"\r\n", b"\xff", b"9", b"e"])
+                      | st.binary(min_size=1, max_size=3), min_size=1, max_size=12).map(b"".join)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_csv_or_domain_ends_with_a_documented_code(small_gauss, tmp_path, capsys, data):
+    # a table cut at a random offset or with junk over a random span, or a
+    # domain with one field replaced, ends with exit 0, 1 or 2; a failure
+    # prints one line and leaves no output and no temp file
+    blob, domain = small_gauss
+    damage = data.draw(st.sampled_from(["cut", "junk", "domain"]))
+    if damage == "cut":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif damage == "junk":
+        start = data.draw(st.integers(0, len(blob) - 1))
+        junk = data.draw(JUNK_BYTES)
+        blob = blob[:start] + junk + blob[start + len(junk):]
+    else:
+        domain = json.loads(json.dumps(domain))
+        attr = data.draw(st.sampled_from(domain["attributes"]))
+        attr[data.draw(st.sampled_from(sorted(attr)))] = data.draw(st.sampled_from(DOMAIN_VALUES))
+    work = tmp_path / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    (work / "out").mkdir(parents=True)
+    (work / "g.csv").write_bytes(blob)
+    (work / "g.domain.json").write_text(json.dumps(domain))
+    csv, dom = str(work / "g.csv"), str(work / "g.domain.json")
+    for argv in (["synth", "--data", csv, "--domain", dom, "--epsilon", "1.0", "--seed", "1",
+                  "--out", str(work / "out" / "s.csv"), "--iters", "1", "--batch", "8",
+                  "--hidden", "8", "--latent", "4"],
+                 ["eval", "--real", csv, "--synth", csv, "--domain", dom, "--seed", "1",
+                  "--out", str(work / "out" / "e.json")]):
+        shutil.rmtree(work / "out")
+        (work / "out").mkdir()
+        capsys.readouterr()
+        code = run_cli(*argv)
+        assert code in (0, 1, 2)
+        if code:
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+            assert list((work / "out").iterdir()) == []
+            assert sorted(p.name for p in work.iterdir()) == ["g.csv", "g.domain.json", "out"]

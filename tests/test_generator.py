@@ -563,7 +563,7 @@ def test_sample_hard_one_hot_degenerate():
     m = tiny_model(cards=(3, 2), batch=2, seed=11)
     W, b = m.layers[-1]
     m.layers[-1] = (np.zeros_like(W), np.array([50.0, 0, 0, 0, 50.0]))
-    ds = sample_hard(m, 100, seed=0)
+    ds = sample_hard(m, forward(m), 100, seed=0)
     assert np.all(ds.rows[:, 0] == 0)
     assert np.all(ds.rows[:, 1] == 1)
 
@@ -571,8 +571,8 @@ def test_sample_hard_one_hot_degenerate():
 def test_sample_hard_matches_soft_marginals():
     m = tiny_model(cards=(3, 4), hidden=(16,), batch=8, seed=12)
     n = 100_000
-    ds = sample_hard(m, n, seed=5)
     probs = forward(m)
+    ds = sample_hard(m, probs, n, seed=5)
     for a in range(2):
         spec = marginal_spec(m.cards, (a,))
         emp = compute_marginal(ds, spec).counts / n
@@ -582,8 +582,8 @@ def test_sample_hard_matches_soft_marginals():
 
 def test_sample_hard_deterministic():
     m = tiny_model(seed=13)
-    a = sample_hard(m, 500, seed=3)
-    b = sample_hard(m, 500, seed=3)
+    a = sample_hard(m, forward(m), 500, seed=3)
+    b = sample_hard(m, forward(m), 500, seed=3)
     assert np.array_equal(a.rows, b.rows)
 
 
@@ -763,7 +763,7 @@ def test_float32_loss_and_grad_match_float64(seed):
 def test_sample_hard_float32_matches_soft_marginals():
     m = tiny_model(cards=(3, 4, 7), hidden=(16,), batch=8, seed=23, dtype=np.float32)
     n = 100_000
-    ds = sample_hard(m, n, seed=6)
+    ds = sample_hard(m, forward(m), n, seed=6)
     soft = soft_marginals(m, 1.0, [marginal_spec(m.cards, (a,)) for a in range(3)])
     for a in range(3):
         spec = marginal_spec(m.cards, (a,))

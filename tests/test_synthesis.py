@@ -62,17 +62,17 @@ def test_split_budget_exact_identity():
 
 # ------------------------------------------------------------------ weights
 
-def mk_measurement(cards, attrs, rho_m, newly=False, round_=1):
+def mk_measurement(cards, attrs, rho_m, round_=0):
     spec = marginal_spec(cards, attrs)
     return Measurement(spec=spec, noisy=Marginal(spec, np.zeros(spec.n_cells)),
-                       rho_m=rho_m, sigma=1.0, round=round_, newly_selected=newly)
+                       rho_m=rho_m, sigma=1.0, round=round_)
 
 
 def test_weights_new_gets_d_times_old():
     cards = (2, 2, 2, 2)
     d = 4
     ms = [mk_measurement(cards, (i,), 0.1) for i in range(3)]
-    ms.append(mk_measurement(cards, (0, 1), 0.1, newly=True))
+    ms.append(mk_measurement(cards, (0, 1), 0.1, round_=1))
     compute_weights(ms, d)
     assert ms[3].weight == pytest.approx(d)
     for m in ms[:3]:
@@ -89,9 +89,27 @@ def test_weights_sqrt_rho():
 
 def test_weights_single_new():
     cards = (2, 2, 2)
-    ms = [mk_measurement(cards, (0, 1), 0.1, newly=True)]
+    ms = [mk_measurement(cards, (0, 1), 0.1, round_=1)]
     compute_weights(ms, 3)
     assert ms[0].weight == pytest.approx(3.0)
+
+
+def test_weights_warmup_only_gets_no_multiplier():
+    # the warm-up's last measurement is not a round's, so nothing is amplified
+    cards = (2, 2, 2)
+    ms = [mk_measurement(cards, (i,), 0.1) for i in range(3)]
+    compute_weights(ms, 3)
+    assert [m.weight for m in ms] == [3.0, 3.0, 3.0]
+
+
+def test_weights_spec_selected_twice_amplified_at_its_last_measurement_only():
+    cards = (2, 2, 2)
+    d = 3
+    ms = [mk_measurement(cards, (i,), 0.1) for i in range(3)]
+    ms += [mk_measurement(cards, (0, 1), 0.1, round_=1), mk_measurement(cards, (0, 1), 0.1, round_=2)]
+    compute_weights(ms, d)
+    assert ms[4].weight == pytest.approx(d)
+    assert [m.weight for m in ms[:4]] == pytest.approx([1.0] * 4)
 
 
 # ------------------------------------------------------------------- warmup
@@ -344,11 +362,9 @@ def test_run_trains_in_float32_and_measures_in_float64():
                for r in res.trace.rounds)
 
 
-@pytest.mark.parametrize("fixed_rounds", [None, 3], ids=["adaptive", "fixed-3"])
-def test_run_runs_one_forward_per_weight_state(monkeypatch, fixed_rounds):
-    # the context's constructor, one after each Adam step of the warm-up, of
-    # every round's pass and of the closing pass, then sample_hard's; counted
-    # under every name a margnet module binds it to
+def count_forward_calls(monkeypatch) -> list:
+    """Record a call of `generator.forward` under every name a margnet module
+    binds it to."""
     calls = []
     real = generator.forward
     for name, module in list(sys.modules.items()):
@@ -357,13 +373,37 @@ def test_run_runs_one_forward_per_weight_state(monkeypatch, fixed_rounds):
                 if value is real:
                     monkeypatch.setattr(module, attr,
                                         lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("fixed_rounds", [None, 3], ids=["adaptive", "fixed-3"])
+def test_run_runs_one_forward_per_weight_state(monkeypatch, fixed_rounds):
+    # the context's constructor, then one after each Adam step of the warm-up,
+    # of every round's pass and of the closing pass; sample_hard runs none and
+    # draws from the last one
+    calls = count_forward_calls(monkeypatch)
     dom = categorical_domain([2, 3, 2])
     ds = random_dataset(dom.cards, 300, seed=4)
     iters = 3
     res = run_margnet(ds, dom, tiny_config(train_iters=iters, fixed_rounds=fixed_rounds))
     rounds = len(res.trace.rounds)
     assert rounds >= 1
-    assert len(calls) == 1 + iters * (rounds + 2) + 1
+    assert len(calls) == 1 + iters * (rounds + 2)
+
+
+def test_one_attribute_run_has_no_round_and_no_closing_pass(monkeypatch):
+    # no two-way candidate: the warm-up's pass is the only one, and the
+    # pre-final-round model is the warm-up model itself
+    calls = count_forward_calls(monkeypatch)
+    dom = categorical_domain([4])
+    ds = random_dataset(dom.cards, 200, seed=5)
+    iters = 3
+    res = run_margnet(ds, dom, tiny_config(train_iters=iters))
+    assert len(calls) == 1 + iters
+    assert res.trace.rounds == [] and res.trace.measurements == []
+    assert [label for label, _ in res.accountant.ledger] == ["warmup:one-way:0"]
+    for (W, b), (W_prev, b_prev) in zip(res.model.layers, res.prev_model.layers):
+        assert np.array_equal(W, W_prev) and np.array_equal(b, b_prev)
 
 
 def test_trace_json_round_trip():
