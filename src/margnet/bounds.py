@@ -232,7 +232,7 @@ def unselected_bound(trace, model: GeneratorModel, prev_model: GeneratorModel,
     theta = marginal_spec(ds, final.attrs)
     candidates = selection_candidates(ds.cards)
     n_candidates = len(candidates)
-    measured = {tuple(r.attrs) for r in trace.rounds}
+    measured = {r.attrs for r in trace.rounds}
 
     unmeasured = [s for s in candidates if s.attrs not in measured]
     soft_final = soft_marginals(model, scale, unmeasured)

@@ -214,11 +214,11 @@ def cmd_check(args) -> None:
         raise ValueError("checkpoint lacks the pre-final-round model state")
 
     scale = trace.n_estimate
+    measurements = [r.measurement for r in trace.rounds]
     # the selected marginals, in the order they were first measured
-    exact = {s.attrs: compute_marginal(ds, s)
-             for s in dict.fromkeys(m.spec for m in trace.measurements)}
+    exact = {s.attrs: compute_marginal(ds, s) for s in dict.fromkeys(m.spec for m in measurements)}
     lower = bounds_mod.selected_lower_bound(list(exact.values()), model.batch_size)
-    upper = bounds_mod.selected_upper_bound(trace.measurements, model, scale, args.delta, exact)
+    upper = bounds_mod.selected_upper_bound(measurements, model, scale, args.delta, exact)
     unsel = bounds_mod.unselected_bound(trace, model, prev_model, ds, scale, args.delta)
     observed_selected = upper.total_observed
 

@@ -98,10 +98,12 @@ class Domain:
         for spec in obj["attributes"]:
             if not isinstance(spec, dict):
                 raise ValueError(f"attribute {spec!r} is not an object")
+            if not isinstance(spec["name"], str):
+                raise ValueError(f"attribute name {spec['name']!r} is not a string")
             if spec["type"] == "categorical":
-                if not isinstance(spec["values"], list):
-                    raise ValueError(f"attribute {spec['name']!r}: values must be a list")
-                labels = [str(v) for v in spec["values"]]
+                labels = spec["values"]
+                if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
+                    raise ValueError(f"attribute {spec['name']!r}: values must be a list of strings")
                 attrs.append(AttributeMeta(spec["name"], "categorical", len(labels), category_labels=labels))
             elif spec["type"] == "numeric":
                 lo, hi, bins = _numeric_range(spec)

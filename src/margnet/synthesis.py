@@ -104,58 +104,58 @@ class Measurement:
     def to_json_dict(self) -> dict:
         return {
             "attrs": list(self.spec.attrs),
-            "counts": [float(c) for c in self.noisy.counts],
             "rho_m": self.rho_m,
             "sigma": self.sigma,
-            "round": self.round,
+            "counts": [float(c) for c in self.noisy.counts],
         }
 
 
 @dataclass
 class RoundRecord:
-    round: int
-    attrs: tuple[int, ...]
+    """One round: its selection, the measurement it chose and what training on it changed."""
+
+    measurement: Measurement
     rho_s: float
-    rho_m: float
     score: float
     improvement: float
     noise_floor: float
     doubled: bool
 
+    @property
+    def attrs(self) -> tuple[int, ...]:
+        return self.measurement.spec.attrs
+
+    @property
+    def rho_m(self) -> float:
+        return self.measurement.rho_m
+
     def to_json_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "attrs": list(self.attrs),
-            "rho_s": self.rho_s,
-            "rho_m": self.rho_m,
-            "score": self.score,
-            "improvement": self.improvement,
-            "noise_floor": self.noise_floor,
-            "doubled": self.doubled,
-        }
+        m = self.measurement.to_json_dict()
+        return {"round": self.measurement.round, "attrs": m.pop("attrs"), "rho_s": self.rho_s,
+                "score": self.score, **m, "improvement": self.improvement,
+                "noise_floor": self.noise_floor, "doubled": self.doubled}
+
+
+TRACE_FORMAT = "margnet-trace-v2"
 
 
 @dataclass
 class SelectionTrace:
     warmup: list[Measurement] = field(default_factory=list)
     rounds: list[RoundRecord] = field(default_factory=list)
-    measurements: list[Measurement] = field(default_factory=list)  # adaptive-phase only
     n_estimate: float = 0.0
     rho_budget: float = 0.0
     ledger: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
-    seed: int = 0
 
     def to_json_dict(self) -> dict:
         return {
-            "format": "margnet-trace-v1",
+            "format": TRACE_FORMAT,
             "config": self.config,
-            "seed": self.seed,
             "n_estimate": self.n_estimate,
             "rho_budget": self.rho_budget,
             "warmup": [m.to_json_dict() for m in self.warmup],
             "rounds": [r.to_json_dict() for r in self.rounds],
-            "measurements": [m.to_json_dict() for m in self.measurements],
             "ledger": [[label, rho] for label, rho in self.ledger],
         }
 
@@ -166,50 +166,46 @@ def _positive(name: str, value) -> float:
     return value
 
 
-def _spec(cards, attrs, order: int) -> MarginalSpec:
+def _measurement(entry: dict, cards, order: int, round_: int = 0) -> Measurement:
+    attrs = entry["attrs"]
     # marginal_spec then requires ascending indices, all in range
     if not (isinstance(attrs, list) and len(attrs) == order
             and all(type(a) is int for a in attrs)):
         raise ValueError(f"attrs must be a list of {order} attribute indices, got {attrs!r}")
-    return marginal_spec(cards, attrs)
+    spec = marginal_spec(cards, attrs)
+    noisy = Marginal(spec, np.asarray(entry["counts"]))
+    if not np.isfinite(noisy.counts).all():
+        raise ValueError(f"counts of {attrs} must be finite")
+    return Measurement(spec=spec, noisy=noisy, rho_m=_positive("rho_m", entry["rho_m"]),
+                       sigma=_positive("sigma", entry["sigma"]), round=round_)
 
 
 def trace_from_json_dict(obj: dict, cards) -> SelectionTrace:
-    """Rebuild a SelectionTrace (as far as diagnostics need it) from its JSON.
+    """Rebuild a SelectionTrace from its JSON, the inverse of `to_json_dict`.
 
     Every budget and noise scale must be a positive finite number, every count
-    finite, every warm-up marginal one-way and every selected one two-way."""
+    finite, every warm-up marginal one-way and every round's two-way, each
+    round's `round` its 1-based position and its `doubled` a bool."""
     if not isinstance(obj, dict):
         raise ValueError(f"a trace is a JSON object, got {type(obj).__name__}")
-    if obj.get("format") != "margnet-trace-v1":
-        raise ValueError(f"not a synthesis trace: format={obj.get('format')!r}")
-    n_estimate = _positive("n_estimate", obj["n_estimate"])
-
-    def meas(entry: dict, order: int) -> Measurement:
-        spec = _spec(cards, entry["attrs"], order)
-        noisy = Marginal(spec, np.asarray(entry["counts"]))
-        if not np.isfinite(noisy.counts).all():
-            raise ValueError(f"counts of {list(spec.attrs)} must be finite")
-        return Measurement(spec=spec, noisy=noisy, rho_m=_positive("rho_m", entry["rho_m"]),
-                           sigma=_positive("sigma", entry["sigma"]), round=entry["round"])
-
-    trace = SelectionTrace(
-        warmup=[meas(e, 1) for e in obj.get("warmup", [])],
-        measurements=[meas(e, 2) for e in obj.get("measurements", [])],
-        n_estimate=n_estimate,
-        rho_budget=obj.get("rho_budget", 0.0),
-        ledger=[(label, rho) for label, rho in obj.get("ledger", [])],
-        config=obj.get("config", {}),
-        seed=obj.get("seed", 0),
+    if obj.get("format") != TRACE_FORMAT:
+        raise ValueError(f"format is {obj.get('format')!r}, not {TRACE_FORMAT!r}")
+    rounds = []
+    for k, e in enumerate(obj["rounds"], 1):
+        if type(e["round"]) is not int or e["round"] != k:
+            raise ValueError(f"round {k} is numbered {e['round']!r}")
+        if type(e["doubled"]) is not bool:
+            raise ValueError(f"doubled of round {k} must be a bool, got {e['doubled']!r}")
+        rounds.append(RoundRecord(_measurement(e, cards, 2, k), _positive("rho_s", e["rho_s"]),
+                                  e["score"], e["improvement"], e["noise_floor"], e["doubled"]))
+    return SelectionTrace(
+        warmup=[_measurement(e, cards, 1) for e in obj["warmup"]],
+        rounds=rounds,
+        n_estimate=_positive("n_estimate", obj["n_estimate"]),
+        rho_budget=obj["rho_budget"],
+        ledger=[(label, rho) for label, rho in obj["ledger"]],
+        config=obj["config"],
     )
-    for e in obj.get("rounds", []):
-        trace.rounds.append(RoundRecord(
-            round=e["round"], attrs=_spec(cards, e["attrs"], 2).attrs,
-            rho_s=_positive("rho_s", e["rho_s"]), rho_m=_positive("rho_m", e["rho_m"]),
-            score=e["score"], improvement=e["improvement"],
-            noise_floor=e.get("noise_floor", 0.0), doubled=e["doubled"],
-        ))
-    return trace
 
 
 def split_budget(rho: float, c: float) -> tuple[float, float]:
@@ -359,7 +355,7 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
     acct = Accountant(rho_budget=rho)
     model = init_generator(domain, list(config.hidden), config.latent_dim,
                            config.batch_size, rng_init_seed, dtype=TRAIN_DTYPE)
-    trace = SelectionTrace(rho_budget=rho, config=config.to_json_dict(d), seed=config.seed)
+    trace = SelectionTrace(rho_budget=rho, config=config.to_json_dict(d))
 
     # one context serves every training pass, scoring read and the sampling
     # draw; the weights leave it once sampling ends, so it is freed before
@@ -377,7 +373,6 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
     candidates = selection_candidates(domain.cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
     index = candidate_index(model, candidates, exact)
-    selected_before: set = set()
     spent = 0.0
     tol = _BUDGET_SLACK * rounds_budget
     prev_model = model.copy()
@@ -411,12 +406,10 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
         improvement = l1_distance(soft.marginal(chosen), est_before)
         noise_floor = expected_noise_l1(chosen.n_cells, rho_m)
         doubled = (not fixed and improvement < noise_floor
-                   and chosen.attrs not in selected_before)
-        selected_before.add(chosen.attrs)
+                   and all(r.attrs != chosen.attrs for r in trace.rounds))
         trace.rounds.append(RoundRecord(
-            round=k, attrs=chosen.attrs, rho_s=rho_s, rho_m=rho_m,
-            score=float(scores[idx]), improvement=improvement,
-            noise_floor=noise_floor, doubled=doubled,
+            measurement=measurements[-1], rho_s=rho_s, score=float(scores[idx]),
+            improvement=improvement, noise_floor=noise_floor, doubled=doubled,
         ))
         if doubled:
             rho_s *= 2.0
@@ -430,7 +423,6 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
     model = model.copy()
     del ctx
 
-    trace.measurements = [m for m in measurements if m.round > 0]
     trace.ledger = list(acct.ledger)
     return SynthResult(
         synth=synth, trace=trace, model=model, prev_model=prev_model,

@@ -249,17 +249,17 @@ def uniform_setup(card=3, copies=4):
     return dom, ds, model
 
 
-def mk_trace(attrs, rho_s, rho_m):
-    trace = SelectionTrace()
-    trace.rounds.append(RoundRecord(round=1, attrs=tuple(attrs), rho_s=rho_s, rho_m=rho_m,
-                                    score=0.0, improvement=0.0, noise_floor=0.0, doubled=False))
-    return trace
+def mk_trace(cards, attrs, rho_s, rho_m):
+    n_cells = math.prod(cards[a] for a in attrs)
+    m = mk_measurement(cards, attrs, [0.0] * n_cells, rho_m)
+    return SelectionTrace(rounds=[RoundRecord(measurement=m, rho_s=rho_s, score=0.0,
+                                              improvement=0.0, noise_floor=0.0, doubled=False)])
 
 
 def test_unselected_middle_term_cancels_and_isolation():
     dom, ds, model = uniform_setup()
     n = ds.n_records
-    trace = mk_trace((0, 1), rho_s=0.01, rho_m=0.09)
+    trace = mk_trace(ds.cards, (0, 1), rho_s=0.01, rho_m=0.09)
     # delta = |C| makes the log term vanish; perfect fit + zero drift leave
     # only the middle term, which cancels for equal cardinalities
     rep = unselected_bound(trace, model, model, ds, scale=float(n), delta=3.0)
@@ -274,7 +274,7 @@ def test_unselected_bound_formula():
     n = ds.n_records
     rho_s = 0.02
     delta = 0.05
-    trace = mk_trace((0, 1), rho_s=rho_s, rho_m=0.18)
+    trace = mk_trace(ds.cards, (0, 1), rho_s=rho_s, rho_m=0.18)
     rep = unselected_bound(trace, model, model, ds, scale=float(n), delta=delta)
     expect = math.log(3 / delta) / math.sqrt(2 * rho_s)  # only the tail term survives
     for e in rep.entries:
@@ -295,7 +295,7 @@ def test_bounds_read_from_gram_match_per_spec_marginals():
     model = init_generator(dom, [10], 4, 9, seed=5)
     prev = init_generator(dom, [10], 4, 9, seed=6)
     scale, delta = 300.0, 0.1
-    trace = mk_trace((0, 2), rho_s=0.02, rho_m=0.18)
+    trace = mk_trace(ds.cards, (0, 2), rho_s=0.02, rho_m=0.18)
     rep = unselected_bound(trace, model, prev, ds, scale=scale, delta=delta)
     theta = marginal_spec(ds, (0, 2))
     theta_err = l1_distance(soft_marginal(prev, forward(prev), theta, scale), compute_marginal(ds, theta))

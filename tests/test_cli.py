@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -82,8 +83,8 @@ def test_synth_end_to_end(gauss_files, tmp_path):
                    "--seed", "3", *SMALL_SYNTH_FLAGS)
     assert code == 0
     trace = json.load(open(out + ".trace.json"))
-    assert trace["format"] == "margnet-trace-v1"
-    assert trace["config"]["seed"] == 3
+    assert trace["format"] == "margnet-trace-v2"
+    assert trace["config"]["seed"] == 3 and "seed" not in trace
     assert (trace["config"]["mode"], trace["config"]["fixed_rounds"]) == ("adaptive", None)
     assert trace["epsilon"] == 2.0
     assert math.fsum(r for _, r in trace["ledger"]) <= trace["rho_budget"]
@@ -271,9 +272,9 @@ def finished_run(gauss_files, tmp_path_factory):
     return out + ".trace.json", out + ".ckpt"
 
 
-def _first_measurement(field, value):
+def _first_round(field, value):
     def mangle(trace):
-        trace["measurements"][0][field] = value
+        trace["rounds"][0][field] = value
         return trace
     return mangle
 
@@ -287,22 +288,26 @@ def _last_round(field, value):
 
 def _first_count(value):
     def mangle(trace):
-        trace["measurements"][0]["counts"][0] = value
+        trace["rounds"][0]["counts"][0] = value
         return trace
     return mangle
 
 
-def _one_way(trace, section):
-    entry = trace[section][-1]
+def _one_way(trace):
+    entry = trace["rounds"][-1]
     entry["attrs"] = entry["attrs"][:1]
-    if "counts" in entry:
-        entry["counts"] = entry["counts"][:10]  # a one-way marginal's 10 cells
+    entry["counts"] = entry["counts"][:10]  # a one-way marginal's 10 cells
+    return trace
+
+
+def _swap_first_rounds(trace):
+    trace["rounds"][:2] = trace["rounds"][1::-1]
     return trace
 
 
 MALFORMED_TRACES = {
-    "counts-value0": _first_measurement("counts", [1.0, 2.0]),
-    "attrs-5": _first_measurement("attrs", 5),
+    "counts-value0": _first_round("counts", [1.0, 2.0]),
+    "attrs-5": _first_round("attrs", 5),
     "list": lambda t: [1, 2],
     "string": lambda t: "x",
     "n-estimate-str": lambda t: {**t, "n_estimate": "abc"},
@@ -311,14 +316,17 @@ MALFORMED_TRACES = {
     "last-rho-s-negative": _last_round("rho_s", -1),
     "last-rho-s-true": _last_round("rho_s", True),
     "last-rho-m-nan": _last_round("rho_m", math.nan),
-    "measurement-rho-m-0": _first_measurement("rho_m", 0),
-    "measurement-sigma-inf": _first_measurement("sigma", math.inf),
+    "measurement-rho-m-0": _first_round("rho_m", 0),
+    "measurement-sigma-inf": _first_round("sigma", math.inf),
     "count-nan": _first_count(math.nan),
     "count-inf": _first_count(math.inf),
-    "round-one-way": lambda t: _one_way(t, "rounds"),
+    "round-one-way": _one_way,
     "round-attrs-reversed": _last_round("attrs", [2, 0]),
-    "measurement-one-way": lambda t: _one_way(t, "measurements"),
     "warmup-attrs-float": lambda t: {**t, "warmup": [{**t["warmup"][0], "attrs": [0.5]}]},
+    "format-v1": lambda t: {**t, "format": "margnet-trace-v1"},
+    "rounds-out-of-order": _swap_first_rounds,
+    "round-number-true": _first_round("round", True),
+    "doubled-int": _last_round("doubled", 0),
 }
 
 
@@ -344,10 +352,44 @@ def test_check_malformed_trace_exits_2(gauss_files, finished_run, tmp_path, caps
     assert not report.exists()
 
 
+@pytest.fixture(scope="module")
+def mixed_run(tmp_path_factory):
+    """A finished run over bins 2, 2, 8, 3, 12: (csv, domain, trace, checkpoint)."""
+    root = tmp_path_factory.mktemp("mixed")
+    csv, domain = str(root / "m.csv"), root / "m.domain.json"
+    assert run_cli("gen-gauss", "--dims", "5", "--rows", "400", "--corr", "0.8",
+                   "--out", csv, "--seed", "1") == 0
+    dom = json.loads(domain.read_text())
+    for attr, bins in zip(dom["attributes"], [2, 2, 8, 3, 12]):
+        attr["bins"] = bins
+    domain.write_text(json.dumps(dom))
+    out = str(root / "s.csv")
+    assert run_cli("synth", "--data", csv, "--domain", str(domain), "--epsilon", "1.0",
+                   "--out", out, "--seed", "1", *SMALL_SYNTH_FLAGS) == 0
+    return csv, str(domain), out + ".trace.json", out + ".ckpt"
+
+
+@pytest.mark.parametrize("run", ["finished_run", "mixed_run"])
+def test_check_reports_each_candidate_once(gauss_files, tmp_path, request, run):
+    # every pair is either selected (some round measured it) or unselected
+    if run == "finished_run":
+        csv, domain, trace, ckpt = *gauss_files, *request.getfixturevalue(run)
+    else:
+        csv, domain, trace, ckpt = request.getfixturevalue(run)
+    report = tmp_path / "bounds.json"
+    assert run_cli("check", "--trace", trace, "--checkpoint", ckpt, "--data", csv,
+                   "--domain", domain, "--out", str(report)) == 0
+    rep = json.loads(report.read_text())
+    listed = sorted(tuple(e["attrs"]) for section in ("selected_upper", "unselected")
+                    for e in rep[section]["per_marginal"])
+    d = len(json.loads(Path(domain).read_text())["attributes"])
+    assert listed == list(itertools.combinations(range(d), 2))
+    assert rep["selected_upper"]["per_marginal"] and rep["unselected"]["per_marginal"]
+
+
 TRACE_FIELDS = [("n_estimate",)] + [
     (section, field) for section, fields in [
-        ("rounds", ("rho_s", "rho_m", "attrs")),
-        ("measurements", ("rho_m", "sigma", "attrs", "counts")),
+        ("rounds", ("round", "rho_s", "rho_m", "sigma", "attrs", "counts")),
         ("warmup", ("rho_m", "sigma", "attrs", "counts")),
     ] for field in fields]
 
@@ -464,6 +506,10 @@ BAD_DOMAINS = {
     "max-string-inf": _numeric(max="inf"),
     "max-1e400": _numeric(max=math.inf),
     "min-nan": _numeric(min=math.nan),
+    # a name must match a CSV header cell, which is always a string
+    "name-int": _numeric(name=0),
+    # a label is a CSV cell too: null must not become the label "None"
+    "value-null": {"attributes": [{"name": "x0", "type": "categorical", "values": ["a", None]}]},
 }
 
 

@@ -357,7 +357,7 @@ def test_run_trains_in_float32_and_measures_in_float64():
         assert model.dtype == np.float32
         assert all(p.dtype == np.float32 for pair in model.layers for p in pair)
     assert all(m.noisy.counts.dtype == np.float64
-               for m in res.trace.warmup + res.trace.measurements)
+               for m in res.trace.warmup + [r.measurement for r in res.trace.rounds])
     assert all(type(r.score) is float and type(r.improvement) is float
                for r in res.trace.rounds)
 
@@ -400,7 +400,7 @@ def test_one_attribute_run_has_no_round_and_no_closing_pass(monkeypatch):
     iters = 3
     res = run_margnet(ds, dom, tiny_config(train_iters=iters))
     assert len(calls) == 1 + iters
-    assert res.trace.rounds == [] and res.trace.measurements == []
+    assert res.trace.rounds == []
     assert [label for label, _ in res.accountant.ledger] == ["warmup:one-way:0"]
     for (W, b), (W_prev, b_prev) in zip(res.model.layers, res.prev_model.layers):
         assert np.array_equal(W, W_prev) and np.array_equal(b, b_prev)
@@ -415,7 +415,32 @@ def test_trace_json_round_trip():
     assert back.n_estimate == res.trace.n_estimate
     assert len(back.rounds) == len(res.trace.rounds)
     assert [r.attrs for r in back.rounds] == [r.attrs for r in res.trace.rounds]
-    assert np.allclose(back.measurements[0].noisy.counts, res.trace.measurements[0].noisy.counts)
+    assert np.allclose(back.rounds[0].measurement.noisy.counts,
+                       res.trace.rounds[0].measurement.noisy.counts)
+
+
+@pytest.mark.parametrize("cards,fixed_rounds", [([3, 2, 3], None), ([3, 2, 3], 3), ([4], None)],
+                         ids=["adaptive", "fixed-3", "no-pairs"])
+def test_trace_reader_inverts_writer(cards, fixed_rounds):
+    # one module owns the schema both ways: every written fact reads back
+    dom = categorical_domain(cards)
+    ds = random_dataset(dom.cards, 400, seed=13)
+    res = run_margnet(ds, dom, tiny_config(seed=22, fixed_rounds=fixed_rounds))
+    obj = json.loads(json.dumps(res.trace.to_json_dict()))
+    assert bool(obj["rounds"]) == (len(cards) > 1)
+    assert fixed_rounds is None or len(obj["rounds"]) == fixed_rounds
+    assert trace_from_json_dict(obj, dom.cards).to_json_dict() == obj
+
+
+def test_round_record_holds_its_measurement_once():
+    dom = categorical_domain([3, 2, 3])
+    ds = random_dataset(dom.cards, 400, seed=13)
+    res = run_margnet(ds, dom, tiny_config(seed=22))
+    for k, (rec, entry) in enumerate(zip(res.trace.rounds, res.trace.to_json_dict()["rounds"]), 1):
+        assert rec.measurement.round == entry["round"] == k
+        assert list(entry) == ["round", "attrs", "rho_s", "score", "rho_m", "sigma", "counts",
+                               "improvement", "noise_floor", "doubled"]
+    assert all("round" not in entry for entry in res.trace.to_json_dict()["warmup"])
 
 
 def test_em_scores_use_pre_round_model():
@@ -475,5 +500,6 @@ def test_multiset_reselection_allowed():
     ds = random_dataset(dom.cards, 500, seed=18)
     cfg = tiny_config(seed=10, rho_total=0.1, c=4.0, fixed_rounds=6)
     res = run_margnet(ds, dom, cfg)
-    assert len(res.trace.measurements) == 6  # single candidate selected 6 times
-    assert all(m.spec.attrs == (0, 1) for m in res.trace.measurements)
+    assert len(res.trace.rounds) == 6  # single candidate selected 6 times
+    assert all(r.measurement.spec.attrs == (0, 1) for r in res.trace.rounds)
+    assert len({id(r.measurement) for r in res.trace.rounds}) == 6
