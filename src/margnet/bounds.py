@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Dataset
-from .errors import InvalidDelta, NoRounds
 from .generator import GeneratorModel, soft_marginals
 from .marginals import Marginal, compute_marginal, l1_distance, marginal_spec, selection_candidates
 from .privacy import SCORE_SENSITIVITY, expected_noise_l1
@@ -81,7 +80,7 @@ CHI2_INVERSE_TOL = 1e-8
 def chi2_inverse_cdf(p: float, dof: int) -> float:
     """Numeric inverse of the chi-squared CDF (bisection)."""
     if not 0 < p < 1:
-        raise InvalidDelta(f"quantile level must be in (0, 1), got {p}")
+        raise ValueError(f"quantile level must be in (0, 1), got {p}")
     hi = float(max(dof, 1))
     while chi2_cdf(hi, dof) < p:
         hi *= 2.0
@@ -181,7 +180,7 @@ def selected_upper_bound(measurements: list, model: GeneratorModel, scale: float
     marginal M_i, which fills the observed error column.
     """
     if not 0 < delta < 1:
-        raise InvalidDelta(f"delta must be in (0, 1), got {delta}")
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     groups: dict = {}
     order = []
     for m in measurements:
@@ -226,7 +225,7 @@ def unselected_bound(trace, model: GeneratorModel, prev_model: GeneratorModel,
     drift ||Mhat_i^{K-1} - Mhat_i||_1. Observed is ||M_i - Mhat_i||_1.
     """
     if not trace.rounds:
-        raise NoRounds("the trace records no selection rounds")
+        raise ValueError("the trace records no selection rounds")
     final = trace.rounds[-1]
     rho_s_k = final.rho_s
     theta = marginal_spec(ds, final.attrs)

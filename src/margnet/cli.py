@@ -33,7 +33,7 @@ from .domain import (
     load_csv,
     write_csv,
 )
-from .errors import CheckpointError, DomainMismatch, InsufficientBudget, MargNetError
+from .errors import CheckpointError, InsufficientBudget
 from .evaluation import evaluate
 from .generator import load_checkpoint, save_checkpoint
 from .marginals import compute_marginal
@@ -204,11 +204,11 @@ def cmd_check(args) -> None:
     trace_bytes = Path(args.trace).read_bytes()
     model, prev_model = load_checkpoint(args.checkpoint)
     if model.cards != domain.cards:
-        raise DomainMismatch(f"checkpoint cards {model.cards} do not match the domain's cards "
-                             f"{domain.cards}")
+        raise ValueError(f"checkpoint cards {model.cards} do not match the domain's cards "
+                         f"{domain.cards}")
     try:
         trace = trace_from_json_dict(json.loads(trace_bytes.decode("utf-8")), domain.cards)
-    except (KeyError, TypeError, ValueError, MargNetError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed trace: {e}") from None
     if prev_model is None:
         raise ValueError("checkpoint lacks the pre-final-round model state")
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
         code, message = EXIT_IO, str(e) or "out of memory"
     except InsufficientBudget as e:
         code, message = EXIT_BUDGET, f"infeasible budget: {e}"
-    except (MargNetError, ValueError) as e:
+    except ValueError as e:
         code, message = EXIT_CONFIG, str(e)
     print(f"error: {message}", file=sys.stderr)
     return code

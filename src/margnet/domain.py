@@ -18,14 +18,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import (
-    DegenerateRange,
-    MissingColumn,
-    NotPositiveDefinite,
-    ParseError,
-    UnknownCategory,
-)
-
 RARE_LABEL = "__other__"
 
 
@@ -200,7 +192,7 @@ class RawTable:
 def uniform_bin_edges(lo: float, hi: float, k: int) -> np.ndarray:
     """Equal-width bin edges: k bins over [lo, hi], k+1 edges."""
     if not lo < hi:
-        raise DegenerateRange(f"need min < max, got [{lo}, {hi}]")
+        raise ValueError(f"need min < max, got [{lo}, {hi}]")
     if k < 1:
         raise ValueError("need at least one bin")
     return np.linspace(lo, hi, k + 1)
@@ -222,7 +214,8 @@ def load_csv(path, domain: Domain) -> RawTable:
     is stripped of surrounding whitespace. Numeric columns are parsed as
     floats; a cell that is not an ASCII decimal or exponent number (so
     `1_000` and non-ASCII digits are rejected too), or that is non-finite
-    (nan, inf), is a ParseError, as is a row too short to hold a column.
+    (nan, inf), is a ValueError naming its row and column, as is a row too
+    short to hold a column.
     """
     names = [f"c{j}" for j in range(domain.d)]
     numeric = [meta.kind == "numeric" for meta in domain.attributes]
@@ -262,13 +255,10 @@ def _csv_rows(f, path):
 
 def _header_columns(reader, domain: Domain) -> list[int]:
     """Position in the CSV header of each domain attribute, in domain order."""
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise MissingColumn(domain.names[0]) from None
+    header = [h.strip() for h in next(reader, [])]
     for name in domain.names:
         if name not in header:
-            raise MissingColumn(name)
+            raise ValueError(f"required column {name!r} not found in CSV header")
     return [header.index(name) for name in domain.names]
 
 
@@ -283,7 +273,7 @@ def _is_number(cell: str) -> bool:
 
 
 def _raise_bad_cell(reader, domain: Domain, usecols: list[int]) -> None:
-    """Rescan a CSV's rows cell by cell and raise the ParseError of its first
+    """Rescan a CSV's rows cell by cell and raise the ValueError of its first
     bad cell. Rows are numbered from 0 after the header, blank lines included."""
     next(reader)
     for row_no, row in enumerate(reader):
@@ -291,10 +281,14 @@ def _raise_bad_cell(reader, domain: Domain, usecols: list[int]) -> None:
             continue
         for meta, k in zip(domain.attributes, usecols):
             if k >= len(row):
-                raise ParseError(row_no, meta.name, "<missing cell>")
+                raise _parse_error(row_no, meta.name, "<missing cell>")
             cell = row[k].strip()
             if meta.kind == "numeric" and not _is_number(cell):
-                raise ParseError(row_no, meta.name, cell)
+                raise _parse_error(row_no, meta.name, cell)
+
+
+def _parse_error(row: int, column: str, value: str) -> ValueError:
+    return ValueError(f"cannot parse {value!r} as a finite number (row {row}, column {column!r})")
 
 
 def _csv_cell(label: str) -> str:
@@ -340,7 +334,8 @@ def encode(raw: RawTable, domain: Domain) -> Dataset:
             if unknown.any():
                 rare = lookup.get(RARE_LABEL)
                 if rare is None:
-                    raise UnknownCategory(meta.name, col[int(unknown.argmax())])
+                    raise ValueError(f"value {col[int(unknown.argmax())]!r} not in the declared "
+                                     f"categories of attribute {meta.name!r}")
                 out[unknown] = rare
             cols.append(out)
     rows = np.stack(cols).T if cols else np.zeros((0, 0), dtype=np.int64)
@@ -383,7 +378,7 @@ def gen_gaussian_dataset(dims: int, n_rows: int, corr: float, seed: int) -> RawT
         raise ValueError("rows must be >= 1")
     lo = -1.0 / (dims - 1) if dims > 1 else -1.0
     if not (lo < corr < 1.0):
-        raise NotPositiveDefinite(f"equicorrelation {corr} outside ({lo:.4g}, 1) for d={dims}")
+        raise ValueError(f"equicorrelation {corr} outside ({lo:.4g}, 1) for d={dims}")
     cov = np.full((dims, dims), corr, dtype=float)
     np.fill_diagonal(cov, 1.0)
     chol = np.linalg.cholesky(cov)

@@ -1,77 +1,17 @@
-"""Exception types shared across the package."""
+"""The package's own exception types, one per exit code of its own.
+
+Every other library error is a ValueError (exit 2 in the CLI); these two
+classes carry exit codes that a ValueError does not.
+"""
 
 
 class MargNetError(Exception):
-    """Base class for all library errors."""
-
-
-class MissingColumn(MargNetError):
-    def __init__(self, name):
-        super().__init__(f"required column {name!r} not found in CSV header")
-        self.name = name
-
-
-class ParseError(MargNetError):
-    def __init__(self, row, column, value):
-        super().__init__(f"cannot parse {value!r} as a finite number (row {row}, column {column!r})")
-        self.row = row
-        self.column = column
-
-
-class DegenerateRange(MargNetError):
-    pass
-
-
-class UnknownCategory(MargNetError):
-    def __init__(self, attr, value):
-        super().__init__(f"value {value!r} not in the declared categories of attribute {attr!r}")
-        self.attr = attr
-        self.value = value
-
-
-class NotPositiveDefinite(MargNetError):
-    pass
-
-
-class SpecOutOfRange(MargNetError):
-    pass
-
-
-class SpecMismatch(MargNetError):
-    pass
-
-
-class ZeroMass(MargNetError):
-    pass
-
-
-class TooFewAttributes(MargNetError):
-    pass
-
-
-class InsufficientBudget(MargNetError):
-    pass
-
-
-class EmptyCandidates(MargNetError):
-    pass
-
-
-class UnsupportedOrder(MargNetError):
-    pass
-
-
-class InvalidDelta(MargNetError):
-    pass
-
-
-class NoRounds(MargNetError):
-    pass
-
-
-class DomainMismatch(MargNetError):
-    pass
+    """Base class for the package's own exception types."""
 
 
 class CheckpointError(MargNetError):
-    pass
+    """An unreadable or malformed checkpoint file (exit 1)."""
+
+
+class InsufficientBudget(MargNetError):
+    """A spend the privacy budget cannot cover (exit 3)."""

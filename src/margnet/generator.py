@@ -27,8 +27,7 @@ Training runs through a `TrainContext`: one allocation holding the weights
 (the model's layers become views of it), the gradient, Adam's state and every
 buffer of a step, filled in place. Its buffers always hold the forward pass
 of its current weights: the constructor runs one, and whoever changes the
-weights runs the next. `loss_and_grad` without a context makes one of its
-own over a copy of the model; `forward` without one allocates.
+weights runs the next. `forward` without a context allocates.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import Dataset, Domain
-from .errors import CheckpointError, UnsupportedOrder
+from .errors import CheckpointError
 from .marginals import Marginal, MarginalSpec
 
 CHECKPOINT_MAGIC = b"MGNETCK1"
@@ -257,7 +256,7 @@ def soft_marginal(model: GeneratorModel, probs: np.ndarray, spec: MarginalSpec,
         V = probs[:, model.segment(spec.attrs[1])]
         counts = (scale / b) * (U.T @ V).reshape(-1)
     else:
-        raise UnsupportedOrder("soft marginals support order 1 and 2 only")
+        raise ValueError("soft marginals support order 1 and 2 only")
     return Marginal(spec, counts)
 
 
@@ -358,7 +357,7 @@ class SoftMarginals:
 def soft_marginals(model: GeneratorModel, scale: float, specs) -> SoftMarginals:
     """The soft marginals of `specs` (order <= 2) from one forward pass."""
     if any(s.order > 2 for s in specs):
-        raise UnsupportedOrder("soft marginals support order 1 and 2 only")
+        raise ValueError("soft marginals support order 1 and 2 only")
     layout = gram_layout(model, [s.attrs for s in specs if s.order == 2])
     return gram_marginals(forward(model), scale, layout)
 
@@ -396,7 +395,7 @@ def fold_targets(model: GeneratorModel, targets, scale: float) -> MarginalTarget
     into per-cell weights and weighted means in the model's dtype: one float64
     scatter in target order sums each cell as a per-spec loop over them would."""
     if any(t.spec.order > 2 for t in targets):
-        raise UnsupportedOrder("training targets must be one- or two-way marginals")
+        raise ValueError("training targets must be one- or two-way marginals")
     layout = gram_layout(model, [t.spec.attrs for t in targets if t.spec.order == 2])
     at = np.concatenate([layout.cells[t.spec.attrs] for t in targets])
     w = np.repeat([t.weight for t in targets], [t.spec.n_cells for t in targets])
@@ -409,8 +408,7 @@ def fold_targets(model: GeneratorModel, targets, scale: float) -> MarginalTarget
     return MarginalTargets(scale, layout, total.astype(dtype), mean.astype(dtype), const)
 
 
-def loss_and_grad(model: GeneratorModel, targets: MarginalTargets,
-                  ctx: TrainContext | None = None):
+def loss_and_grad(model: GeneratorModel, targets: MarginalTargets, ctx: TrainContext):
     """Weighted marginal-matching loss and its exact gradient.
 
     Loss = sum_i w_i * ||soft_marginal_i - noisy_i||_F^2 over the folded
@@ -418,9 +416,6 @@ def loss_and_grad(model: GeneratorModel, targets: MarginalTargets,
     typed like model.layers, the views of the context's gradient block; the
     loss is summed in float64. The forward pass is the one the context holds.
     """
-    if ctx is None:
-        model = model.copy()  # a context of its own leaves `model` unbound
-        ctx = TrainContext(model)
     _check_bound(model, ctx)
     probs = ctx.probs
     b = probs.shape[0]

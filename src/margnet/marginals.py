@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Dataset
-from .errors import DomainMismatch, SpecMismatch, SpecOutOfRange, TooFewAttributes, ZeroMass
 
 
 @dataclass(frozen=True)
@@ -25,11 +24,11 @@ class MarginalSpec:
 
     def __post_init__(self):
         if len(self.attrs) not in (1, 2, 3):
-            raise SpecOutOfRange("marginals of order 1, 2 or 3 only")
+            raise ValueError("marginals of order 1, 2 or 3 only")
         if list(self.attrs) != sorted(set(self.attrs)):
-            raise SpecOutOfRange("attribute indices must be strictly ascending")
+            raise ValueError("attribute indices must be strictly ascending")
         if len(self.cards) != len(self.attrs):
-            raise SpecOutOfRange("one cardinality per attribute")
+            raise ValueError("one cardinality per attribute")
 
     @property
     def n_cells(self) -> int:
@@ -45,7 +44,7 @@ def marginal_spec(ds_or_cards, attrs) -> MarginalSpec:
     cards = ds_or_cards.cards if isinstance(ds_or_cards, Dataset) else tuple(ds_or_cards)
     attrs = tuple(int(a) for a in attrs)
     if any(a < 0 or a >= len(cards) for a in attrs):
-        raise SpecOutOfRange(f"attribute index out of range for d={len(cards)}: {attrs}")
+        raise ValueError(f"attribute index out of range for d={len(cards)}: {attrs}")
     return MarginalSpec(attrs=attrs, cards=tuple(cards[a] for a in attrs))
 
 
@@ -57,7 +56,7 @@ class Marginal:
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=float).reshape(-1)
         if self.counts.shape[0] != self.spec.n_cells:
-            raise SpecMismatch("count vector length does not match the spec's cell count")
+            raise ValueError("count vector length does not match the spec's cell count")
 
     def to_json_dict(self) -> dict:
         return {"attrs": list(self.spec.attrs), "counts": [float(c) for c in self.counts]}
@@ -66,9 +65,9 @@ class Marginal:
 def compute_marginal(ds: Dataset, spec: MarginalSpec) -> Marginal:
     """Exact frequency counts of the dataset projected onto spec.attrs."""
     if any(a >= ds.d for a in spec.attrs):
-        raise SpecOutOfRange(f"spec {spec.attrs} out of range for d={ds.d}")
+        raise ValueError(f"spec {spec.attrs} out of range for d={ds.d}")
     if tuple(ds.cards[a] for a in spec.attrs) != spec.cards:
-        raise SpecOutOfRange("spec cardinalities do not match the dataset")
+        raise ValueError("spec cardinalities do not match the dataset")
     if ds.n_records == 0:
         return Marginal(spec, np.zeros(spec.n_cells))
     # row-major flat index by Horner's rule, one contiguous column at a time
@@ -81,7 +80,7 @@ def compute_marginal(ds: Dataset, spec: MarginalSpec) -> Marginal:
 
 def _check_same_spec(a: Marginal, b: Marginal):
     if a.spec.attrs != b.spec.attrs or a.spec.cards != b.spec.cards:
-        raise SpecMismatch(f"specs differ: {a.spec.attrs} vs {b.spec.attrs}")
+        raise ValueError(f"specs differ: {a.spec.attrs} vs {b.spec.attrs}")
 
 
 def l1_distance(a: Marginal, b: Marginal) -> float:
@@ -94,7 +93,7 @@ def _normalize(counts: np.ndarray) -> np.ndarray:
     clipped = np.clip(counts, 0.0, None)
     total = clipped.sum()
     if total <= 0:
-        raise ZeroMass("marginal has no mass after clipping negatives")
+        raise ValueError("marginal has no mass after clipping negatives")
     return clipped / total
 
 
@@ -106,7 +105,7 @@ def tvd(a: Marginal, b: Marginal) -> float:
 
 def _check_same_domain(real: Dataset, synth: Dataset):
     if real.cards != synth.cards:
-        raise DomainMismatch(f"datasets have different domains: {real.cards} vs {synth.cards}")
+        raise ValueError(f"datasets have different domains: {real.cards} vs {synth.cards}")
 
 
 def fidelity_error(real_ds: Dataset, synth_ds: Dataset) -> float:
@@ -114,7 +113,7 @@ def fidelity_error(real_ds: Dataset, synth_ds: Dataset) -> float:
     _check_same_domain(real_ds, synth_ds)
     d = real_ds.d
     if d < 2:
-        raise TooFewAttributes("fidelity error needs at least 2 attributes")
+        raise ValueError("fidelity error needs at least 2 attributes")
     vals = []
     for pair in itertools.combinations(range(d), 2):
         spec = marginal_spec(real_ds, pair)
@@ -133,7 +132,7 @@ def query_error(real_ds: Dataset, synth_ds: Dataset, n_queries: int, seed: int) 
     _check_same_domain(real_ds, synth_ds)
     d = real_ds.d
     if d < 3:
-        raise TooFewAttributes("query error needs at least 3 attributes")
+        raise ValueError("query error needs at least 3 attributes")
     if n_queries < 1:
         raise ValueError(f"need at least one query, got {n_queries}")
     all_specs = list(itertools.combinations(range(d), 3))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCandidates, InsufficientBudget
+from .errors import InsufficientBudget
 
 #: Marginal count sensitivity under add/remove-one-record neighbours.
 COUNT_SENSITIVITY = 1.0
@@ -87,7 +87,7 @@ def exponential_mechanism(scores, delta_q: float, rho_s: float, rng: np.random.G
     """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
-        raise EmptyCandidates("no candidates to select from")
+        raise ValueError("no candidates to select from")
     if delta_q <= 0 or rho_s <= 0:
         raise ValueError("delta_q and rho_s must be positive")
     eps = math.sqrt(8.0 * rho_s)

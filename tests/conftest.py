@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from margnet.domain import AttributeMeta, Dataset, Domain
+from margnet.generator import TrainContext, loss_and_grad
 
 
 def categorical_domain(cards, prefix="a"):
@@ -31,6 +32,13 @@ def brute_force_marginal(ds, attrs, cards):
             idx = idx * c + int(row[a])
         counts[idx] += 1
     return counts
+
+
+def loss_and_grad_on_copy(model, targets):
+    """`loss_and_grad` through a context of its own over a copy of `model`,
+    which stays unbound, so its weights can be edited between calls."""
+    m = model.copy()
+    return loss_and_grad(m, targets, TrainContext(m))
 
 
 def uniform_synth(cards, n, seed):

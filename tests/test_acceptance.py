@@ -16,14 +16,14 @@ import pytest
 
 from margnet.cli import main as cli_main
 from margnet.domain import Dataset, auto_numeric_domain, encode, gen_gaussian_dataset
-from margnet.generator import fold_targets, forward, init_generator, loss_and_grad, soft_marginal
+from margnet.generator import fold_targets, forward, init_generator, soft_marginal
 from margnet.marginals import Marginal, compute_marginal, fidelity_error, marginal_spec
 from margnet.privacy import dp_to_zcdp_rho, exponential_mechanism, gaussian_mechanism, zcdp_to_dp_epsilon
 from margnet import synthesis
 from margnet.bounds import selected_lower_bound, selected_upper_bound, unselected_bound
 from margnet.synthesis import Measurement, SynthConfig, run_margnet
 
-from conftest import brute_force_marginal, categorical_domain, random_dataset
+from conftest import brute_force_marginal, categorical_domain, loss_and_grad_on_copy, random_dataset
 
 warnings.filterwarnings("ignore", message="zCDP->DP conversion")
 
@@ -67,7 +67,7 @@ def test_criterion_1_privacy_filter_exactness():
 # -------------------------------------------------------------- criterion 2
 
 def finite_difference_max_rel_error(model, targets, scale, h=1e-5):
-    _, grads = loss_and_grad(model, fold_targets(model, targets, scale))
+    _, grads = loss_and_grad_on_copy(model, fold_targets(model, targets, scale))
     worst = 0.0
     for l, (W, b) in enumerate(model.layers):
         for arr, g in ((W, grads[l][0]), (b, grads[l][1])):
@@ -76,9 +76,9 @@ def finite_difference_max_rel_error(model, targets, scale, h=1e-5):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = loss_and_grad(model, fold_targets(model, targets, scale))
+                lp, _ = loss_and_grad_on_copy(model, fold_targets(model, targets, scale))
                 arr[idx] = orig - h
-                lm, _ = loss_and_grad(model, fold_targets(model, targets, scale))
+                lm, _ = loss_and_grad_on_copy(model, fold_targets(model, targets, scale))
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 denom = max(abs(fd), abs(g[idx]), 1e-6)

@@ -17,7 +17,6 @@ from margnet.bounds import (
     unselected_bound,
 )
 from margnet.domain import Dataset
-from margnet.errors import InvalidDelta, NoRounds
 from margnet.generator import forward, init_generator, soft_marginal
 from margnet.marginals import Marginal, compute_marginal, l1_distance, marginal_spec
 from margnet.synthesis import Measurement, RoundRecord, SelectionTrace
@@ -43,7 +42,7 @@ def test_chi2_inverse_round_trip():
 
 
 def test_chi2_inverse_rejects_bad_p():
-    with pytest.raises(InvalidDelta):
+    with pytest.raises(ValueError, match=r"quantile level must be in \(0, 1\), got 1\.5"):
         chi2_inverse_cdf(1.5, 3)
 
 
@@ -188,7 +187,7 @@ def test_upper_bound_structure_and_delta_check():
     assert len(rep.entries) == 1
     assert rep.entries[0].bound > 0
     assert rep.entries[0].slack == rep.entries[0].bound - rep.entries[0].observed
-    with pytest.raises(InvalidDelta):
+    with pytest.raises(ValueError, match=r"delta must be in \(0, 1\), got 2\.0"):
         selected_upper_bound(ms, model, scale=20.0, delta=2.0, exact=zero_exact(ms))
 
 
@@ -283,7 +282,7 @@ def test_unselected_bound_formula():
 
 def test_unselected_no_rounds():
     dom, ds, model = uniform_setup()
-    with pytest.raises(NoRounds):
+    with pytest.raises(ValueError, match="the trace records no selection rounds"):
         unselected_bound(SelectionTrace(), model, model, ds, scale=10.0, delta=0.05)
 
 

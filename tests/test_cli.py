@@ -506,6 +506,9 @@ BAD_DOMAINS = {
     "max-string-inf": _numeric(max="inf"),
     "max-1e400": _numeric(max=math.inf),
     "min-nan": _numeric(min=math.nan),
+    # bins need min < max
+    "min-equals-max": _numeric(min=1, max=1),
+    "max-below-min": _numeric(min=1, max=0),
     # a name must match a CSV header cell, which is always a string
     "name-int": _numeric(name=0),
     # a label is a CSV cell too: null must not become the label "None"
@@ -679,11 +682,10 @@ def test_check_non_json_file_exits_2(gauss_files, finished_run, tmp_path, capsys
     (OSError("disk gone"), 1, "error: disk gone"),
     (margnet.errors.CheckpointError("bad header"), 1, "error: bad header"),
     (margnet.errors.InsufficientBudget("too little"), 3, "error: infeasible budget: too little"),
-    (margnet.errors.DomainMismatch("other cards"), 2, "error: other cards"),
     (ValueError("out of range"), 2, "error: out of range"),
     (MemoryError("Unable to allocate 8 PiB"), 1, "error: Unable to allocate 8 PiB"),
     (MemoryError(), 1, "error: out of memory"),
-], ids=["os", "checkpoint", "budget", "margnet", "value", "memory", "memory-no-message"])
+], ids=["os", "checkpoint", "budget", "value", "memory", "memory-no-message"])
 def test_main_maps_error_class_to_exit_code(monkeypatch, capsys, error, code, message):
     def fail(args):
         raise error

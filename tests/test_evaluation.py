@@ -3,7 +3,6 @@ import json
 import pytest
 
 from margnet.domain import Dataset
-from margnet.errors import DomainMismatch
 from margnet.evaluation import evaluate
 
 from conftest import random_dataset
@@ -42,7 +41,8 @@ def test_same_seed_same_query_error():
 def test_domain_mismatch():
     a = random_dataset((2, 2, 2), 50, seed=0)
     b = random_dataset((2, 3, 2), 50, seed=0)
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(ValueError,
+                       match=r"datasets have different domains: \(2, 2, 2\) vs \(2, 3, 2\)"):
         evaluate(a, b, n_queries=5, seed=0)
 
 

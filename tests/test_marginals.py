@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from margnet.domain import Dataset
-from margnet.errors import SpecMismatch, SpecOutOfRange, TooFewAttributes, ZeroMass
 from margnet.marginals import (
     Marginal,
     compute_marginal,
@@ -46,7 +45,7 @@ def test_empty_dataset_zero_counts():
 
 def test_spec_out_of_range():
     ds = make_ds([(0, 1)], (2, 2))
-    with pytest.raises(SpecOutOfRange):
+    with pytest.raises(ValueError, match=r"attribute index out of range for d=2: \(0, 5\)"):
         marginal_spec(ds, (0, 5))
 
 
@@ -117,7 +116,7 @@ def test_l1_distance():
 def test_spec_mismatch():
     a = Marginal(marginal_spec((2, 2), (0,)), np.array([1.0, 0.0]))
     b = Marginal(marginal_spec((2, 2), (1,)), np.array([1.0, 0.0]))
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(ValueError, match=r"specs differ: \(0,\) vs \(1,\)"):
         l1_distance(a, b)
 
 
@@ -138,7 +137,7 @@ def test_tvd_clips_negative_noise():
 
 def test_tvd_zero_mass():
     a, b = pair([-1, -2], [1, 1])
-    with pytest.raises(ZeroMass):
+    with pytest.raises(ValueError, match="marginal has no mass after clipping negatives"):
         tvd(a, b)
 
 
@@ -242,7 +241,7 @@ def test_query_error_equals_uncached_loop(d, n_queries):
 
 def test_query_error_needs_three_attrs():
     ds = random_dataset((2, 2), 10, seed=0)
-    with pytest.raises(TooFewAttributes):
+    with pytest.raises(ValueError, match="query error needs at least 3 attributes"):
         query_error(ds, ds, 5, seed=0)
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from margnet.errors import EmptyCandidates, InsufficientBudget
+from margnet.errors import InsufficientBudget
 from margnet.marginals import compute_marginal, marginal_spec
 from margnet.privacy import (
     Accountant,
@@ -136,7 +136,7 @@ def test_em_single_candidate():
 
 def test_em_empty():
     rng = np.random.default_rng(4)
-    with pytest.raises(EmptyCandidates):
+    with pytest.raises(ValueError, match="no candidates to select from"):
         exponential_mechanism([], 1.0, 0.5, rng)
 
 
