@@ -100,7 +100,7 @@ def test_segment_softmax_mixed_cardinalities_on_simplex():
     cards = (1, 3, 1, 5, 2)
     offsets = tuple(int(o) for o in np.cumsum((0,) + cards[:-1]))
     logits = np.random.default_rng(3).normal(0, 30, size=(9, sum(cards)))
-    probs = _segment_softmax(logits, cards, offsets)
+    probs = _segment_softmax(logits, generator.segment_plan(cards))
     for off, c in zip(offsets, cards):
         seg = probs[:, off:off + c]
         assert np.all(seg >= 0)
@@ -108,6 +108,81 @@ def test_segment_softmax_mixed_cardinalities_on_simplex():
         e = np.exp(logits[:, off:off + c] - logits[:, off:off + c].max(axis=1, keepdims=True))
         assert np.allclose(seg, e / e.sum(axis=1, keepdims=True), rtol=1e-12, atol=0)
     assert np.all(probs[:, [0, 4]] == 1.0)
+
+
+def reduceat_per_segment(ufunc, x, cards, offsets):
+    """The segment reduction before per-run views, kept as an oracle: `ufunc`
+    reduced over each row's segments with reduceat, repeated back over the
+    segment's columns."""
+    columns = np.repeat(np.arange(len(cards)), cards)
+    return np.take(ufunc.reduceat(x, offsets, axis=1), columns, axis=1, mode="clip")
+
+
+def reduceat_softmax(logits, cards, offsets):
+    e = np.exp(logits - reduceat_per_segment(np.maximum, logits, cards, offsets))
+    return e / reduceat_per_segment(np.add, e, cards, offsets)
+
+
+# card layouts for the oracle tests: uniform cards, alternating cards, a
+# repeated mixed pattern, a binary run before and after a 10-bin attribute, a
+# card above 128 and cards of 1
+SEGMENT_LAYOUTS = {
+    "uniform": (10,) * 12,
+    "alternating": (2, 3) * 10,
+    "mixed-repeated": (2, 2, 8, 3, 12) * 3,
+    "binary-then-10": (2,) * 12 + (10,),
+    "10-then-binary": (10,) + (2,) * 12,
+    "card-300": (300,),
+    "cards-of-1": (1,) * 9 + (3, 1, 7),
+}
+
+
+def segment_offsets(cards):
+    return tuple(int(o) for o in np.cumsum((0,) + cards[:-1]))
+
+
+def spread_values(rng, shape, dtype):
+    """Normal values scaled over 6 orders of magnitude, signs mixed."""
+    return (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)).astype(dtype)
+
+
+def test_segment_plan_views_only_long_runs():
+    # a run of n attributes of card k is a view when n >= max(8, k); the
+    # other columns form one reduceat stretch per gap between views
+    plan = generator.segment_plan((10,) + (2,) * 12 + (3, 3) + (2,) * 8)
+    assert [(p.cols, p.view) for p in plan] == [
+        (slice(0, 10), None), (slice(10, 34), (12, 2)), (slice(34, 40), None),
+        (slice(40, 56), (8, 2))]
+    assert plan[2].offsets.tolist() == [0, 3] and plan[2].columns.tolist() == [0] * 3 + [1] * 3
+    for cards in [(10,) * 9, (41,) * 8 + (3,), (2, 3) * 30]:
+        (part,) = generator.segment_plan(cards)
+        assert part.view is None and part.offsets.tolist() == list(segment_offsets(cards))
+    assert [p.view for p in generator.segment_plan((10,) * 10 + (1,) * 8)] == [(10, 10), (8, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_view_reductions_pin_reduceat_order(dtype):
+    # the written-out pairwise sum equals np.add.reduceat bit for bit, and the
+    # running max np.maximum.reduceat, for k up to 300: a running sum below
+    # 8 terms, 8 accumulators up to 128, the recursive split above. A numpy
+    # release that reorders reduceat fails here.
+    rng = np.random.default_rng(17)
+    b, n = 3, 2
+    for k in range(1, 301):
+        x = spread_values(rng, (b, n * k), dtype)
+        offsets = np.arange(0, n * k, k)
+        x3 = x.reshape(b, n, k)
+        assert np.array_equal(generator._view_sum(x3), np.add.reduceat(x, offsets, axis=1)), k
+        assert np.array_equal(generator._view_max(x3), np.maximum.reduceat(x, offsets, axis=1)), k
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", sorted(SEGMENT_LAYOUTS))
+def test_segment_softmax_matches_reduceat_oracle(layout, dtype):
+    cards = SEGMENT_LAYOUTS[layout]
+    logits = spread_values(np.random.default_rng(5), (33, sum(cards)), dtype) / 100
+    want = reduceat_softmax(logits, cards, segment_offsets(cards))
+    assert same_bits(_segment_softmax(logits, generator.segment_plan(cards)), want)
 
 
 def test_forward_fixed_input_repeatable():
@@ -447,7 +522,7 @@ def fresh_array_loss_and_grad(model, targets):
     """The step as it was before the training context, every array allocated
     afresh, kept as an oracle of the context's arithmetic and reduction order."""
     def per_segment(ufunc, x):
-        return np.repeat(ufunc.reduceat(x, model.seg_offsets, axis=1), model.cards, axis=1)
+        return reduceat_per_segment(ufunc, x, model.cards, model.seg_offsets)
 
     h = model.Z
     acts = [h]
@@ -508,6 +583,30 @@ def test_context_steps_match_fresh_array_steps(layout_slack, dtype):
         reference_adam_step(oracle, want_grads, state, lr=3e-3)
     for (W, b), (W0, b0) in zip(m.layers, oracle.layers):
         assert same_bits(W, W0) and same_bits(b, b0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", sorted(SEGMENT_LAYOUTS))
+def test_loss_and_grad_matches_reduceat_oracle(layout, dtype):
+    # per-run views in the softmax and its backward leave the loss and every
+    # gradient as the reduceat reductions give them, to the bit
+    cards = SEGMENT_LAYOUTS[layout]
+    m = tiny_model(cards=cards, hidden=(12,), latent=5, batch=24, seed=3, dtype=dtype)
+    rng = np.random.default_rng(4)
+    d = len(cards)
+    pairs = [(a, c) for a, c in itertools.combinations(range(d), 2) if (a + c) % 3 == 0]
+    measurements = []
+    for attrs in [(a,) for a in range(d)] + pairs:
+        spec = marginal_spec(cards, attrs)
+        measurements.append(Measurement(spec=spec, noisy=Marginal(spec, rng.normal(4, 2, spec.n_cells)),
+                                        rho_m=0.5, sigma=1.0, weight=float(rng.uniform(0.5, 3.0))))
+    targets = fold_targets(m, measurements, 50.0)
+    loss, grads = loss_and_grad_on_copy(m, targets)
+    want_loss, want_grads = fresh_array_loss_and_grad(m, targets)
+    assert loss == want_loss
+    for pair, want in zip(grads, want_grads):
+        for g, w in zip(pair, want):
+            assert same_bits(g, w)
 
 
 def count_forwards(monkeypatch):
@@ -585,6 +684,31 @@ def test_sample_hard_deterministic():
     a = sample_hard(m, forward(m), 500, seed=3)
     b = sample_hard(m, forward(m), 500, seed=3)
     assert np.array_equal(a.rows, b.rows)
+
+
+def per_pick_sample(model, probs, n_rows, seed):
+    """sample_hard as it drew before prefix sums over the batch, kept as an
+    oracle: each segment's cumsum over the gathered rows."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    probs = probs.astype(np.float64, copy=False)
+    picks = rng.integers(0, probs.shape[0], size=n_rows)
+    cols = []
+    for off, c in zip(model.seg_offsets, model.cards):
+        cum = np.cumsum(probs[picks, off:off + c], axis=1)
+        u = rng.random(n_rows) * cum[:, -1]
+        cols.append((cum < u[:, None]).sum(axis=1))
+    return np.stack(cols).T
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_rows", [5, 300])
+def test_sample_hard_matches_per_pick_oracle(dtype, n_rows):
+    m = tiny_model(cards=(3, 1, 12, 2, 2, 7), hidden=(16,), batch=32, seed=21, dtype=dtype)
+    probs = forward(m)
+    assert probs.dtype == dtype
+    for seed in range(3):
+        assert np.array_equal(sample_hard(m, probs, n_rows, seed).rows,
+                              per_pick_sample(m, probs, n_rows, seed))
 
 
 # --------------------------------------------------------------- checkpoint
