@@ -62,11 +62,16 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # A run of n consecutive attributes sharing one card k is reduced on a (b, n, k)
 # view, one ufunc call per column slice, when n >= max(VIEW_MIN_RUN, k); the
-# other columns keep reduceat + take. On 2 cores (numpy 2.4.6, float32,
-# b = 256) views took the segment softmax from 456 to 188 us on 24 x 10 bins
-# and from 1567 to 360 us on 200 binary attributes. Views on every run
-# instead took it from 574 to 1319 us on 60 alternating 2- and 3-bin
-# attributes, and from 273 to 946 us on cards (300, 5, 5).
+# other columns keep reduceat + take. Measured on 2 cores (numpy 2.4.6,
+# float32, b = 256): views on 24 x 10 bins cut the benchmark's g24-wide
+# `synth_s` by 7%. With `synth --iters 10` on 8000 rows, views on every run
+# made the run 11-21% slower (median of 10 pairs, in each of two sets) on an
+# Adult-like 15-attribute table, on cards (2, 2, 8, 3, 12) x 4 and on 20
+# alternating 2- and 3-bin attributes. The reductions alone, beside 12-bin
+# attributes, are faster on views from n = 8 for k = 2 and 3 (0.89-0.94x;
+# at n = 6, 1.05-1.09x) and slower on 8 attributes of card 41 (1.38-1.48x),
+# hence the k term. Whole runs did not resolve either bound: thresholds of
+# 4 or 16, and views on cards (41,) * 8 + (3,), moved `synth` by at most 5%.
 VIEW_MIN_RUN = 8
 
 
