@@ -19,6 +19,7 @@ from itertools import repeat
 import numpy as np
 
 RARE_LABEL = "__other__"
+WRITE_BLOCK_ROWS = 2048  # rows write_csv formats per batch, so no table-sized list of cells exists
 
 
 @dataclass
@@ -179,10 +180,11 @@ class Dataset:
 
 @dataclass
 class RawTable:
-    """Un-encoded columns (strings or floats), ordered to match a domain."""
+    """Un-encoded columns, ordered to match a domain: a numeric column is a
+    contiguous float64 ndarray, a categorical one a list of str."""
 
     header: list[str]
-    columns: list[list] = field(default_factory=list)
+    columns: list[np.ndarray | list[str]] = field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
@@ -234,7 +236,7 @@ def load_csv(path, domain: Domain) -> RawTable:
             f.seek(0)
             _raise_bad_cell(_csv_rows(f, path), domain, usecols)
             raise ValueError(f"{path}: the numpy and csv readers disagree on this file")
-    columns = [data[name].tolist() if is_num else [cell.strip() for cell in data[name]]
+    columns = [np.ascontiguousarray(data[name]) if is_num else [cell.strip() for cell in data[name]]
                for name, is_num in zip(names, numeric)]
     return RawTable(header=domain.names, columns=columns)
 
@@ -302,31 +304,33 @@ def write_csv(path, table: RawTable) -> None:
     """Write a table in the dialect load_csv reads, `\r\n`-terminated.
 
     A column whose first cell is a string is written as labels (quoted where
-    needed), any other column as numbers in `%.10g` format.
+    needed), any other column as numbers in `%.10g` format. Rows are formatted
+    `WRITE_BLOCK_ROWS` at a time.
     """
-    numeric = [bool(col) and not isinstance(col[0], str) for col in table.columns]
-    columns = []
-    for col, is_num in zip(table.columns, numeric):
-        if is_num:
-            columns.append(col)
-        else:
-            cells = {label: _csv_cell(label) for label in set(col)}
-            if len(table.columns) == 1:
-                cells[""] = '""'  # a lone empty cell would read back as a blank line
-            columns.append([cells[label] for label in col])
-    fmt = ",".join("%.10g" if is_num else "%s" for is_num in numeric) + "\r\n"
+    columns, cells = [], []  # per column: its values, and for labels each one's cell text
+    for col in table.columns:
+        is_num = len(col) > 0 and not isinstance(col[0], str)
+        columns.append(np.asarray(col, dtype=float) if is_num else col)
+        cells.append(None if is_num else {label: _csv_cell(label) for label in set(col)})
+    if len(cells) == 1 and cells[0] is not None:
+        cells[0][""] = '""'  # a lone empty cell would read back as a blank line
+    fmt = ",".join("%.10g" if cell is None else "%s" for cell in cells) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f).writerow(table.header)
-        f.writelines(fmt % row for row in zip(*columns))
+        for start in range(0, table.n_rows, WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            rows = zip(*(col[block].tolist() if cell is None else [cell[x] for x in col[block]]
+                         for col, cell in zip(columns, cells)))
+            f.writelines(fmt % row for row in rows)
 
 
 def encode(raw: RawTable, domain: Domain) -> Dataset:
     """Encode a raw table into integer category indices, column-major."""
-    cols = []
+    rows = np.empty((raw.n_rows, domain.d), dtype=np.int64, order="F")
     for j, meta in enumerate(domain.attributes):
         col = raw.columns[j]
         if meta.kind == "numeric":
-            cols.append(bin_values(np.asarray(col, dtype=float), meta.bin_edges))
+            rows[:, j] = bin_values(col, meta.bin_edges)
         else:
             lookup = {lab: i for i, lab in enumerate(meta.category_labels)}
             out = np.fromiter(map(lookup.get, col, repeat(-1)), np.int64, len(col))
@@ -337,8 +341,7 @@ def encode(raw: RawTable, domain: Domain) -> Dataset:
                     raise ValueError(f"value {col[int(unknown.argmax())]!r} not in the declared "
                                      f"categories of attribute {meta.name!r}")
                 out[unknown] = rare
-            cols.append(out)
-    rows = np.stack(cols).T if cols else np.zeros((0, 0), dtype=np.int64)
+            rows[:, j] = out
     return Dataset(rows=rows, cards=domain.cards)
 
 
@@ -362,7 +365,7 @@ def decode(synth: Dataset, domain: Domain, seed: int) -> RawTable:
             bad = bin_values(vals, meta.bin_edges) != idx
             if np.any(bad):
                 vals[bad] = (lo[bad] + hi[bad]) / 2.0
-            columns.append(vals.tolist())
+            columns.append(vals)
     return RawTable(header=domain.names, columns=columns)
 
 
@@ -386,7 +389,7 @@ def gen_gaussian_dataset(dims: int, n_rows: int, corr: float, seed: int) -> RawT
     z = rng.standard_normal((n_rows, dims))
     data = z @ chol.T
     header = [f"x{i}" for i in range(dims)]
-    return RawTable(header=header, columns=[data[:, j].tolist() for j in range(dims)])
+    return RawTable(header=header, columns=[data[:, j].copy() for j in range(dims)])
 
 
 def auto_numeric_domain(table: RawTable, bins: int = 10, pad: float = 0.01) -> Domain:

@@ -74,6 +74,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # 4 or 16, and views on cards (41,) * 8 + (3,), moved `synth` by at most 5%.
 VIEW_MIN_RUN = 8
 
+SAMPLE_BLOCK_ROWS = 4096  # output rows sample_hard gathers at once: its temporaries are O(block * k)
+
 
 def _segment(cards, offsets, attr: int) -> slice:
     """Columns of attribute `attr` in a layout where it starts at offsets[attr]."""
@@ -616,18 +618,21 @@ def sample_hard(model: GeneratorModel, probs: np.ndarray, n_rows: int, seed: int
     the expected empirical marginal equal the soft marginal. The draw inverts
     each segment's float64 CDF, scaled to end at the segment's total, so a
     float32 model's rounding neither biases the last category nor grows in
-    the running sum.
+    the running sum. The codes go straight into the column-major output
+    matrix, `SAMPLE_BLOCK_ROWS` rows at a time, so no (n_rows, k) block of
+    prefix sums is ever gathered whole.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     probs = probs.astype(np.float64, copy=False)
-    b = probs.shape[0]
-    picks = rng.integers(0, b, size=n_rows)
-    cols = []
-    for off, c in zip(model.seg_offsets, model.cards):
-        cum = np.cumsum(probs[:, off:off + c], axis=1)[picks]  # row by row: as if after the gather
-        u = rng.random(n_rows) * cum[:, -1]
-        cols.append((cum < u[:, None]).sum(axis=1))  # u <= cum[:, -1]: at most c - 1
-    rows = np.stack(cols).T if cols else np.zeros((n_rows, 0), dtype=np.int64)
+    picks = rng.integers(0, probs.shape[0], size=n_rows)
+    rows = np.empty((n_rows, len(model.cards)), dtype=np.int64, order="F")
+    for j, (off, c) in enumerate(zip(model.seg_offsets, model.cards)):
+        cum = np.cumsum(probs[:, off:off + c], axis=1)  # row by row: as if after the gather
+        u = rng.random(n_rows) * cum[picks, -1]
+        for start in range(0, n_rows, SAMPLE_BLOCK_ROWS):
+            block = slice(start, start + SAMPLE_BLOCK_ROWS)
+            # u <= the row's total: at most c - 1
+            rows[block, j] = (cum[picks[block]] < u[block, None]).sum(axis=1)
     return Dataset(rows=rows, cards=model.cards)
 
 

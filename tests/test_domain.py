@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from margnet.domain import (
     Dataset,
     Domain,
     RawTable,
+    WRITE_BLOCK_ROWS,
     auto_numeric_domain,
     bin_values,
     decode,
@@ -30,6 +32,21 @@ def numeric_meta(name, lo, hi, bins):
     return AttributeMeta(name, "numeric", bins, bin_edges=uniform_bin_edges(lo, hi, bins))
 
 
+def column_lists(table, domain):
+    """A RawTable's columns as lists, after checking their types: a numeric
+    column is a contiguous float64 ndarray, a categorical one a list of str."""
+    out = []
+    for col, meta in zip(table.columns, domain.attributes, strict=True):
+        if meta.kind == "numeric":
+            assert isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
+            assert col.flags.c_contiguous
+            out.append(col.tolist())
+        else:
+            assert type(col) is list and all(type(cell) is str for cell in col)
+            out.append(col)
+    return out
+
+
 # ---------------------------------------------------------------- load_csv
 
 def small_domain():
@@ -44,8 +61,7 @@ def test_load_csv_reorders_and_drops(tmp_path):
     p.write_text("extra,job,age\n1,eng,30\n2,doc,40\n3,eng,50\n")
     table = load_csv(p, small_domain())
     assert table.header == ["age", "job"]
-    assert table.columns[0] == [30.0, 40.0, 50.0]
-    assert table.columns[1] == ["eng", "doc", "eng"]
+    assert column_lists(table, small_domain()) == [[30.0, 40.0, 50.0], ["eng", "doc", "eng"]]
 
 
 def test_load_csv_missing_column(tmp_path):
@@ -121,6 +137,8 @@ def reference_load_csv(path, domain, to_float=float):
                     columns[j].append(value)
                 else:
                     columns[j].append(cell)
+    columns = [np.array(col, dtype=float) if meta.kind == "numeric" else col
+               for col, meta in zip(columns, domain.attributes)]
     return RawTable(header=domain.names, columns=columns)
 
 
@@ -133,9 +151,9 @@ def ascii_float(cell):
 
 
 def outcome(reader, path, domain):
-    """Columns on success, else the exception's type and text."""
+    """Columns as lists on success, else the exception's type and text."""
     try:
-        return reader(path, domain).columns
+        return column_lists(reader(path, domain), domain)
     except ValueError as e:
         return type(e).__name__, str(e)
 
@@ -230,7 +248,7 @@ def test_load_csv_quoted_cells(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text('y,c,x\r\n" -0.5 ","a, ""b""\r\nc",7\r\n\r\n1e-1, b ,"8"\r\n', encoding="utf-8")
     table = load_csv(p, CSV_DOMAIN)
-    assert table.columns == [[7.0, 8.0], ['a, "b"\r\nc', "b"], [-0.5, 0.1]]
+    assert column_lists(table, CSV_DOMAIN) == [[7.0, 8.0], ['a, "b"\r\nc', "b"], [-0.5, 0.1]]
 
 
 def test_load_csv_header_only_is_empty_and_silent(tmp_path, capfd):
@@ -239,7 +257,7 @@ def test_load_csv_header_only_is_empty_and_silent(tmp_path, capfd):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = load_csv(p, CSV_DOMAIN)
-    assert table.columns == [[], [], []]
+    assert column_lists(table, CSV_DOMAIN) == [[], [], []]
     assert table.n_rows == 0
     assert capfd.readouterr().err == ""
 
@@ -330,6 +348,7 @@ def test_gen_gauss_shape_matches_benchmark():
     table = gen_gaussian_dataset(10, 16000, 0.8, seed=3)
     assert len(table.header) == 10
     assert table.n_rows == 16000
+    assert all(len(col) == 16000 for col in column_lists(table, auto_numeric_domain(table)))
 
 
 def test_gen_gauss_zero_corr_pearson_oracle():
@@ -374,21 +393,23 @@ def test_decode_categorical():
     dom = Domain([AttributeMeta("c", "categorical", 2, category_labels=["a", "b"])])
     ds = Dataset(rows=np.array([[0], [1], [0]]), cards=(2,))
     table = decode(ds, dom, seed=1)
-    assert table.columns[0] == ["a", "b", "a"]
+    assert column_lists(table, dom) == [["a", "b", "a"]]
 
 
 def test_decode_numeric_in_bin():
     dom = Domain([numeric_meta("n", 0, 10, 2)])
     ds = Dataset(rows=np.zeros((50, 1), dtype=int), cards=(2,))
     table = decode(ds, dom, seed=2)
-    vals = np.array(table.columns[0])
+    vals = np.array(column_lists(table, dom)[0])
     assert np.all((vals >= 0) & (vals < 5))
 
 
 def test_decode_empty():
     dom = Domain([numeric_meta("n", 0, 1, 2)])
     ds = Dataset(rows=np.zeros((0, 1), dtype=int), cards=(2,))
-    assert decode(ds, dom, seed=0).n_rows == 0
+    table = decode(ds, dom, seed=0)
+    assert table.n_rows == 0
+    assert column_lists(table, dom) == [[]]
 
 
 def test_encode_decode_round_trip():
@@ -413,10 +434,29 @@ def test_csv_write_read_round_trip(tmp_path):
     ])
     ds = random_dataset(dom.cards, 100, seed=4)
     table = decode(ds, dom, seed=8)
+    assert [len(col) for col in column_lists(table, dom)] == [100, 100]
     p = tmp_path / "out.csv"
     write_csv(p, table)
     back = encode(load_csv(p, dom), dom)
     assert np.array_equal(back.rows, ds.rows)
+
+
+def test_load_and_encode_memory_stays_near_the_arrays(tmp_path):
+    # a float64 value and an int64 code take 8 B per cell each; a Python float
+    # in a list takes 32 B
+    table = gen_gaussian_dataset(10, 20_000, 0.8, seed=2)
+    dom = auto_numeric_domain(table)
+    p = tmp_path / "g.csv"
+    write_csv(p, table)
+    del table
+    tracemalloc.start()
+    try:
+        ds = encode(load_csv(p, dom), dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.rows.shape == (20_000, 10)
+    assert peak < 3 * 8 * ds.rows.size
 
 
 def reference_write_csv(path, table):
@@ -449,12 +489,15 @@ def test_write_csv_matches_per_cell_oracle(tmp_path, kinds, n_rows, data):
 
 
 def test_write_csv_numpy_and_python_floats_match_oracle(tmp_path):
-    values = np.array([0.1, -0.0, 1e300, 5e-324, np.pi, 2.0 ** 60])
-    for col in (values.tolist(), list(values)):
-        table = RawTable(header=["v", "c"], columns=[col, ["x"] * len(col)])
-        write_csv(tmp_path / "new.csv", table)
-        reference_write_csv(tmp_path / "old.csv", table)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # the longer table spans three of write_csv's row blocks
+    for n_rows in (6, 2 * WRITE_BLOCK_ROWS + 3):
+        values = np.resize([0.1, -0.0, 1e300, 5e-324, np.pi, 2.0 ** 60], n_rows)
+        labels = [f"x{i % 7}" for i in range(n_rows)]
+        for col in (values.tolist(), list(values), values):
+            table = RawTable(header=["v", "c"], columns=[col, labels])
+            write_csv(tmp_path / "new.csv", table)
+            reference_write_csv(tmp_path / "old.csv", table)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_auto_numeric_domain_pads():

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -700,8 +701,11 @@ def per_pick_sample(model, probs, n_rows, seed):
     return np.stack(cols).T
 
 
+B = generator.SAMPLE_BLOCK_ROWS
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n_rows", [5, 300])
+@pytest.mark.parametrize("n_rows", [5, 300, B - 1, B, B + 1, 2 * B + 5])
 def test_sample_hard_matches_per_pick_oracle(dtype, n_rows):
     m = tiny_model(cards=(3, 1, 12, 2, 2, 7), hidden=(16,), batch=32, seed=21, dtype=dtype)
     probs = forward(m)
@@ -709,6 +713,20 @@ def test_sample_hard_matches_per_pick_oracle(dtype, n_rows):
     for seed in range(3):
         assert np.array_equal(sample_hard(m, probs, n_rows, seed).rows,
                               per_pick_sample(m, probs, n_rows, seed))
+
+
+def test_sample_hard_memory_stays_below_one_gathered_block():
+    # gathering every row's prefix sums for a 50-card attribute would take
+    # n_rows * 50 * 8 B = 40 MB; the codes themselves take 0.8 MB
+    m = tiny_model(cards=(50,), hidden=(16,), batch=32, seed=4)
+    probs = forward(m)
+    tracemalloc.start()
+    try:
+        sample_hard(m, probs, 100_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6 / 4
 
 
 # --------------------------------------------------------------- checkpoint
