@@ -139,7 +139,7 @@ def cmd_synth(args) -> None:
         fixed_rounds=fixed_rounds,
         seed=seed,
     )
-    result = run_margnet(ds, domain, config)
+    result = run_margnet(ds, config)
 
     table = decode(result.synth, domain, result.decode_seed)
     trace_dict = result.trace.to_json_dict()
@@ -210,8 +210,6 @@ def cmd_check(args) -> None:
         trace = trace_from_json_dict(json.loads(trace_bytes.decode("utf-8")), domain.cards)
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed trace: {e}") from None
-    if prev_model is None:
-        raise ValueError("checkpoint lacks the pre-final-round model state")
 
     scale = trace.n_estimate
     measurements = [r.measurement for r in trace.rounds]

@@ -20,6 +20,7 @@ import numpy as np
 
 RARE_LABEL = "__other__"
 WRITE_BLOCK_ROWS = 2048  # rows write_csv formats per batch, so no table-sized list of cells exists
+AUTO_DOMAIN_PAD = 0.01  # auto_numeric_domain pads [min, max] by this share of the span
 
 
 @dataclass
@@ -256,11 +257,15 @@ def _csv_rows(f, path):
 
 
 def _header_columns(reader, domain: Domain) -> list[int]:
-    """Position in the CSV header of each domain attribute, in domain order."""
+    """Position in the CSV header of each domain attribute, in domain order.
+    A domain attribute the header names twice is a ValueError; a repeated
+    column the domain does not name is dropped like any extra column."""
     header = [h.strip() for h in next(reader, [])]
     for name in domain.names:
         if name not in header:
             raise ValueError(f"required column {name!r} not found in CSV header")
+        if header.count(name) > 1:
+            raise ValueError(f"column {name!r} appears more than once in the CSV header")
     return [header.index(name) for name in domain.names]
 
 
@@ -392,8 +397,8 @@ def gen_gaussian_dataset(dims: int, n_rows: int, corr: float, seed: int) -> RawT
     return RawTable(header=header, columns=[data[:, j].copy() for j in range(dims)])
 
 
-def auto_numeric_domain(table: RawTable, bins: int = 10, pad: float = 0.01) -> Domain:
-    """Build an all-numeric domain from a table, padding min/max by a fraction."""
+def auto_numeric_domain(table: RawTable, bins: int = 10) -> Domain:
+    """Build an all-numeric domain from a table, padding min/max by AUTO_DOMAIN_PAD."""
     attrs = []
     for name, col in zip(table.header, table.columns):
         arr = np.asarray(col, dtype=float)
@@ -402,7 +407,7 @@ def auto_numeric_domain(table: RawTable, bins: int = 10, pad: float = 0.01) -> D
         if span <= 0:
             lo, hi = lo - 0.5, hi + 0.5
             span = hi - lo
-        lo -= pad * span
-        hi += pad * span
+        lo -= AUTO_DOMAIN_PAD * span
+        hi += AUTO_DOMAIN_PAD * span
         attrs.append(AttributeMeta(name, "numeric", bins, bin_edges=uniform_bin_edges(lo, hi, bins)))
     return Domain(attrs)

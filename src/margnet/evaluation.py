@@ -2,8 +2,9 @@
 
 Two metrics: fidelity error (mean TVD over all two-way marginals) and query
 error (mean absolute normalized-frequency difference over sampled three-way
-marginals). ML-efficacy needs external classifier stacks and is out of scope;
-the report schema carries it as an explicitly absent field.
+marginals). ML-efficacy needs external classifier stacks and is out of scope,
+and an eval run does not time synthesis: the report schema carries both as
+explicitly absent (null) fields.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ class EvalReport:
     fidelity_error: float
     query_error: float
     n_queries: int
-    wall_clock_synthesis_seconds: float | None = None
     seeds: list[int] = field(default_factory=list)
     config: dict = field(default_factory=dict)
-    ml_efficacy: None = None  # not computed by this package
 
     def to_json_dict(self) -> dict:
         return {
@@ -33,7 +32,7 @@ class EvalReport:
             "fidelity_error": self.fidelity_error,
             "query_error": self.query_error,
             "n_queries": self.n_queries,
-            "wall_clock_synthesis_seconds": self.wall_clock_synthesis_seconds,
+            "wall_clock_synthesis_seconds": None,
             "seeds": list(self.seeds),
             "config": dict(self.config),
             "ml_efficacy": None,
@@ -44,14 +43,12 @@ class EvalReport:
 
 
 def evaluate(real_ds: Dataset, synth_ds: Dataset, n_queries: int = 300, seed: int = 0,
-             wall_clock_synthesis_seconds: float | None = None,
              config: dict | None = None) -> EvalReport:
     """Compute both metrics for one dataset pair."""
     return EvalReport(
         fidelity_error=fidelity_error(real_ds, synth_ds),
         query_error=query_error(real_ds, synth_ds, n_queries, seed),
         n_queries=n_queries,
-        wall_clock_synthesis_seconds=wall_clock_synthesis_seconds,
         seeds=[seed],
         config=dict(config or {}),
     )

@@ -42,14 +42,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Dataset, Domain
+from .domain import Dataset
 from .errors import CheckpointError
 from .marginals import Marginal, MarginalSpec
 
 CHECKPOINT_MAGIC = b"MGNETCK1"
-_CHECKPOINT_KEYS = ("cards", "latent_dim", "batch_size", "layer_shapes", "has_prev")
-# dtypes a model may be trained and checkpointed in; a header without "dtype"
-# is float64
+_CHECKPOINT_KEYS = ("cards", "latent_dim", "batch_size", "layer_shapes", "has_prev", "dtype")
+# dtypes a model may be trained and checkpointed in
 _CHECKPOINT_DTYPES = ("float32", "float64")
 
 # A set of two-way marginals is read from one square block of G over all the
@@ -86,13 +85,17 @@ def _segment(cards, offsets, attr: int) -> slice:
 class GeneratorModel:
     layers: list  # [(W, b), ...]; last layer's width == sum(cards)
     cards: tuple[int, ...]
-    seg_offsets: tuple[int, ...]  # per-attribute start column in the output
-    latent_dim: int
     Z: np.ndarray  # (batch_size, latent_dim), frozen
+    seg_offsets: tuple = field(init=False, repr=False, compare=False)  # attributes' first columns
     segments: tuple = field(init=False, repr=False, compare=False)  # segment_plan(cards)
 
     def __post_init__(self):
+        self.seg_offsets = tuple(itertools.accumulate(self.cards[:-1], initial=0))
         self.segments = segment_plan(self.cards)
+
+    @property
+    def latent_dim(self) -> int:
+        return self.Z.shape[1]
 
     @property
     def batch_size(self) -> int:
@@ -107,20 +110,14 @@ class GeneratorModel:
         return int(sum(self.cards))
 
     def copy(self) -> "GeneratorModel":
-        return GeneratorModel(
-            layers=[(W.copy(), b.copy()) for W, b in self.layers],
-            cards=self.cards,
-            seg_offsets=self.seg_offsets,
-            latent_dim=self.latent_dim,
-            Z=self.Z,
-        )
+        return GeneratorModel([(W.copy(), b.copy()) for W, b in self.layers], self.cards, self.Z)
 
     def segment(self, attr: int) -> slice:
         return _segment(self.cards, self.seg_offsets, attr)
 
 
 def init_generator(
-    domain: Domain, hidden: list[int], latent_dim: int, batch_size: int, seed: int,
+    cards: tuple[int, ...], hidden: list[int], latent_dim: int, batch_size: int, seed: int,
     dtype=np.float64,
 ) -> GeneratorModel:
     """He-style scaled-uniform init; Z drawn once from N(0, 1) and frozen.
@@ -135,7 +132,6 @@ def init_generator(
         raise ValueError("latent_dim must be >= 1")
     if min(hidden) < 1:
         raise ValueError("every hidden width must be >= 1")
-    cards = domain.cards
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     widths = [latent_dim] + list(hidden) + [int(sum(cards))]
     layers = []
@@ -145,8 +141,7 @@ def init_generator(
         layers.append((W, np.zeros(fan_out, dtype=dtype)))
     Z = rng.standard_normal((batch_size, latent_dim)).astype(dtype, copy=False)
     Z.flags.writeable = False
-    offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(cards)[:-1]]))
-    return GeneratorModel(layers=layers, cards=cards, seg_offsets=offsets, latent_dim=latent_dim, Z=Z)
+    return GeneratorModel(layers, tuple(cards), Z)
 
 
 class SegmentPart(NamedTuple):
@@ -643,7 +638,7 @@ def _model_arrays(model: GeneratorModel) -> list[np.ndarray]:
     return arrs
 
 
-def save_checkpoint(path, model: GeneratorModel, prev_model: GeneratorModel | None = None) -> None:
+def save_checkpoint(path, model: GeneratorModel, prev_model: GeneratorModel) -> None:
     """Binary checkpoint: magic, JSON header, then raw float64 arrays.
 
     `prev_model` (the state before the final selection round) shares Z and
@@ -657,14 +652,11 @@ def save_checkpoint(path, model: GeneratorModel, prev_model: GeneratorModel | No
         "latent_dim": model.latent_dim,
         "batch_size": model.batch_size,
         "layer_shapes": [[list(W.shape), list(b.shape)] for W, b in model.layers],
-        "has_prev": prev_model is not None,
+        "has_prev": True,
         "dtype": model.dtype.name,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    arrays = _model_arrays(model)
-    if prev_model is not None:
-        arrays += _model_arrays(prev_model)
-    arrays.append(np.asarray(model.Z))
+    arrays = _model_arrays(model) + _model_arrays(prev_model) + [np.asarray(model.Z)]
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(blob)))
@@ -675,9 +667,9 @@ def save_checkpoint(path, model: GeneratorModel, prev_model: GeneratorModel | No
 
 def _check_header(header: dict) -> None:
     """Raise CheckpointError unless the header describes a loadable model:
-    positive int sizes, a bool has_prev, an optional dtype of float32 or
-    float64, and [[fan_in, fan_out], [fan_out]] layer shapes chaining from
-    latent_dim to sum(cards)."""
+    positive int sizes, has_prev true, a dtype of float32 or float64, and
+    [[fan_in, fan_out], [fan_out]] layer shapes chaining from latent_dim to
+    sum(cards)."""
     def is_size(v):
         return isinstance(v, int) and not isinstance(v, bool) and v > 0
 
@@ -691,10 +683,10 @@ def _check_header(header: dict) -> None:
     if not is_sizes(header["cards"]) or not header["cards"]:
         raise CheckpointError(f"checkpoint header: cards must be a non-empty list of "
                               f"positive ints, got {header['cards']!r}")
-    if not isinstance(header["has_prev"], bool):
-        raise CheckpointError(f"checkpoint header: has_prev must be a bool, "
+    if header["has_prev"] is not True:
+        raise CheckpointError(f"checkpoint header: has_prev must be true, "
                               f"got {header['has_prev']!r}")
-    if header.get("dtype", "float64") not in _CHECKPOINT_DTYPES:
+    if header["dtype"] not in _CHECKPOINT_DTYPES:
         raise CheckpointError(f"checkpoint header: dtype must be one of "
                               f"{', '.join(_CHECKPOINT_DTYPES)}, got {header['dtype']!r}")
     shapes = header["layer_shapes"]
@@ -714,7 +706,7 @@ def _check_header(header: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (model, prev_model_or_None), in the dtype the header records.
+    """Returns (model, prev_model), in the dtype the header records.
 
     The header length and the array sizes the header implies are checked
     against the file's size before any read, so a corrupt size ends in a
@@ -740,9 +732,9 @@ def load_checkpoint(path):
         if missing:
             raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
         _check_header(header)
-        dtype = np.dtype(header.get("dtype", "float64"))
+        dtype = np.dtype(header["dtype"])
         shapes = [s for layer in header["layer_shapes"] for s in layer]
-        shapes = shapes * (1 + header["has_prev"]) + [[header["batch_size"], header["latent_dim"]]]
+        shapes = shapes * 2 + [[header["batch_size"], header["latent_dim"]]]
         need = 8 * sum(map(math.prod, shapes))
         if need != size - f.tell():
             raise CheckpointError(f"checkpoint size mismatch: its arrays need {need} bytes, "
@@ -760,16 +752,8 @@ def load_checkpoint(path):
                 layers.append((read_arr(w_shape), read_arr(b_shape)))
             return layers
 
-        layers = read_layers()
-        prev_layers = read_layers() if header["has_prev"] else None
+        layers, prev_layers = read_layers(), read_layers()
         Z = read_arr([header["batch_size"], header["latent_dim"]])
         Z.flags.writeable = False
     cards = tuple(header["cards"])
-    offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(cards)[:-1]]))
-    model = GeneratorModel(layers=layers, cards=cards, seg_offsets=offsets,
-                           latent_dim=header["latent_dim"], Z=Z)
-    prev = None
-    if prev_layers is not None:
-        prev = GeneratorModel(layers=prev_layers, cards=cards, seg_offsets=offsets,
-                              latent_dim=header["latent_dim"], Z=Z)
-    return model, prev
+    return GeneratorModel(layers, cards, Z), GeneratorModel(prev_layers, cards, Z)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Dataset, Domain
+from .domain import Dataset
 from .errors import InsufficientBudget
 from .generator import (
     GeneratorModel,
@@ -292,15 +292,14 @@ def candidate_scores(soft: SoftMarginals, index: CandidateIndex, rho_m: float) -
     return scores
 
 
-def warmup(ds: Dataset, domain: Domain, model: GeneratorModel, ctx: TrainContext,
-           acct: Accountant, rho_m: float, config: SynthConfig,
-           rng_measure) -> tuple[list[Measurement], float]:
+def warmup(ds: Dataset, model: GeneratorModel, ctx: TrainContext, acct: Accountant,
+           rho_m: float, config: SynthConfig, rng_measure) -> tuple[list[Measurement], float]:
     """Measure every one-way marginal, estimate the record count, fit the model.
 
     Returns (measurements, n_estimate). Charges d * rho_m to the accountant;
     raises InsufficientBudget up front if that does not fit.
     """
-    d = domain.d
+    d = ds.d
     if d * rho_m > acct.remaining:
         raise InsufficientBudget(
             f"warm-up needs {d * rho_m:.6g} but only {acct.remaining:.6g} remains"
@@ -326,18 +325,17 @@ class SynthResult:
     model: GeneratorModel
     prev_model: GeneratorModel
     accountant: Accountant
-    n_estimate: float
     wall_clock_seconds: float
     decode_seed: int
 
 
-def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult:
+def run_margnet(ds: Dataset, config: SynthConfig) -> SynthResult:
     """Full pipeline: split, warm-up, select-measure-train rounds, closing
     pass, sample. `prev_model` is the model before the final round, which the
     unselected-marginal diagnostics need; a table with no two-way candidate
     runs no round, and its `prev_model` is the warm-up model."""
     t0 = time.perf_counter()
-    d = domain.d
+    d = ds.d
     c = config.resolved_c(d)
     rho = config.rho_total
     rho_s, rho_m = split_budget(rho, c)
@@ -353,7 +351,7 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
     sample_seed, decode_seed = int(tail[0]), int(tail[1])
 
     acct = Accountant(rho_budget=rho)
-    model = init_generator(domain, list(config.hidden), config.latent_dim,
+    model = init_generator(ds.cards, list(config.hidden), config.latent_dim,
                            config.batch_size, rng_init_seed, dtype=TRAIN_DTYPE)
     trace = SelectionTrace(rho_budget=rho, config=config.to_json_dict(d))
 
@@ -361,7 +359,7 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
     # draw; the weights leave it once sampling ends, so it is freed before
     # decoding
     ctx = TrainContext(model)
-    measurements, n_estimate = warmup(ds, domain, model, ctx, acct, rho_m, config, rng_measure)
+    measurements, n_estimate = warmup(ds, model, ctx, acct, rho_m, config, rng_measure)
     trace.warmup = list(measurements)
     trace.n_estimate = n_estimate
 
@@ -370,7 +368,7 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
     fixed = config.fixed_rounds is not None
     if fixed:
         rho_s, rho_m = split_budget(rounds_budget * (1.0 - _BUDGET_SLACK), config.fixed_rounds)
-    candidates = selection_candidates(domain.cards)
+    candidates = selection_candidates(ds.cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
     index = candidate_index(model, candidates, exact)
     spent = 0.0
@@ -426,6 +424,5 @@ def run_margnet(ds: Dataset, domain: Domain, config: SynthConfig) -> SynthResult
     trace.ledger = list(acct.ledger)
     return SynthResult(
         synth=synth, trace=trace, model=model, prev_model=prev_model,
-        accountant=acct, n_estimate=n_estimate,
-        wall_clock_seconds=time.perf_counter() - t0, decode_seed=decode_seed,
+        accountant=acct, wall_clock_seconds=time.perf_counter() - t0, decode_seed=decode_seed,
     )

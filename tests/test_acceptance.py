@@ -55,7 +55,7 @@ def test_criterion_1_privacy_filter_exactness():
         ds = random_dataset(cards, 2000, seed=int(rng.integers(1 << 30)))
         eps = float(rng.choice([0.2, 1.0, 10.0]))
         cfg = tiny_cfg(RHO[eps], d, seed=int(rng.integers(1 << 30)))
-        res = run_margnet(ds, categorical_domain(cards), cfg)
+        res = run_margnet(ds, cfg)
         total = math.fsum(rho for _, rho in res.accountant.ledger)
         assert total <= res.accountant.rho_budget
         assert res.accountant.rho_used <= res.accountant.rho_budget
@@ -94,7 +94,7 @@ def test_criterion_2_gradient_correctness():
         d = int(rng.integers(2, 4))
         cards = tuple(int(rng.integers(2, 5)) for _ in range(d))
         dom = categorical_domain(cards)
-        model = init_generator(dom, [int(rng.integers(4, 10))], int(rng.integers(2, 6)),
+        model = init_generator(dom.cards, [int(rng.integers(4, 10))], int(rng.integers(2, 6)),
                                int(rng.integers(1, 6)), seed=i)
         specs = [(a,) for a in range(d)] + list(itertools.combinations(range(d), 2))
         targets = []
@@ -221,7 +221,7 @@ def test_criterion_6_selected_lower_bound_deterministic(monkeypatch):
     gaps = []
     for b in (1, 2, 4):
         cfg = tiny_cfg(0.5, 3, batch_size=b, train_iters=40, seed=b)
-        res = run_margnet(ds, dom, cfg)
+        res = run_margnet(ds, cfg)
         seen = []
         for r in res.trace.rounds:
             if r.attrs not in seen:
@@ -230,7 +230,7 @@ def test_criterion_6_selected_lower_bound_deterministic(monkeypatch):
         exact = [compute_marginal(ds, marginal_spec(ds, a)) for a in seen]
         probs = forward(res.model)
         observed = sum(
-            frobenius_sq(soft_marginal(res.model, probs, m.spec, res.n_estimate), m) for m in exact
+            frobenius_sq(soft_marginal(res.model, probs, m.spec, res.trace.n_estimate), m) for m in exact
         )
         bound = selected_lower_bound(exact, b)
         assert observed >= bound, f"b={b}: observed {observed} < bound {bound}"
@@ -246,7 +246,7 @@ def test_criterion_7a_selected_upper_bound_coverage():
     cards = (3, 4, 3)
     dom = categorical_domain(cards)
     ds = random_dataset(cards, 500, seed=77)
-    model = init_generator(dom, [16], 8, 8, seed=5)
+    model = init_generator(dom.cards, [16], 8, 8, seed=5)
     specs = [marginal_spec(ds, p) for p in [(0, 1), (0, 2), (1, 2)]]
     exact = {s.attrs: compute_marginal(ds, s) for s in specs}
     rho_ms = {(0, 1): [0.3], (0, 2): [0.2, 0.6], (1, 2): [0.4]}  # (0,2) measured twice
@@ -279,11 +279,11 @@ def test_criterion_7b_unselected_bound_coverage():
         # c close to d leaves only 1-2 selection rounds, so most runs have
         # genuinely unmeasured pairs for the bound to cover
         cfg = tiny_cfg(0.02, 3, c=4.0, train_iters=12, seed=5000 + t)
-        res = run_margnet(ds, dom, cfg)
+        res = run_margnet(ds, cfg)
         if not res.trace.rounds:
             continue
         rep = unselected_bound(res.trace, res.model, res.prev_model, ds,
-                               scale=res.n_estimate, delta=delta)
+                               scale=res.trace.n_estimate, delta=delta)
         if not rep.entries:
             continue
         unselected_total += len(rep.entries)
@@ -305,11 +305,11 @@ def test_unselected_bound_coverage_mixed_cardinalities():
     trials, violations, entries = 200, 0, 0
     for t in range(trials):
         cfg = tiny_cfg(0.02, 3, c=4.0, train_iters=12, seed=5000 + t)
-        res = run_margnet(ds, dom, cfg)
+        res = run_margnet(ds, cfg)
         if not res.trace.rounds:
             continue
         rep = unselected_bound(res.trace, res.model, res.prev_model, ds,
-                               scale=res.n_estimate, delta=delta)
+                               scale=res.trace.n_estimate, delta=delta)
         entries += len(rep.entries)
         violations += sum(e.observed > e.bound for e in rep.entries)
     # each entry fails with probability at most delta: its binomial mean + 3 sd
@@ -343,7 +343,7 @@ def mean_fidelity(eps, seeds, **kw):
     real, dom = gauss5()
     vals = []
     for seed in seeds:
-        res = run_margnet(real, dom, trend_cfg(eps, seed, **kw))
+        res = run_margnet(real, trend_cfg(eps, seed, **kw))
         vals.append(fidelity_error(real, res.synth))
     return float(np.mean(vals))
 

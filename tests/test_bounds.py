@@ -181,7 +181,7 @@ def test_combine_repeated_measurements():
 
 def test_upper_bound_structure_and_delta_check():
     dom = categorical_domain([2, 2])
-    model = init_generator(dom, [8], 4, 4, seed=0)
+    model = init_generator(dom.cards, [8], 4, 4, seed=0)
     ms = [mk_measurement(dom.cards, (0, 1), [5, 5, 5, 5], rho_m=0.5)]
     rep = selected_upper_bound(ms, model, scale=20.0, delta=0.05, exact=zero_exact(ms))
     assert len(rep.entries) == 1
@@ -201,7 +201,7 @@ def test_upper_bound_computes_each_quantile_once(monkeypatch):
 
     monkeypatch.setattr(margnet.bounds, "chi2_inverse_cdf", counting)
     dom = categorical_domain([2, 2, 3])
-    model = init_generator(dom, [8], 4, 4, seed=0)
+    model = init_generator(dom.cards, [8], 4, 4, seed=0)
     # specs (0,1) and (0,2)/(1,2) have 4 and 6 cells; (0,1) is measured twice
     ms = [mk_measurement(dom.cards, (0, 1), [5, 5, 5, 5], rho_m=0.5),
           mk_measurement(dom.cards, (0, 2), [3] * 6, rho_m=0.5),
@@ -216,7 +216,7 @@ def test_upper_bound_small_monte_carlo():
     # the acceptance suite
     rng = np.random.default_rng(10)
     dom = categorical_domain([2, 3])
-    model = init_generator(dom, [8], 4, 4, seed=1)
+    model = init_generator(dom.cards, [8], 4, 4, seed=1)
     ds_rows = rng.integers(0, [2, 3], size=(200, 2))
     ds = Dataset(rows=ds_rows, cards=dom.cards)
     spec = marginal_spec(ds, (0, 1))
@@ -242,7 +242,7 @@ def uniform_setup(card=3, copies=4):
     tuples = np.array(list(itertools.product(range(card), repeat=3)))
     rows = np.repeat(tuples, copies, axis=0)
     ds = Dataset(rows=rows, cards=dom.cards)
-    model = init_generator(dom, [8], 4, 4, seed=3)
+    model = init_generator(dom.cards, [8], 4, 4, seed=3)
     W, b = model.layers[-1]
     model.layers[-1] = (np.zeros_like(W), np.zeros_like(b))
     return dom, ds, model
@@ -291,8 +291,8 @@ def test_bounds_read_from_gram_match_per_spec_marginals():
     # model; recompute every entry from per-spec soft marginals
     dom = categorical_domain([3, 1, 4, 2])
     ds = random_dataset(dom.cards, 300, seed=21)
-    model = init_generator(dom, [10], 4, 9, seed=5)
-    prev = init_generator(dom, [10], 4, 9, seed=6)
+    model = init_generator(dom.cards, [10], 4, 9, seed=5)
+    prev = init_generator(dom.cards, [10], 4, 9, seed=6)
     scale, delta = 300.0, 0.1
     trace = mk_trace(ds.cards, (0, 2), rho_s=0.02, rho_m=0.18)
     rep = unselected_bound(trace, model, prev, ds, scale=scale, delta=delta)

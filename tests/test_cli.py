@@ -245,6 +245,19 @@ def test_synth_undeclared_category_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_repeated_domain_column_exits_2(gauss_files, tmp_path, capsys):
+    csv, domain = gauss_files
+    bad = tmp_path / "bad.csv"
+    lines = open(csv).read().splitlines()
+    bad.write_text("\n".join(line + "," + line.split(",")[0] for line in lines) + "\n")
+    out = tmp_path / "x.csv"
+    assert run_cli("synth", "--data", str(bad), "--domain", domain, "--epsilon", "1.0",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: column 'x0' appears more than once in the CSV header"]
+    assert sorted(os.listdir(tmp_path)) == ["bad.csv"]
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_non_finite_cell_exits_2(gauss_files, tmp_path, capsys, cell):
     csv, domain = gauss_files
@@ -419,14 +432,16 @@ def test_check_rejects_any_bad_trace_field(gauss_files, finished_run, tmp_path, 
     (lambda h: {**h, "batch_size": "x"}, "batch_size must be a positive int"),
     (lambda h: {**h, "latent_dim": -3}, "latent_dim must be a positive int"),
     (lambda h: {**h, "cards": [3.5]}, "cards must be a non-empty list of positive ints"),
-    (lambda h: {**h, "has_prev": 1}, "has_prev must be a bool"),
+    (lambda h: {**h, "has_prev": 1}, "has_prev must be true"),
+    (lambda h: {**h, "has_prev": False}, "has_prev must be true"),
     (lambda h: {**h, "layer_shapes": 7}, "layer_shapes must be a non-empty list"),
     (lambda h: {**h, "layer_shapes": h["layer_shapes"][:1]}, "!= sum(cards)"),
     (lambda h: {**h, "layer_shapes": [[[1, 2], [2]]] + h["layer_shapes"][1:]}, "is not [["),
     (lambda h: {**h, "dtype": "float16"}, "dtype must be one of float32, float64"),
+    (lambda h: {k: v for k, v in h.items() if k != "dtype"}, "checkpoint header lacks dtype"),
 ], ids=["missing-key", "not-an-object", "batch-size-str", "latent-dim-negative",
-        "cards-float", "has-prev-int", "layer-shapes-int", "layer-chain-short",
-        "layer-chain-break", "dtype-float16"])
+        "cards-float", "has-prev-int", "has-prev-false", "layer-shapes-int", "layer-chain-short",
+        "layer-chain-break", "dtype-float16", "dtype-missing"])
 def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tmp_path,
                                                    capsys, mangle, message):
     csv, domain = gauss_files
@@ -436,12 +451,14 @@ def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tm
     blob = json.dumps(mangle(json.loads(data[16:16 + hlen]))).encode()
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen:])
+    report = tmp_path / "bounds.json"
     assert run_cli("check", "--trace", trace_path, "--checkpoint", str(bad),
-                   "--data", csv, "--domain", domain) == 1
+                   "--data", csv, "--domain", domain, "--out", str(report)) == 1
     err = capsys.readouterr().err
     assert message in err
     assert len(err.strip().splitlines()) == 1
     assert "malformed domain file" not in err
+    assert not report.exists()
 
 
 def test_check_non_finite_checkpoint_weight_exits_1(gauss_files, finished_run, tmp_path,

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from margnet.domain import (
@@ -94,6 +94,11 @@ def missing_column(name):
     return f"required column {name!r} not found in CSV header"
 
 
+def repeated_column(name):
+    """The text of load_csv's error for a domain column its header names twice."""
+    return f"column {name!r} appears more than once in the CSV header"
+
+
 def parse_error(row, column, value):
     """The text of load_csv's error for a cell it cannot read."""
     return f"cannot parse {value!r} as a finite number (row {row}, column {column!r})"
@@ -116,6 +121,8 @@ def reference_load_csv(path, domain, to_float=float):
         for meta in domain.attributes:
             if meta.name not in header:
                 raise ValueError(missing_column(meta.name))
+            if header.count(meta.name) > 1:
+                raise ValueError(repeated_column(meta.name))
             col_idx[meta.name] = header.index(meta.name)
 
         columns = [[] for _ in domain.attributes]
@@ -185,9 +192,11 @@ CSV_DOMAIN = Domain([
 
 @st.composite
 def csv_files(draw):
-    """CSV text over CSV_DOMAIN's columns (plus an extra one, in any order)
-    with the dialect's edge cases: quoting, blank lines, short and long rows."""
-    header = draw(st.permutations(["x", "c", "y", "extra"]))
+    """CSV text over CSV_DOMAIN's columns (plus an extra one, in any order,
+    any of them maybe repeated) with the dialect's edge cases: quoting, blank
+    lines, short and long rows."""
+    names = ["x", "c", "y", "extra"]
+    header = draw(st.permutations(names + draw(st.lists(st.sampled_from(names), max_size=2))))
     kinds = {"x": NUMERIC_CELLS, "y": NUMERIC_CELLS, "c": CATEGORICAL_CELLS,
              "extra": CATEGORICAL_CELLS}
     lines = [",".join(header)]
@@ -208,6 +217,8 @@ def csv_files(draw):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=csv_files())
+@example(text="x,c,y,x\n1.0,a,0.5,5.0\n")
+@example(text="x,c,extra,y,extra\n1.0,a,u,0.5,v\n")
 def test_load_csv_matches_cell_by_cell_oracle(tmp_path, text):
     p = tmp_path / "t.csv"
     p.write_bytes(text.encode("utf-8"))
@@ -502,7 +513,7 @@ def test_write_csv_numpy_and_python_floats_match_oracle(tmp_path):
 
 def test_auto_numeric_domain_pads():
     table = RawTable(header=["x"], columns=[[0.0, 10.0]])
-    dom = auto_numeric_domain(table, bins=10, pad=0.01)
+    dom = auto_numeric_domain(table, bins=10)
     assert dom.attributes[0].bin_edges[0] == pytest.approx(-0.1)
     assert dom.attributes[0].bin_edges[-1] == pytest.approx(10.1)
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from margnet import generator
-from margnet.domain import AttributeMeta, Domain
 from margnet.errors import CheckpointError
 from margnet.generator import (
     TrainContext,
@@ -28,7 +27,7 @@ from margnet.generator import (
 from margnet.marginals import Marginal, compute_marginal, marginal_spec
 from margnet.synthesis import Measurement, train
 
-from conftest import categorical_domain, loss_and_grad_on_copy
+from conftest import loss_and_grad_on_copy
 
 
 # DENSE_SLACK settings that force each layout of G: one square block, or one
@@ -42,7 +41,7 @@ def layout_slack(request, monkeypatch):
 
 
 def tiny_model(cards=(2, 3), hidden=(8,), latent=3, batch=4, seed=7, dtype=np.float64):
-    return init_generator(categorical_domain(cards), list(hidden), latent, batch, seed, dtype)
+    return init_generator(cards, list(hidden), latent, batch, seed, dtype)
 
 
 def make_targets(cards, specs, counts_list, weight=1.0):
@@ -742,6 +741,17 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(Wa, Wb)
         assert np.array_equal(ba, bb)
     assert np.array_equal(back.Z, m.Z)
+    for got in (back, back_prev):
+        assert got.seg_offsets == m.seg_offsets == (0, 2)
+        assert got.latent_dim == m.latent_dim
+
+
+@pytest.mark.parametrize("cards", [(7,), (1, 3, 1, 1, 4), (1,)])
+def test_seg_offsets_are_the_cumulative_cards(cards):
+    m = tiny_model(cards=cards, seed=24)
+    assert m.seg_offsets == tuple(int(o) for o in np.concatenate([[0], np.cumsum(cards)[:-1]]))
+    assert all(type(o) is int for o in m.seg_offsets)
+    assert m.latent_dim == m.Z.shape[1] and m.copy().seg_offsets == m.seg_offsets
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -754,7 +764,7 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_truncated(tmp_path):
     m = tiny_model(seed=16)
     p = tmp_path / "trunc.ckpt"
-    save_checkpoint(p, m)
+    save_checkpoint(p, m, m)
     data = p.read_bytes()
     for cut in (10, 40, len(data) - 8):
         p.write_bytes(data[:cut])
@@ -780,7 +790,8 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, where, value):
 def test_checkpoint_rejects_float32_overflow(tmp_path):
     # a finite float64 beyond float32's range would load as inf
     p = tmp_path / "model.ckpt"
-    save_checkpoint(p, tiny_model(seed=23, dtype=np.float32))
+    m = tiny_model(seed=23, dtype=np.float32)
+    save_checkpoint(p, m, m)
     data = bytearray(p.read_bytes())
     (hlen,) = struct.unpack("<Q", data[8:16])
     data[16 + hlen:24 + hlen] = struct.pack("<d", 1e300)
@@ -812,21 +823,20 @@ def test_checkpoint_round_trip_float32(tmp_path):
     assert forward(back).tobytes() == forward(m).tobytes()
 
 
-def test_checkpoint_without_dtype_loads_float64(tmp_path):
+def test_checkpoint_without_dtype_is_rejected(tmp_path):
     m = tiny_model(seed=19, dtype=np.float32)
     p = tmp_path / "model.ckpt"
-    save_checkpoint(p, m)
+    save_checkpoint(p, m, m)
     _rewrite_header(p, lambda h: {k: v for k, v in h.items() if k != "dtype"})
-    back, _ = load_checkpoint(p)
-    assert back.dtype == np.float64
-    assert all(W.dtype == b.dtype == np.float64 for W, b in back.layers)
-    assert np.array_equal(back.Z, m.Z)
+    with pytest.raises(CheckpointError, match="checkpoint header lacks dtype"):
+        load_checkpoint(p)
 
 
 @pytest.mark.parametrize("dtype", ["float16", "int64", 32, None])
 def test_checkpoint_rejects_unknown_dtype(tmp_path, dtype):
     p = tmp_path / "model.ckpt"
-    save_checkpoint(p, tiny_model(seed=20))
+    m = tiny_model(seed=20)
+    save_checkpoint(p, m, m)
     _rewrite_header(p, lambda h: {**h, "dtype": dtype})
     with pytest.raises(CheckpointError, match="dtype must be one of float32, float64"):
         load_checkpoint(p)
@@ -854,7 +864,7 @@ def as_float64(model):
     Z.flags.writeable = False
     return generator.GeneratorModel(
         layers=[(W.astype(np.float64), b.astype(np.float64)) for W, b in model.layers],
-        cards=model.cards, seg_offsets=model.seg_offsets, latent_dim=model.latent_dim, Z=Z)
+        cards=model.cards, Z=Z)
 
 
 def test_init_float32_is_the_float64_draw_rounded():

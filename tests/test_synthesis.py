@@ -119,9 +119,9 @@ def test_warmup_charges_d_rho_m():
     ds = random_dataset(dom.cards, 200, seed=3)
     acct = Accountant(rho_budget=1.0)
     cfg = tiny_config(train_iters=2)
-    model = init_generator(dom, [8], 4, 8, seed=0)
+    model = init_generator(dom.cards, [8], 4, 8, seed=0)
     rng = np.random.default_rng(0)
-    warmup(ds, dom, model, TrainContext(model), acct, 0.01, cfg, rng)
+    warmup(ds, model, TrainContext(model), acct, 0.01, cfg, rng)
     assert acct.rho_used == pytest.approx(0.03)
     assert [lab for lab, _ in acct.ledger] == [f"warmup:one-way:{i}" for i in range(3)]
 
@@ -130,10 +130,10 @@ def test_warmup_insufficient_budget_before_noise():
     dom = categorical_domain([2, 3, 2])
     ds = random_dataset(dom.cards, 200, seed=3)
     acct = Accountant(rho_budget=0.02)
-    model = init_generator(dom, [8], 4, 8, seed=0)
+    model = init_generator(dom.cards, [8], 4, 8, seed=0)
     rng = np.random.default_rng(0)
     with pytest.raises(InsufficientBudget):
-        warmup(ds, dom, model, TrainContext(model), acct, 0.01, tiny_config(), rng)
+        warmup(ds, model, TrainContext(model), acct, 0.01, tiny_config(), rng)
     assert acct.rho_used == 0.0
     assert acct.ledger == []
 
@@ -152,9 +152,9 @@ def test_warmup_noise_free_training_converges(noise_free):
     ds = Dataset(rows=rows, cards=dom.cards)
     acct = Accountant(rho_budget=1.0)
     cfg = tiny_config(train_iters=300, lr=1e-2)
-    model = init_generator(dom, [16], 8, 32, seed=1)
+    model = init_generator(dom.cards, [16], 8, 32, seed=1)
     rng_m = np.random.default_rng(1)
-    _, n_est = warmup(ds, dom, model, TrainContext(model), acct, 0.01, cfg, rng_m)
+    _, n_est = warmup(ds, model, TrainContext(model), acct, 0.01, cfg, rng_m)
     assert n_est == 400.0  # noise-free sums are exact
     probs = forward(model)
     for a in range(2):
@@ -181,7 +181,7 @@ def per_spec_scores(model, scale, exact, candidates, rho_m):
 def test_candidate_scores_perfect_fit():
     dom = categorical_domain([2, 2])
     ds = random_dataset(dom.cards, 100, seed=5)
-    model = init_generator(dom, [8], 4, 8, seed=2)
+    model = init_generator(dom.cards, [8], 4, 8, seed=2)
     spec = marginal_spec(ds, (0, 1))
     # make the "exact" marginal equal the model's soft marginal
     soft = soft_marginal(model, forward(model), spec, 100.0)
@@ -193,7 +193,7 @@ def test_candidate_scores_perfect_fit():
 def test_candidate_scores_arithmetic():
     dom = categorical_domain([2, 2])
     ds = random_dataset(dom.cards, 50, seed=6)
-    model = init_generator(dom, [8], 4, 8, seed=3)
+    model = init_generator(dom.cards, [8], 4, 8, seed=3)
     spec = marginal_spec(ds, (0, 1))
     exact = {spec.attrs: compute_marginal(ds, spec)}
     rho_m = 1.0 / math.pi  # noise term becomes exactly n_i
@@ -206,7 +206,7 @@ def test_candidate_scores_match_per_spec_soft_marginals():
     # scores read from the Gram blocks equal per-spec soft marginals + L1
     dom = categorical_domain([3, 1, 4, 2, 5])
     ds = random_dataset(dom.cards, 400, seed=12)
-    model = init_generator(dom, [12], 5, 11, seed=4)
+    model = init_generator(dom.cards, [12], 5, 11, seed=4)
     candidates = selection_candidates(dom.cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
     rho_m, scale = 0.07, 400.0
@@ -228,7 +228,7 @@ def test_candidate_scores_equal_per_spec_l1_to_the_bit(monkeypatch, dense_slack,
         monkeypatch.setattr(generator, "DENSE_SLACK", dense_slack)
     dom = categorical_domain([3, 1, 4, 2, 5, 3, 20, 13])
     ds = random_dataset(dom.cards, 500, seed=13)
-    model = init_generator(dom, [16], 5, 13, seed=5, dtype=dtype)
+    model = init_generator(dom.cards, [16], 5, 13, seed=5, dtype=dtype)
     candidates = selection_candidates(dom.cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
     index = candidate_index(model, candidates, exact)
@@ -242,7 +242,7 @@ def test_candidate_scores_on_a_sparse_layout():
     # a few pairs over many attributes are past DENSE_SLACK by themselves
     dom = categorical_domain([4, 3, 5, 2, 6, 3, 4, 5, 2, 3])
     ds = random_dataset(dom.cards, 300, seed=14)
-    model = init_generator(dom, [16], 5, 9, seed=6, dtype=np.float32)
+    model = init_generator(dom.cards, [16], 5, 9, seed=6, dtype=np.float32)
     candidates = [marginal_spec(dom.cards, p) for p in [(0, 7), (0, 9), (2, 5), (3, 8), (6, 9)]]
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
     index = candidate_index(model, candidates, exact)
@@ -253,7 +253,7 @@ def test_candidate_scores_on_a_sparse_layout():
 
 def test_candidate_scores_need_the_index_layout():
     dom = categorical_domain([2, 3, 2])
-    model = init_generator(dom, [8], 4, 8, seed=7)
+    model = init_generator(dom.cards, [8], 4, 8, seed=7)
     candidates = selection_candidates(dom.cards)
     ds = random_dataset(dom.cards, 50, seed=15)
     index = candidate_index(model, candidates, {s.attrs: compute_marginal(ds, s) for s in candidates})
@@ -266,7 +266,7 @@ def test_candidate_scores_need_the_index_layout():
 def test_run_filter_and_structure():
     dom = categorical_domain([3, 2, 4])
     ds = random_dataset(dom.cards, 800, seed=9)
-    res = run_margnet(ds, dom, tiny_config(seed=5))
+    res = run_margnet(ds, tiny_config(seed=5))
     acct = res.accountant
     assert math.fsum(r for _, r in acct.ledger) <= acct.rho_budget
     assert acct.rho_used <= acct.rho_budget
@@ -279,7 +279,7 @@ def test_run_filter_and_structure():
 def test_ledger_decomposition_exact():
     dom = categorical_domain([3, 3, 3])
     ds = random_dataset(dom.cards, 500, seed=10)
-    res = run_margnet(ds, dom, tiny_config(seed=6))
+    res = run_margnet(ds, tiny_config(seed=6))
     ledger = res.accountant.ledger
     d = dom.d
     warm = [rho for lab, rho in ledger if lab.startswith("warmup")]
@@ -305,7 +305,7 @@ def test_doubling_at_most_once_per_spec():
     dom = categorical_domain([2, 2, 2, 2])
     ds = random_dataset(dom.cards, 300, seed=11)
     for seed in range(5):
-        res = run_margnet(ds, dom, tiny_config(seed=seed, rho_total=0.02, c=10.0))
+        res = run_margnet(ds, tiny_config(seed=seed, rho_total=0.02, c=10.0))
         doubled_specs = [r.attrs for r in res.trace.rounds if r.doubled]
         assert len(doubled_specs) == len(set(doubled_specs))
         first_seen = set()
@@ -319,7 +319,7 @@ def test_rho_m_nondecreasing_until_last():
     dom = categorical_domain([3, 3, 3])
     ds = random_dataset(dom.cards, 600, seed=12)
     for seed in range(5):
-        res = run_margnet(ds, dom, tiny_config(seed=seed))
+        res = run_margnet(ds, tiny_config(seed=seed))
         rho_ms = [r.rho_m for r in res.trace.rounds]
         for a, b in zip(rho_ms[:-2], rho_ms[1:-1]):
             assert b >= a - 1e-15
@@ -331,7 +331,7 @@ def test_generous_budget_measures_all_pairs():
     ok = 0
     for seed in range(10):
         ds = random_dataset(dom.cards, 1000, seed=100 + seed)
-        res = run_margnet(ds, dom, tiny_config(seed=seed, rho_total=5.0, c=12.0, train_iters=8))
+        res = run_margnet(ds, tiny_config(seed=seed, rho_total=5.0, c=12.0, train_iters=8))
         seen = {r.attrs for r in res.trace.rounds}
         if seen == {(0, 1), (0, 2), (1, 2)}:
             ok += 1
@@ -342,8 +342,8 @@ def test_trace_replay_byte_identical():
     dom = categorical_domain([3, 2, 3])
     ds = random_dataset(dom.cards, 400, seed=13)
     cfg = tiny_config(seed=21)
-    a = run_margnet(ds, dom, cfg)
-    b = run_margnet(ds, dom, cfg)
+    a = run_margnet(ds, cfg)
+    b = run_margnet(ds, cfg)
     assert json.dumps(a.trace.to_json_dict()) == json.dumps(b.trace.to_json_dict())
     assert np.array_equal(a.synth.rows, b.synth.rows)
 
@@ -351,7 +351,7 @@ def test_trace_replay_byte_identical():
 def test_run_trains_in_float32_and_measures_in_float64():
     dom = categorical_domain([3, 2, 3])
     ds = random_dataset(dom.cards, 400, seed=13)
-    res = run_margnet(ds, dom, tiny_config(seed=23))
+    res = run_margnet(ds, tiny_config(seed=23))
     assert res.trace.to_json_dict()["config"]["dtype"] == "float32"
     for model in (res.model, res.prev_model):
         assert model.dtype == np.float32
@@ -385,7 +385,7 @@ def test_run_runs_one_forward_per_weight_state(monkeypatch, fixed_rounds):
     dom = categorical_domain([2, 3, 2])
     ds = random_dataset(dom.cards, 300, seed=4)
     iters = 3
-    res = run_margnet(ds, dom, tiny_config(train_iters=iters, fixed_rounds=fixed_rounds))
+    res = run_margnet(ds, tiny_config(train_iters=iters, fixed_rounds=fixed_rounds))
     rounds = len(res.trace.rounds)
     assert rounds >= 1
     assert len(calls) == 1 + iters * (rounds + 2)
@@ -398,7 +398,7 @@ def test_one_attribute_run_has_no_round_and_no_closing_pass(monkeypatch):
     dom = categorical_domain([4])
     ds = random_dataset(dom.cards, 200, seed=5)
     iters = 3
-    res = run_margnet(ds, dom, tiny_config(train_iters=iters))
+    res = run_margnet(ds, tiny_config(train_iters=iters))
     assert len(calls) == 1 + iters
     assert res.trace.rounds == []
     assert [label for label, _ in res.accountant.ledger] == ["warmup:one-way:0"]
@@ -409,7 +409,7 @@ def test_one_attribute_run_has_no_round_and_no_closing_pass(monkeypatch):
 def test_trace_json_round_trip():
     dom = categorical_domain([3, 2, 3])
     ds = random_dataset(dom.cards, 400, seed=13)
-    res = run_margnet(ds, dom, tiny_config(seed=22))
+    res = run_margnet(ds, tiny_config(seed=22))
     obj = json.loads(json.dumps(res.trace.to_json_dict()))
     back = trace_from_json_dict(obj, dom.cards)
     assert back.n_estimate == res.trace.n_estimate
@@ -425,7 +425,7 @@ def test_trace_reader_inverts_writer(cards, fixed_rounds):
     # one module owns the schema both ways: every written fact reads back
     dom = categorical_domain(cards)
     ds = random_dataset(dom.cards, 400, seed=13)
-    res = run_margnet(ds, dom, tiny_config(seed=22, fixed_rounds=fixed_rounds))
+    res = run_margnet(ds, tiny_config(seed=22, fixed_rounds=fixed_rounds))
     obj = json.loads(json.dumps(res.trace.to_json_dict()))
     assert bool(obj["rounds"]) == (len(cards) > 1)
     assert fixed_rounds is None or len(obj["rounds"]) == fixed_rounds
@@ -435,7 +435,7 @@ def test_trace_reader_inverts_writer(cards, fixed_rounds):
 def test_round_record_holds_its_measurement_once():
     dom = categorical_domain([3, 2, 3])
     ds = random_dataset(dom.cards, 400, seed=13)
-    res = run_margnet(ds, dom, tiny_config(seed=22))
+    res = run_margnet(ds, tiny_config(seed=22))
     for k, (rec, entry) in enumerate(zip(res.trace.rounds, res.trace.to_json_dict()["rounds"]), 1):
         assert rec.measurement.round == entry["round"] == k
         assert list(entry) == ["round", "attrs", "rho_s", "score", "rho_m", "sigma", "counts",
@@ -450,11 +450,11 @@ def test_em_scores_use_pre_round_model():
     dom = categorical_domain([3, 3, 3])
     ds = random_dataset(dom.cards, 600, seed=14)
     cfg = tiny_config(seed=30, rho_total=0.06, c=9.0)
-    res = run_margnet(ds, dom, cfg)
+    res = run_margnet(ds, cfg)
     assert len(res.trace.rounds) >= 1
     final = res.trace.rounds[-1]
     spec = marginal_spec(ds, final.attrs)
-    est = soft_marginal(res.prev_model, forward(res.prev_model), spec, res.n_estimate)
+    est = soft_marginal(res.prev_model, forward(res.prev_model), spec, res.trace.n_estimate)
     gap = l1_distance(est, compute_marginal(ds, spec))
     recomputed = gap - spec.n_cells / math.sqrt(math.pi * final.rho_m)
     assert recomputed == pytest.approx(final.score, rel=1e-12)
@@ -465,7 +465,7 @@ def test_em_scores_use_pre_round_model():
 def test_fixed_round_k1():
     dom = categorical_domain([2, 3, 2])
     ds = random_dataset(dom.cards, 300, seed=15)
-    res = run_margnet(ds, dom, tiny_config(seed=7, fixed_rounds=1))
+    res = run_margnet(ds, tiny_config(seed=7, fixed_rounds=1))
     assert len(res.trace.rounds) == 1
 
 
@@ -474,7 +474,7 @@ def test_fixed_round_budget_arithmetic():
     ds = random_dataset(dom.cards, 300, seed=16)
     cfg = tiny_config(seed=8, rho_total=0.04, c=6.0)
     k = 5
-    res = run_margnet(ds, dom, replace(cfg, fixed_rounds=k))
+    res = run_margnet(ds, replace(cfg, fixed_rounds=k))
     assert len(res.trace.rounds) == k
     d = dom.d
     _, rho_m_warm = split_budget(cfg.rho_total, 6.0)
@@ -489,8 +489,8 @@ def test_fixed_round_deterministic():
     ds = random_dataset(dom.cards, 300, seed=17)
     cfg = tiny_config(seed=9)
     cfg = replace(cfg, fixed_rounds=3)
-    a = run_margnet(ds, dom, cfg)
-    b = run_margnet(ds, dom, cfg)
+    a = run_margnet(ds, cfg)
+    b = run_margnet(ds, cfg)
     assert json.dumps(a.trace.to_json_dict()) == json.dumps(b.trace.to_json_dict())
 
 
@@ -499,7 +499,7 @@ def test_multiset_reselection_allowed():
     dom = categorical_domain([2, 2])
     ds = random_dataset(dom.cards, 500, seed=18)
     cfg = tiny_config(seed=10, rho_total=0.1, c=4.0, fixed_rounds=6)
-    res = run_margnet(ds, dom, cfg)
+    res = run_margnet(ds, cfg)
     assert len(res.trace.rounds) == 6  # single candidate selected 6 times
     assert all(r.measurement.spec.attrs == (0, 1) for r in res.trace.rounds)
     assert len({id(r.measurement) for r in res.trace.rounds}) == 6
