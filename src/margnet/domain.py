@@ -2,9 +2,10 @@
 
 A Domain is an ordered list of attributes, each either categorical (a fixed
 label list) or numeric (equal-width bins over a declared [min, max] range).
-Encoded datasets are integer matrices whose column i takes values in
-[0, cardinality_i). Attribute order is fixed by the domain and determines how
-marginals are flattened everywhere else in the package.
+Encoded datasets are unsigned integer matrices in `code_dtype(cards)` whose
+column i takes values in [0, cardinality_i). Attribute order is fixed by the
+domain and determines how marginals are flattened everywhere else in the
+package.
 """
 
 from __future__ import annotations
@@ -150,25 +151,34 @@ def _numeric_range(spec: dict) -> tuple[float, float, int]:
     return float(lo), float(hi), int(bins)
 
 
+def code_dtype(cards) -> np.dtype:
+    """The narrowest unsigned dtype that holds every category code of `cards`:
+    uint8 while every card is at most 256."""
+    return np.min_scalar_type(max(cards, default=1) - 1)
+
+
 @dataclass
 class Dataset:
     """Encoded table: integer category indices, one column per attribute."""
 
-    rows: np.ndarray  # (N, d) int64, column-major so that each column is contiguous
+    rows: np.ndarray  # (N, d) in code_dtype(cards), column-major so that each column is contiguous
     cards: tuple[int, ...]
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        if self.rows.ndim != 2:
-            self.rows = self.rows.reshape(-1, len(self.cards))
-        self.rows = np.asfortranarray(self.rows)
-        if self.rows.shape[1] != len(self.cards):
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind not in "iu":  # booleans, floats, an empty list
+            rows = rows.astype(np.int64)
+        if rows.ndim != 2:
+            rows = rows.reshape(-1, len(self.cards))
+        if rows.shape[1] != len(self.cards):
             raise ValueError("row width does not match the number of attributes")
-        if self.rows.size:
-            if self.rows.min() < 0:
+        # checked in the input's dtype, so a -1 cannot narrow to a valid code
+        if rows.size:
+            if rows.min() < 0:
                 raise ValueError("negative category index")
-            if np.any(self.rows.max(axis=0) >= np.asarray(self.cards)):
+            if np.any(rows.max(axis=0) >= np.asarray(self.cards)):
                 raise ValueError("category index out of range for its attribute")
+        self.rows = np.asfortranarray(rows, dtype=code_dtype(self.cards))
 
     @property
     def n_records(self) -> int:
@@ -330,8 +340,8 @@ def write_csv(path, table: RawTable) -> None:
 
 
 def encode(raw: RawTable, domain: Domain) -> Dataset:
-    """Encode a raw table into integer category indices, column-major."""
-    rows = np.empty((raw.n_rows, domain.d), dtype=np.int64, order="F")
+    """Encode a raw table into category codes in code_dtype, column-major."""
+    rows = np.empty((raw.n_rows, domain.d), dtype=code_dtype(domain.cards), order="F")
     for j, meta in enumerate(domain.attributes):
         col = raw.columns[j]
         if meta.kind == "numeric":
@@ -365,7 +375,7 @@ def decode(synth: Dataset, domain: Domain, seed: int) -> RawTable:
             columns.append(np.array(meta.category_labels, dtype=object)[idx].tolist())
         else:
             lo = meta.bin_edges[idx]
-            hi = meta.bin_edges[idx + 1]
+            hi = meta.bin_edges[1:][idx]  # not idx + 1, which wraps in the code dtype
             vals = lo + rng.random(len(idx)) * (hi - lo)
             bad = bin_values(vals, meta.bin_edges) != idx
             if np.any(bad):

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Dataset
+from .domain import Dataset, code_dtype
 from .errors import CheckpointError
 from .marginals import Marginal, MarginalSpec
 
@@ -618,11 +618,11 @@ def sample_hard(model: GeneratorModel, probs: np.ndarray, n_rows: int, seed: int
     prefix sums is ever gathered whole.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    probs = probs.astype(np.float64, copy=False)
     picks = rng.integers(0, probs.shape[0], size=n_rows)
-    rows = np.empty((n_rows, len(model.cards)), dtype=np.int64, order="F")
+    rows = np.empty((n_rows, len(model.cards)), dtype=code_dtype(model.cards), order="F")
     for j, (off, c) in enumerate(zip(model.seg_offsets, model.cards)):
-        cum = np.cumsum(probs[:, off:off + c], axis=1)  # row by row: as if after the gather
+        # row by row, as if after the gather; the float64 upcast is exact
+        cum = np.cumsum(probs[:, off:off + c], axis=1, dtype=np.float64)
         u = rng.random(n_rows) * cum[picks, -1]
         for start in range(0, n_rows, SAMPLE_BLOCK_ROWS):
             block = slice(start, start + SAMPLE_BLOCK_ROWS)

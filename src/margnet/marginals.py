@@ -70,10 +70,17 @@ def compute_marginal(ds: Dataset, spec: MarginalSpec) -> Marginal:
         raise ValueError("spec cardinalities do not match the dataset")
     if ds.n_records == 0:
         return Marginal(spec, np.zeros(spec.n_cells))
-    # row-major flat index by Horner's rule, one contiguous column at a time
-    flat = ds.rows[:, spec.attrs[0]]
+    # row-major flat index by Horner's rule, one contiguous column at a time, in
+    # place in the narrowest dtype that holds the codes, every index and every
+    # multiplier (a card equals n_cells when the cards before it are all 1)
+    dtype = np.promote_types(ds.rows.dtype,
+                             np.min_scalar_type(max((spec.n_cells - 1,) + spec.cards[1:])))
+    if dtype.itemsize >= np.dtype(np.intp).itemsize:
+        dtype = np.dtype(np.intp)
+    flat = ds.rows[:, spec.attrs[0]].astype(dtype)
     for a, c in zip(spec.attrs[1:], spec.cards[1:]):
-        flat = flat * c + ds.rows[:, a]
+        flat *= c
+        flat += ds.rows[:, a]
     counts = np.bincount(flat, minlength=spec.n_cells).astype(float)
     return Marginal(spec, counts)
 

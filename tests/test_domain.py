@@ -438,6 +438,31 @@ def test_encode_decode_round_trip():
         assert again.rows.flags.f_contiguous
 
 
+@pytest.mark.parametrize("card, itemsize", [(256, 1), (257, 2)])
+@pytest.mark.parametrize("kind", ["numeric", "categorical"])
+def test_encode_decode_round_trip_at_the_code_dtype_edge(card, itemsize, kind):
+    meta = (numeric_meta("x", -1.0, 3.0, card) if kind == "numeric" else
+            AttributeMeta("c", "categorical", card, category_labels=[f"v{i}" for i in range(card)]))
+    dom = Domain([meta])
+    codes = np.arange(card).repeat(3)  # the top code included
+    ds = Dataset(rows=codes[:, None], cards=dom.cards)
+    assert ds.rows.itemsize == itemsize
+    table = decode(ds, dom, seed=3)
+    if kind == "numeric":
+        edges = meta.bin_edges
+        assert np.all((edges[codes] <= table.columns[0]) & (table.columns[0] <= edges[codes + 1]))
+    again = encode(table, dom)
+    assert again.rows.dtype == ds.rows.dtype
+    assert np.array_equal(again.rows[:, 0], codes)
+
+
+@pytest.mark.parametrize("code", [-1, 256])
+def test_dataset_checks_codes_before_narrowing(code):
+    # in uint8, -1 would read as 255 and 256 as 0, both valid codes of a 256-card attribute
+    with pytest.raises(ValueError, match="negative category index|out of range for its attribute"):
+        Dataset(rows=np.array([[0], [code]], dtype=np.int64), cards=(256,))
+
+
 def test_csv_write_read_round_trip(tmp_path):
     dom = Domain([
         numeric_meta("x", 0.0, 1.0, 5),
@@ -453,7 +478,7 @@ def test_csv_write_read_round_trip(tmp_path):
 
 
 def test_load_and_encode_memory_stays_near_the_arrays(tmp_path):
-    # a float64 value and an int64 code take 8 B per cell each; a Python float
+    # a float64 value takes 8 B per cell and a uint8 code 1 B; a Python float
     # in a list takes 32 B
     table = gen_gaussian_dataset(10, 20_000, 0.8, seed=2)
     dom = auto_numeric_domain(table)
@@ -467,6 +492,7 @@ def test_load_and_encode_memory_stays_near_the_arrays(tmp_path):
     finally:
         tracemalloc.stop()
     assert ds.rows.shape == (20_000, 10)
+    assert ds.rows.itemsize == 1  # every card is 10
     assert peak < 3 * 8 * ds.rows.size
 
 

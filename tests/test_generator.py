@@ -714,17 +714,27 @@ def test_sample_hard_matches_per_pick_oracle(dtype, n_rows):
                               per_pick_sample(m, probs, n_rows, seed))
 
 
+def test_sample_hard_sums_float32_probabilities_in_float64():
+    # a float32 running sum over 1000 categories drifts far enough from the
+    # float64 one to move some draws across a category edge
+    m = tiny_model(cards=(1000,), hidden=(16,), batch=32, seed=6, dtype=np.float32)
+    probs = forward(m)
+    assert np.array_equal(sample_hard(m, probs, 50_000, seed=2).rows,
+                          sample_hard(m, probs.astype(np.float64), 50_000, seed=2).rows)
+
+
 def test_sample_hard_memory_stays_below_one_gathered_block():
     # gathering every row's prefix sums for a 50-card attribute would take
-    # n_rows * 50 * 8 B = 40 MB; the codes themselves take 0.8 MB
+    # n_rows * 50 * 8 B = 40 MB; the uint8 codes themselves take 0.1 MB
     m = tiny_model(cards=(50,), hidden=(16,), batch=32, seed=4)
     probs = forward(m)
     tracemalloc.start()
     try:
-        sample_hard(m, probs, 100_000, seed=1)
+        ds = sample_hard(m, probs, 100_000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert ds.rows.itemsize == 1
     assert peak < 40e6 / 4
 
 

@@ -70,12 +70,15 @@ def test_brute_force_oracle_equivalence():
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
-def test_counts_match_brute_force_in_any_memory_layout(layout):
-    # Dataset stores its rows column-major; compute_marginal must not rely on it
+@pytest.mark.parametrize("layout, dtype", [
+    pytest.param(layout, dtype, id=layout if dtype is np.int64 else f"{layout}-{dtype.__name__}")
+    for dtype in (np.int64, np.uint8, np.uint16) for layout in ("C", "F", "sliced")])
+def test_counts_match_brute_force_in_any_memory_layout(layout, dtype):
+    # Dataset stores its rows column-major in its code dtype; compute_marginal
+    # must rely on neither
     cards = (3, 4, 2, 5)
-    base = random_dataset(cards, 400, seed=31).rows
-    wide = np.zeros((800, 8), dtype=np.int64)
+    base = random_dataset(cards, 400, seed=31).rows.astype(dtype)
+    wide = np.zeros((800, 8), dtype=dtype)
     wide[::2, ::2] = base
     rows = {"C": np.ascontiguousarray(base), "F": np.asfortranarray(base),
             "sliced": wide[::2, ::2]}[layout]
@@ -86,6 +89,19 @@ def test_counts_match_brute_force_in_any_memory_layout(layout):
         for attrs in itertools.combinations(range(len(cards)), order):
             got = compute_marginal(ds, marginal_spec(ds, attrs)).counts
             assert np.array_equal(got, brute_force_marginal(ds, attrs, cards))
+
+
+@pytest.mark.parametrize("cards", [(256, 257), (256, 256), (1, 256)],
+                         ids=["uint32-index", "uint16-index", "card-equals-cells"])
+def test_counts_at_the_index_dtype_edges(cards):
+    # 256 x 257 cells need a uint32 flat index, 256 x 256 fill uint16, and
+    # (1, 256) multiplies a uint8 index by 256
+    rng = np.random.default_rng(5)
+    rows = np.stack([rng.integers(0, c, size=300) for c in cards], axis=1)
+    rows[:2] = [[0] * len(cards), [c - 1 for c in cards]]
+    ds = Dataset(rows=rows, cards=cards)
+    got = compute_marginal(ds, marginal_spec(ds, (0, 1))).counts
+    assert np.array_equal(got, brute_force_marginal(ds, (0, 1), cards))
 
 
 def test_marginalization_consistency():
