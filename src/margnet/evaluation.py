@@ -3,8 +3,7 @@
 Two metrics: fidelity error (mean TVD over all two-way marginals) and query
 error (mean absolute normalized-frequency difference over sampled three-way
 marginals). ML-efficacy needs external classifier stacks and is out of scope,
-and an eval run does not time synthesis: the report schema carries both as
-explicitly absent (null) fields.
+and an eval run does not time synthesis, so the report carries neither.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 from .domain import Dataset
 from .marginals import fidelity_error, query_error
 
-REPORT_SCHEMA = "margnet-eval-v1"
+REPORT_SCHEMA = "margnet-eval-v2"
 
 
 @dataclass
@@ -23,7 +22,7 @@ class EvalReport:
     fidelity_error: float
     query_error: float
     n_queries: int
-    seeds: list[int] = field(default_factory=list)
+    seed: int
     config: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -32,10 +31,8 @@ class EvalReport:
             "fidelity_error": self.fidelity_error,
             "query_error": self.query_error,
             "n_queries": self.n_queries,
-            "wall_clock_synthesis_seconds": None,
-            "seeds": list(self.seeds),
+            "seed": self.seed,
             "config": dict(self.config),
-            "ml_efficacy": None,
         }
 
     def to_json(self) -> str:
@@ -49,7 +46,7 @@ def evaluate(real_ds: Dataset, synth_ds: Dataset, n_queries: int = 300, seed: in
         fidelity_error=fidelity_error(real_ds, synth_ds),
         query_error=query_error(real_ds, synth_ds, n_queries, seed),
         n_queries=n_queries,
-        seeds=[seed],
+        seed=seed,
         config=dict(config or {}),
     )
 

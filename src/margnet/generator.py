@@ -20,8 +20,8 @@ written out by hand; no autograd.
 Every step follows the dtype of the model's arrays (float32 or float64): the
 folded targets are allocated in it, so no float64 operand upcasts a GEMM.
 Only the returned loss is summed in float64. Marginals leave the generator as
-float64 `Marginal`s, and checkpoints store every array as float64 (exact for
-float32) with the model's dtype in the header.
+float64 `Marginal`s, and checkpoints store every array little-endian in the
+model's dtype, which the header records.
 
 Training runs through a `TrainContext`: one allocation holding the weights
 (the model's layers become views of it), the gradient, Adam's state and every
@@ -47,7 +47,8 @@ from .errors import CheckpointError
 from .marginals import Marginal, MarginalSpec
 
 CHECKPOINT_MAGIC = b"MGNETCK1"
-_CHECKPOINT_KEYS = ("cards", "latent_dim", "batch_size", "layer_shapes", "has_prev", "dtype")
+CHECKPOINT_VERSION = 2
+_CHECKPOINT_KEYS = ("cards", "hidden", "latent_dim", "batch_size", "dtype")
 # dtypes a model may be trained and checkpointed in
 _CHECKPOINT_DTYPES = ("float32", "float64")
 
@@ -106,6 +107,10 @@ class GeneratorModel:
         return self.Z.dtype
 
     @property
+    def hidden(self) -> tuple[int, ...]:
+        return tuple(W.shape[1] for W, _ in self.layers[:-1])
+
+    @property
     def out_width(self) -> int:
         return int(sum(self.cards))
 
@@ -114,6 +119,13 @@ class GeneratorModel:
 
     def segment(self, attr: int) -> slice:
         return _segment(self.cards, self.seg_offsets, attr)
+
+
+def _layer_shapes(latent_dim: int, hidden, cards) -> list[tuple[tuple[int, int], tuple[int]]]:
+    """Each layer's ((fan_in, fan_out), (fan_out,)), from latent_dim through
+    the hidden widths to sum(cards)."""
+    widths = [latent_dim, *hidden, int(sum(cards))]
+    return [((fan_in, fan_out), (fan_out,)) for fan_in, fan_out in zip(widths[:-1], widths[1:])]
 
 
 def init_generator(
@@ -133,12 +145,11 @@ def init_generator(
     if min(hidden) < 1:
         raise ValueError("every hidden width must be >= 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    widths = [latent_dim] + list(hidden) + [int(sum(cards))]
     layers = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+    for (fan_in, fan_out), b_shape in _layer_shapes(latent_dim, hidden, cards):
         limit = np.sqrt(6.0 / fan_in)
         W = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype, copy=False)
-        layers.append((W, np.zeros(fan_out, dtype=dtype)))
+        layers.append((W, np.zeros(b_shape, dtype=dtype)))
     Z = rng.standard_normal((batch_size, latent_dim)).astype(dtype, copy=False)
     Z.flags.writeable = False
     return GeneratorModel(layers, tuple(cards), Z)
@@ -631,82 +642,56 @@ def sample_hard(model: GeneratorModel, probs: np.ndarray, n_rows: int, seed: int
     return Dataset(rows=rows, cards=model.cards)
 
 
-def _model_arrays(model: GeneratorModel) -> list[np.ndarray]:
-    arrs = []
-    for W, b in model.layers:
-        arrs.extend([W, b])
-    return arrs
-
-
 def save_checkpoint(path, model: GeneratorModel, prev_model: GeneratorModel) -> None:
-    """Binary checkpoint: magic, JSON header, then raw float64 arrays.
+    """Binary checkpoint: magic, header length, JSON header, then the arrays
+    little-endian in the model's dtype: the model's weights, `prev_model`'s,
+    then Z.
 
     `prev_model` (the state before the final selection round) shares Z and
     architecture with `model`; only its weights are stored in addition. The
-    header records the model's dtype; float32 arrays are stored upcast, which
-    is exact.
+    layer shapes follow from the header's cards, hidden widths and latent_dim.
     """
     header = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "cards": list(model.cards),
+        "hidden": list(model.hidden),
         "latent_dim": model.latent_dim,
         "batch_size": model.batch_size,
-        "layer_shapes": [[list(W.shape), list(b.shape)] for W, b in model.layers],
-        "has_prev": True,
         "dtype": model.dtype.name,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    arrays = _model_arrays(model) + _model_arrays(prev_model) + [np.asarray(model.Z)]
+    stored = model.dtype.newbyteorder("<")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for arr in arrays:
-            f.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        for arr in [a for m in (model, prev_model) for layer in m.layers for a in layer] + [model.Z]:
+            f.write(np.ascontiguousarray(arr, dtype=stored).tobytes())
 
 
 def _check_header(header: dict) -> None:
     """Raise CheckpointError unless the header describes a loadable model:
-    positive int sizes, has_prev true, a dtype of float32 or float64, and
-    [[fan_in, fan_out], [fan_out]] layer shapes chaining from latent_dim to
-    sum(cards)."""
+    positive int sizes, non-empty lists of them for cards and hidden, and a
+    dtype of float32 or float64."""
     def is_size(v):
         return isinstance(v, int) and not isinstance(v, bool) and v > 0
-
-    def is_sizes(v, n=None):
-        return isinstance(v, list) and all(map(is_size, v)) and (n is None or len(v) == n)
 
     for key in ("latent_dim", "batch_size"):
         if not is_size(header[key]):
             raise CheckpointError(f"checkpoint header: {key} must be a positive int, "
                                   f"got {header[key]!r}")
-    if not is_sizes(header["cards"]) or not header["cards"]:
-        raise CheckpointError(f"checkpoint header: cards must be a non-empty list of "
-                              f"positive ints, got {header['cards']!r}")
-    if header["has_prev"] is not True:
-        raise CheckpointError(f"checkpoint header: has_prev must be true, "
-                              f"got {header['has_prev']!r}")
+    for key in ("cards", "hidden"):
+        if not (isinstance(header[key], list) and header[key] and all(map(is_size, header[key]))):
+            raise CheckpointError(f"checkpoint header: {key} must be a non-empty list of "
+                                  f"positive ints, got {header[key]!r}")
     if header["dtype"] not in _CHECKPOINT_DTYPES:
         raise CheckpointError(f"checkpoint header: dtype must be one of "
                               f"{', '.join(_CHECKPOINT_DTYPES)}, got {header['dtype']!r}")
-    shapes = header["layer_shapes"]
-    width = header["latent_dim"]
-    if not isinstance(shapes, list) or not shapes:
-        raise CheckpointError(f"checkpoint header: layer_shapes must be a non-empty list, "
-                              f"got {shapes!r}")
-    for shape in shapes:
-        if not (isinstance(shape, list) and len(shape) == 2 and is_sizes(shape[0], 2)
-                and shape[0][0] == width and shape[1] == shape[0][1:]):
-            raise CheckpointError(f"checkpoint header: layer shape {shape!r} is not "
-                                  f"[[{width}, n], [n]]")
-        width = shape[0][1]
-    if width != sum(header["cards"]):
-        raise CheckpointError(f"checkpoint header: output width {width} != sum(cards) "
-                              f"{sum(header['cards'])}")
 
 
 def load_checkpoint(path):
-    """Returns (model, prev_model), in the dtype the header records.
+    """Returns (model, prev_model), in the dtype the header records: the exact
+    inverse of `save_checkpoint`.
 
     The header length and the array sizes the header implies are checked
     against the file's size before any read, so a corrupt size ends in a
@@ -726,34 +711,28 @@ def load_checkpoint(path):
             raise CheckpointError(f"corrupt checkpoint header: {e}") from None
         if not isinstance(header, dict):
             raise CheckpointError("corrupt checkpoint header: not a JSON object")
-        if header.get("version") != 1:
+        if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version: {header.get('version')}")
         missing = [k for k in _CHECKPOINT_KEYS if k not in header]
         if missing:
             raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
         _check_header(header)
         dtype = np.dtype(header["dtype"])
-        shapes = [s for layer in header["layer_shapes"] for s in layer]
-        shapes = shapes * 2 + [[header["batch_size"], header["latent_dim"]]]
-        need = 8 * sum(map(math.prod, shapes))
+        latent_dim, batch_size = header["latent_dim"], header["batch_size"]
+        layer_shapes = _layer_shapes(latent_dim, header["hidden"], header["cards"])
+        shapes = [s for layer in layer_shapes for s in layer] * 2 + [(batch_size, latent_dim)]
+        counts = [math.prod(s) for s in shapes]
+        need = dtype.itemsize * sum(counts)
         if need != size - f.tell():
             raise CheckpointError(f"checkpoint size mismatch: its arrays need {need} bytes, "
                                   f"{size - f.tell()} follow the header")
-
-        def read_arr(shape):
-            arr = np.frombuffer(f.read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-            if not (np.abs(arr) <= np.finfo(dtype).max).all():  # false for NaN too
-                raise CheckpointError(f"checkpoint holds a value that is not a finite {dtype.name}")
-            return arr.astype(dtype)
-
-        def read_layers():
-            layers = []
-            for w_shape, b_shape in header["layer_shapes"]:
-                layers.append((read_arr(w_shape), read_arr(b_shape)))
-            return layers
-
-        layers, prev_layers = read_layers(), read_layers()
-        Z = read_arr([header["batch_size"], header["latent_dim"]])
-        Z.flags.writeable = False
+        values = np.frombuffer(f.read(need), dtype=dtype.newbyteorder("<")).astype(dtype)
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"checkpoint holds a value that is not a finite {dtype.name}")
+    arrays = iter(a.reshape(s) for a, s in zip(np.split(values, np.cumsum(counts)[:-1]), shapes))
+    layers = [(next(arrays), next(arrays)) for _ in layer_shapes]
+    prev_layers = [(next(arrays), next(arrays)) for _ in layer_shapes]
+    Z = next(arrays)
+    Z.flags.writeable = False
     cards = tuple(header["cards"])
     return GeneratorModel(layers, cards, Z), GeneratorModel(prev_layers, cards, Z)

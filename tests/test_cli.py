@@ -427,21 +427,20 @@ def test_check_rejects_any_bad_trace_field(gauss_files, finished_run, tmp_path, 
 
 
 @pytest.mark.parametrize("mangle,message", [
-    (lambda h: {k: v for k, v in h.items() if k != "layer_shapes"}, "layer_shapes"),
+    (lambda h: {k: v for k, v in h.items() if k != "hidden"}, "checkpoint header lacks hidden"),
     (lambda h: [h], "not a JSON object"),
     (lambda h: {**h, "batch_size": "x"}, "batch_size must be a positive int"),
     (lambda h: {**h, "latent_dim": -3}, "latent_dim must be a positive int"),
     (lambda h: {**h, "cards": [3.5]}, "cards must be a non-empty list of positive ints"),
-    (lambda h: {**h, "has_prev": 1}, "has_prev must be true"),
-    (lambda h: {**h, "has_prev": False}, "has_prev must be true"),
-    (lambda h: {**h, "layer_shapes": 7}, "layer_shapes must be a non-empty list"),
-    (lambda h: {**h, "layer_shapes": h["layer_shapes"][:1]}, "!= sum(cards)"),
-    (lambda h: {**h, "layer_shapes": [[[1, 2], [2]]] + h["layer_shapes"][1:]}, "is not [["),
+    (lambda h: {**h, "hidden": []}, "hidden must be a non-empty list of positive ints"),
+    (lambda h: {**h, "hidden": [0]}, "hidden must be a non-empty list of positive ints"),
+    (lambda h: {**h, "hidden": [2.5]}, "hidden must be a non-empty list of positive ints"),
+    (lambda h: {**h, "hidden": "x"}, "hidden must be a non-empty list of positive ints"),
     (lambda h: {**h, "dtype": "float16"}, "dtype must be one of float32, float64"),
     (lambda h: {k: v for k, v in h.items() if k != "dtype"}, "checkpoint header lacks dtype"),
 ], ids=["missing-key", "not-an-object", "batch-size-str", "latent-dim-negative",
-        "cards-float", "has-prev-int", "has-prev-false", "layer-shapes-int", "layer-chain-short",
-        "layer-chain-break", "dtype-float16", "dtype-missing"])
+        "cards-float", "hidden-empty", "hidden-zero", "hidden-float", "hidden-str",
+        "dtype-float16", "dtype-missing"])
 def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tmp_path,
                                                    capsys, mangle, message):
     csv, domain = gauss_files
@@ -461,13 +460,25 @@ def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tm
     assert not report.exists()
 
 
+def test_check_version_1_checkpoint_exits_1(gauss_files, finished_run, tmp_path, capsys):
+    csv, domain = gauss_files
+    trace_path, ckpt = finished_run
+    bad = tmp_path / "v1.ckpt"
+    bad.write_bytes(_with_header(open(ckpt, "rb").read(), lambda h: {**h, "version": 1}))
+    report = tmp_path / "bounds.json"
+    assert run_cli("check", "--trace", trace_path, "--checkpoint", str(bad),
+                   "--data", csv, "--domain", domain, "--out", str(report)) == 1
+    assert capsys.readouterr().err == "error: unsupported checkpoint version: 1\n"
+    assert not report.exists()
+
+
 def test_check_non_finite_checkpoint_weight_exits_1(gauss_files, finished_run, tmp_path,
                                                     capsys):
     csv, domain = gauss_files
     trace_path, ckpt = finished_run
     data = bytearray(open(ckpt, "rb").read())
     (hlen,) = struct.unpack("<Q", data[8:16])
-    data[16 + hlen:24 + hlen] = struct.pack("<d", math.nan)  # the first weight
+    data[16 + hlen:20 + hlen] = struct.pack("<f", math.nan)  # the first weight, a float32
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(bytes(data))
     report = tmp_path / "bounds.json"
@@ -792,11 +803,9 @@ def _with_header(data, edit):
 
 
 def _wide_hidden_layer(header):
-    # chains validly, latent 64 -> 2**54 -> sum(cards), so its first array
-    # alone needs 64 * 2**54 * 8 = 2**63 bytes
-    out = sum(header["cards"])
-    return {**header, "latent_dim": 64,
-            "layer_shapes": [[[64, 2**54], [2**54]], [[2**54, out], [out]]]}
+    # a valid header whose one hidden layer is 2**54 wide, so its first array
+    # alone needs latent_dim * 2**54 * 4 >= 2**56 bytes of float32
+    return {**header, "hidden": [2**54]}
 
 
 @pytest.mark.parametrize("mangle,message", [

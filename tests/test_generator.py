@@ -785,29 +785,42 @@ def test_checkpoint_truncated(tmp_path):
 @pytest.mark.parametrize("where", ["first", "last"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_checkpoint_rejects_non_finite_values(tmp_path, where, value):
-    # the first stored weight or the last latent entry
+    # the first stored weight or the last latent entry, in the stored dtype
     p = tmp_path / "model.ckpt"
-    save_checkpoint(p, tiny_model(seed=21), tiny_model(seed=22))
-    data = bytearray(p.read_bytes())
-    (hlen,) = struct.unpack("<Q", data[8:16])
-    at = 16 + hlen if where == "first" else len(data) - 8
-    data[at:at + 8] = struct.pack("<d", value)
-    p.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="not a finite float"):
-        load_checkpoint(p)
+    for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+        save_checkpoint(p, tiny_model(seed=21, dtype=dtype), tiny_model(seed=22, dtype=dtype))
+        data = bytearray(p.read_bytes())
+        (hlen,) = struct.unpack("<Q", data[8:16])
+        at = 16 + hlen if where == "first" else len(data) - dtype.itemsize
+        data[at:at + dtype.itemsize] = np.array(value, dtype.newbyteorder("<")).tobytes()
+        p.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=f"not a finite {dtype.name}$"):
+            load_checkpoint(p)
 
 
-def test_checkpoint_rejects_float32_overflow(tmp_path):
-    # a finite float64 beyond float32's range would load as inf
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_reader_is_the_writers_inverse(tmp_path, dtype):
+    p, q = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(p, tiny_model(cards=(2, 3, 4), hidden=(8, 5), seed=25, dtype=dtype),
+                    tiny_model(cards=(2, 3, 4), hidden=(8, 5), seed=26, dtype=dtype))
+    save_checkpoint(q, *load_checkpoint(p))
+    assert q.read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_stores_each_array_once_in_the_model_dtype(tmp_path, dtype):
+    m = tiny_model(cards=(2, 3, 4), hidden=(8, 5), latent=6, batch=7, seed=27, dtype=dtype)
     p = tmp_path / "model.ckpt"
-    m = tiny_model(seed=23, dtype=np.float32)
-    save_checkpoint(p, m, m)
-    data = bytearray(p.read_bytes())
+    save_checkpoint(p, m, m.copy())
+    data = p.read_bytes()
     (hlen,) = struct.unpack("<Q", data[8:16])
-    data[16 + hlen:24 + hlen] = struct.pack("<d", 1e300)
-    p.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="not a finite float"):
-        load_checkpoint(p)
+    header = json.loads(data[16:16 + hlen])
+    assert header == {"version": 2, "cards": [2, 3, 4], "hidden": [8, 5], "latent_dim": 6,
+                      "batch_size": 7, "dtype": np.dtype(dtype).name}
+    count = 2 * sum(W.size + b.size for W, b in m.layers) + m.Z.size
+    assert count == 2 * (6 * 8 + 8 + 8 * 5 + 5 + 5 * 9 + 9) + 7 * 6
+    assert len(data) == 16 + hlen + np.dtype(dtype).itemsize * count
+    assert m.hidden == load_checkpoint(p)[0].hidden == (8, 5)
 
 
 def _rewrite_header(path, edit):
@@ -831,6 +844,15 @@ def test_checkpoint_round_trip_float32(tmp_path):
             assert Wa.tobytes() == Wb.tobytes() and ba.tobytes() == bb.tobytes()
     assert back.Z.dtype == np.float32 and back.Z.tobytes() == m.Z.tobytes()
     assert forward(back).tobytes() == forward(m).tobytes()
+
+
+def test_checkpoint_version_1_is_rejected(tmp_path):
+    m = tiny_model(seed=28)
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, m, m)
+    _rewrite_header(p, lambda h: {**h, "version": 1})
+    with pytest.raises(CheckpointError, match="^unsupported checkpoint version: 1$"):
+        load_checkpoint(p)
 
 
 def test_checkpoint_without_dtype_is_rejected(tmp_path):
