@@ -23,7 +23,6 @@ from .generator import (
     loss_and_grad,
     sample_hard,
     soft_marginal,
-    soft_marginals,
 )
 from .marginals import (
     Marginal,

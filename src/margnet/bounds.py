@@ -12,6 +12,10 @@ Three diagnostics:
 * a probabilistic upper bound on the total L1 error of the *unselected*
   marginals, derived from the exponential mechanism's utility guarantee in the
   final selection round plus the model drift after it.
+
+The bounds run no forward pass. They read the final and the pre-final
+model's soft marginals at one layout over every selection candidate
+(`generator.candidate_index`), and the unselected L1s through `candidate_l1`.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Dataset
-from .generator import GeneratorModel, soft_marginals
-from .marginals import Marginal, compute_marginal, l1_distance, marginal_spec, selection_candidates
-from .privacy import SCORE_SENSITIVITY, expected_noise_l1
+from .generator import CandidateIndex, SoftMarginals, candidate_l1
+from .marginals import Marginal
+from .privacy import SCORE_SENSITIVITY, bisect, expected_noise_l1
 
 
 def _gammainc(a: float, x: float) -> float:
@@ -84,13 +87,7 @@ def chi2_inverse_cdf(p: float, dof: int) -> float:
     hi = float(max(dof, 1))
     while chi2_cdf(hi, dof) < p:
         hi *= 2.0
-    lo = 0.0
-    while hi - lo > CHI2_INVERSE_TOL:
-        mid = (lo + hi) / 2.0
-        if chi2_cdf(mid, dof) < p:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda x: not chi2_cdf(x, dof) < p, 0.0, hi, atol=CHI2_INVERSE_TOL)
     return (lo + hi) / 2.0
 
 
@@ -169,31 +166,27 @@ def combine_measurements(group: list) -> tuple[np.ndarray, float]:
     return counts, sigma_bar
 
 
-def selected_upper_bound(measurements: list, model: GeneratorModel, scale: float,
-                         delta: float, exact: dict) -> BoundReport:
+def selected_upper_bound(measurements: list, soft: SoftMarginals, delta: float,
+                         exact: dict) -> BoundReport:
     """Confidence upper bound on the selected-marginal squared error.
 
     Per distinct measured spec i, with probability at least 1 - delta:
         ||M_i - M_hat_i||_F^2  <=  2 (||Mbar_i - M_hat_i||_F^2
                                       + sigma_bar_i^2 * chi2_inv(1 - delta, n_i)).
+    M_hat_i is read from `soft`, the final model's soft marginals, and
     `exact` (spec attrs -> Marginal) holds each measured spec's exact
     marginal M_i, which fills the observed error column.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    groups: dict = {}
-    order = []
+    groups: dict = {}  # spec -> its measurements, in order of first measurement
     for m in measurements:
-        if m.spec.attrs not in groups:
-            groups[m.spec.attrs] = []
-            order.append(m.spec)
-        groups[m.spec.attrs].append(m)
+        groups.setdefault(m.spec, []).append(m)
 
-    soft = soft_marginals(model, scale, order)
-    report = BoundReport(deltas=[delta] * len(order))
+    report = BoundReport(deltas=[delta] * len(groups))
     quantiles: dict = {}  # n_i -> chi2_inv(1 - delta, n_i)
-    for spec in order:
-        combined, sigma_bar = combine_measurements(groups[spec.attrs])
+    for spec, group in groups.items():
+        combined, sigma_bar = combine_measurements(group)
         est = soft.marginal(spec).counts
         fit_term = float(((combined - est) ** 2).sum())
         if spec.n_cells not in quantiles:
@@ -206,8 +199,8 @@ def selected_upper_bound(measurements: list, model: GeneratorModel, scale: float
     return report
 
 
-def unselected_bound(trace, model: GeneratorModel, prev_model: GeneratorModel,
-                     ds: Dataset, scale: float, delta: float) -> BoundReport:
+def unselected_bound(trace, soft: SoftMarginals, prev_soft: SoftMarginals,
+                     index: CandidateIndex, delta: float) -> BoundReport:
     """Confidence upper bound on the L1 error of each unmeasured marginal.
 
     The final selection round K chose spec theta with the exponential
@@ -222,31 +215,26 @@ def unselected_bound(trace, model: GeneratorModel, prev_model: GeneratorModel,
                   + Delta_q * log(|C|/delta) / sqrt(2 rho_s_K)
 
     and the reported per-spec bound is B_{i,K} plus the exactly computed model
-    drift ||Mhat_i^{K-1} - Mhat_i||_1. Observed is ||M_i - Mhat_i||_1.
+    drift ||Mhat_i^{K-1} - Mhat_i||_1. Observed is ||M_i - Mhat_i||_1. `soft`
+    and `prev_soft` are the final and pre-final model's soft marginals at
+    `index.layout`, whose specs are the selection candidates C.
     """
     if not trace.rounds:
         raise ValueError("the trace records no selection rounds")
     final = trace.rounds[-1]
-    rho_s_k = final.rho_s
-    theta = marginal_spec(ds, final.attrs)
-    candidates = selection_candidates(ds.cards)
-    n_candidates = len(candidates)
+    theta = final.measurement.spec
+    position = index.specs.index(theta)
+    theta_err = float(candidate_l1(prev_soft, index)[position])
+    observed = candidate_l1(soft, index)
+    drift = candidate_l1(prev_soft, index, soft)
+    tail = SCORE_SENSITIVITY * math.log(len(index.specs) / delta) / math.sqrt(2.0 * final.rho_s)
     measured = {r.attrs for r in trace.rounds}
 
-    unmeasured = [s for s in candidates if s.attrs not in measured]
-    soft_final = soft_marginals(model, scale, unmeasured)
-    soft_prev = soft_marginals(prev_model, scale, unmeasured + [theta])
-    theta_err = l1_distance(soft_prev.marginal(theta), compute_marginal(ds, theta))
-
     report = BoundReport(deltas=[delta])
-    for spec in unmeasured:
-        b_ik = (
-            theta_err
-            + expected_noise_l1(spec.n_cells - theta.n_cells, final.rho_m)
-            + SCORE_SENSITIVITY * math.log(n_candidates / delta) / math.sqrt(2.0 * rho_s_k)
-        )
-        est = soft_final.marginal(spec)
-        drift = l1_distance(soft_prev.marginal(spec), est)
-        observed = l1_distance(est, compute_marginal(ds, spec))
-        report.entries.append(BoundEntry(attrs=spec.attrs, observed=observed, bound=b_ik + drift))
+    for i, spec in enumerate(index.specs):
+        if spec.attrs in measured:
+            continue
+        b_ik = theta_err + expected_noise_l1(spec.n_cells - theta.n_cells, final.rho_m) + tail
+        report.entries.append(BoundEntry(attrs=spec.attrs, observed=float(observed[i]),
+                                         bound=b_ik + float(drift[i])))
     return report

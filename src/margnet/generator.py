@@ -60,19 +60,18 @@ DENSE_SLACK = 8
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-# A run of n consecutive attributes sharing one card k is reduced on a (b, n, k)
-# view, one ufunc call per column slice, when n >= max(VIEW_MIN_RUN, k); the
-# other columns keep reduceat + take. Measured on 2 cores (numpy 2.4.6,
-# float32, b = 256): views on 24 x 10 bins cut the benchmark's g24-wide
-# `synth_s` by 7%. With `synth --iters 10` on 8000 rows, views on every run
-# made the run 11-21% slower (median of 10 pairs, in each of two sets) on an
-# Adult-like 15-attribute table, on cards (2, 2, 8, 3, 12) x 4 and on 20
-# alternating 2- and 3-bin attributes. The reductions alone, beside 12-bin
-# attributes, are faster on views from n = 8 for k = 2 and 3 (0.89-0.94x;
-# at n = 6, 1.05-1.09x) and slower on 8 attributes of card 41 (1.38-1.48x),
-# hence the k term. Whole runs did not resolve either bound: thresholds of
-# 4 or 16, and views on cards (41,) * 8 + (3,), moved `synth` by at most 5%.
+# A run of n consecutive attributes of one card k is reduced on a (b, n, k)
+# view, one ufunc call per column slice, when n >= max(VIEW_MIN_RUN, k) and
+# n * k <= VIEW_MAX_COLS; other columns keep reduceat + take. On 2 cores (numpy
+# 2.4.6, float32, b = 256) a softmax plus its backward segment sum took, in us
+# on views / reduceat: 24 x 10 bins 454 / 1107, 40 x 16 1244 / 2583, 24 x 24
+# 1228 / 1918, 32 x 32 2368 / 3287, 64 x 32 7773 / 6365, 50 x 50 5746 / 6071,
+# 100 x 100 32959 / 21744. Views cut g24-wide `synth_s` by 7%; on every run
+# they made `synth --iters 10` 11-21% slower on mixed 12- to 20-attribute
+# tables, where runs of 2 and 3 bins win only from n = 8 and 8 x 41 bins lose
+# (1.38-1.48x), hence the k term.
 VIEW_MIN_RUN = 8
+VIEW_MAX_COLS = 1024
 
 SAMPLE_BLOCK_ROWS = 4096  # output rows sample_hard gathers at once: its temporaries are O(block * k)
 
@@ -167,9 +166,9 @@ class SegmentPart(NamedTuple):
 
 def segment_plan(cards) -> tuple[SegmentPart, ...]:
     """How the segments of `cards` are reduced: each run of consecutive
-    equal-card attributes that passes the VIEW_MIN_RUN rule is one view, and
-    each maximal stretch of the other columns one reduceat. A layout with no
-    such run is one reduceat over all its columns."""
+    equal-card attributes that passes the VIEW_MIN_RUN and VIEW_MAX_COLS rule
+    is one view, and each maximal stretch of the other columns one reduceat.
+    A layout with no such run is one reduceat over all its columns."""
     parts, stretch = [], []  # stretch: the cards of the columns not yet planned
 
     def close_stretch(end):
@@ -182,7 +181,7 @@ def segment_plan(cards) -> tuple[SegmentPart, ...]:
     end = 0
     for k, run in itertools.groupby(int(c) for c in cards):
         n = len(list(run))
-        if n >= max(VIEW_MIN_RUN, k):
+        if n >= max(VIEW_MIN_RUN, k) and n * k <= VIEW_MAX_COLS:
             close_stretch(end)
             parts.append(SegmentPart(slice(end, end + n * k), (n, k)))
         else:
@@ -487,19 +486,51 @@ class SoftMarginals:
         return Marginal(spec, self.cells[self.layout.cells[spec.attrs]])
 
 
-def soft_marginals(model: GeneratorModel, scale: float, specs) -> SoftMarginals:
-    """The soft marginals of `specs` (order <= 2) from one forward pass."""
-    if any(s.order > 2 for s in specs):
-        raise ValueError("soft marginals support order 1 and 2 only")
-    layout = gram_layout(model, [s.attrs for s in specs if s.order == 2])
-    return gram_marginals(forward(model), scale, layout)
-
-
 def gram_marginals(probs: np.ndarray, scale: float, layout: GramLayout) -> SoftMarginals:
     """The flat cell vector of `layout` over the soft batch `probs`."""
     c = scale / probs.shape[0]
     grams = [gram.ravel() for *_, gram in _gram_blocks(probs, layout, c)]
     return SoftMarginals(layout, np.concatenate([c * probs.sum(axis=0), *grams]))
+
+
+@dataclass
+class CandidateIndex:
+    """Where the two-way `specs`' cells sit in the flat cell vector of
+    `layout`, grouped by cell count: per group the cell count, the specs'
+    positions, a (k, n_cells) gather index and the exact counts in the same
+    shape."""
+
+    layout: GramLayout
+    specs: list[MarginalSpec]
+    groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def candidate_index(model: GeneratorModel, candidates: list[MarginalSpec],
+                    exact: dict) -> CandidateIndex:
+    """`candidates` over one `gram_layout`; `exact` maps attrs to `Marginal`s."""
+    layout = gram_layout(model, [s.attrs for s in candidates])
+    by_cells: dict = {}
+    for i, spec in enumerate(candidates):
+        by_cells.setdefault(spec.n_cells, []).append(i)
+    groups = [(n, np.array(group), np.stack([layout.cells[candidates[i].attrs] for i in group]),
+               np.stack([exact[candidates[i].attrs].counts for i in group]))
+              for n, group in by_cells.items()]
+    return CandidateIndex(layout, list(candidates), groups)
+
+
+def candidate_l1(soft: SoftMarginals, index: CandidateIndex,
+                 other: SoftMarginals | None = None) -> np.ndarray:
+    """Per candidate i, ||M_i(soft) - M_i||_1 against the exact counts, or
+    against `other`'s marginal when it is given; both soft vectors must be at
+    `index.layout`. Each cell-count group is one gather and one float64 row
+    sum, whose sums equal `l1_distance` per candidate to the bit."""
+    if any(s.layout is not index.layout for s in (soft, other) if s is not None):
+        raise ValueError("soft marginals are not at the candidates' layout")
+    l1 = np.empty(len(index.specs))
+    for _, positions, gather, exact in index.groups:
+        ref = exact if other is None else other.cells[gather].astype(np.float64)
+        l1[positions] = np.abs(soft.cells[gather].astype(np.float64) - ref).sum(axis=1)
+    return l1
 
 
 @dataclass

@@ -99,6 +99,22 @@ def exponential_mechanism(scores, delta_q: float, rho_s: float, rng: np.random.G
     return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, scores.size - 1))
 
 
+def bisect(pred, lo: float, hi: float, rtol: float = 0.0, atol: float = 0.0) -> tuple[float, float]:
+    """Narrow [lo, hi] around the point where the monotone `pred` turns true
+    (false at lo's side, true at hi's): halve at the midpoint while
+    hi - lo > atol + rtol * hi and a double lies strictly between the ends.
+    Returns the last (lo, hi)."""
+    while hi - lo > atol + rtol * hi:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break  # no double between the ends
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def _log_delta(rho: float, eps: float, a: float) -> float:
     # log of exp((a-1)(a*rho - eps)) * (1 - 1/a)^a / (a - 1)
     return (a - 1.0) * (a * rho - eps) + a * math.log1p(-1.0 / a) - math.log(a - 1.0)
@@ -121,14 +137,7 @@ def _best_log_delta(rho: float, eps: float) -> float:
     lo, hi = 1.0, 2.0
     while not rising(hi):
         lo, hi = hi, hi * 2.0
-    while True:
-        mid = (lo + hi) / 2.0
-        if not lo < mid < hi:
-            return _log_delta(rho, eps, hi)  # no double between the ends
-        if rising(mid):
-            hi = mid
-        else:
-            lo = mid
+    return _log_delta(rho, eps, bisect(rising, lo, hi)[1])
 
 
 def zcdp_to_dp_epsilon(rho: float, delta: float) -> float:
@@ -144,18 +153,13 @@ def zcdp_to_dp_epsilon(rho: float, delta: float) -> float:
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     log_target = math.log(delta)
-    lo = rho
-    hi = rho + 4.0 * math.sqrt(rho * math.log(1.0 / delta))
-    if _best_log_delta(rho, lo) <= log_target:
-        return lo
-    while True:
-        mid = (lo + hi) / 2.0
-        if not lo < mid < hi:
-            return hi  # no double between the ends
-        if _best_log_delta(rho, mid) <= log_target:
-            hi = mid
-        else:
-            lo = mid
+
+    def feasible(eps: float) -> bool:
+        return _best_log_delta(rho, eps) <= log_target
+
+    if feasible(rho):
+        return rho
+    return bisect(feasible, rho, rho + 4.0 * math.sqrt(rho * math.log(1.0 / delta)))[1]
 
 
 # dp_to_zcdp_rho stops once its bracket is this narrow relative to its upper
@@ -182,13 +186,4 @@ def dp_to_zcdp_rho(epsilon: float, delta: float) -> float:
     hi = max(epsilon, 1e-3)
     while feasible(hi):
         hi *= 2.0
-    lo = 0.0
-    while hi - lo > RHO_RTOL * hi:
-        mid = (lo + hi) / 2.0
-        if not lo < mid < hi:
-            break  # no double between the ends
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect(lambda rho: not feasible(rho), 0.0, hi, rtol=RHO_RTOL)[0]

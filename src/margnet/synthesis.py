@@ -23,14 +23,15 @@ import numpy as np
 from .domain import Dataset
 from .errors import InsufficientBudget
 from .generator import (
+    CandidateIndex,
     GeneratorModel,
-    GramLayout,
     SoftMarginals,
     TrainContext,
     adam_step,
+    candidate_index,
+    candidate_l1,
     fold_targets,
     forward,
-    gram_layout,
     gram_marginals,
     init_generator,
     loss_and_grad,
@@ -250,30 +251,6 @@ def train(model: GeneratorModel, ctx: TrainContext, measurements: list[Measureme
     return loss
 
 
-@dataclass
-class CandidateIndex:
-    """Where the candidates' cells sit in the flat cell vector of `layout`,
-    grouped by cell count: per group the cell count, the candidates'
-    positions, a (k, n_cells) gather index and the exact counts in the same
-    shape."""
-
-    layout: GramLayout
-    size: int
-    groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
-
-
-def candidate_index(model: GeneratorModel, candidates: list[MarginalSpec],
-                    exact: dict) -> CandidateIndex:
-    layout = gram_layout(model, [s.attrs for s in candidates])
-    by_cells: dict = {}
-    for i, spec in enumerate(candidates):
-        by_cells.setdefault(spec.n_cells, []).append(i)
-    groups = [(n, np.array(group), np.stack([layout.cells[candidates[i].attrs] for i in group]),
-               np.stack([exact[candidates[i].attrs].counts for i in group]))
-              for n, group in by_cells.items()]
-    return CandidateIndex(layout, len(candidates), groups)
-
-
 def candidate_scores(soft: SoftMarginals, index: CandidateIndex, rho_m: float) -> np.ndarray:
     """Selection scores: expected estimation improvement minus expected noise.
 
@@ -283,12 +260,9 @@ def candidate_scores(soft: SoftMarginals, index: CandidateIndex, rho_m: float) -
     group is one gather and one row sum, whose sums equal `l1_distance` per
     candidate to the bit.
     """
-    if soft.layout is not index.layout:
-        raise ValueError("soft marginals are not at the candidates' layout")
-    scores = np.empty(index.size)
-    for n_cells, positions, gather, exact in index.groups:
-        est = soft.cells[gather].astype(np.float64)
-        scores[positions] = np.abs(est - exact).sum(axis=1) - expected_noise_l1(n_cells, rho_m)
+    scores = candidate_l1(soft, index)
+    for n_cells, positions, *_ in index.groups:
+        scores[positions] -= expected_noise_l1(n_cells, rho_m)
     return scores
 
 

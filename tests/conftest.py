@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from margnet.domain import AttributeMeta, Dataset, Domain
-from margnet.generator import TrainContext, loss_and_grad
+from margnet.generator import TrainContext, candidate_index, forward, gram_marginals, loss_and_grad
+from margnet.marginals import compute_marginal, selection_candidates
 
 
 def categorical_domain(cards, prefix="a"):
@@ -39,6 +40,17 @@ def loss_and_grad_on_copy(model, targets):
     which stays unbound, so its weights can be edited between calls."""
     m = model.copy()
     return loss_and_grad(m, targets, TrainContext(m))
+
+
+def unselected_inputs(ds, model, prev_model, scale):
+    """(soft, prev_soft, index) of `unselected_bound`, as `check` builds them:
+    both models' soft marginals at the layout of every selection candidate."""
+    candidates = selection_candidates(ds.cards)
+    index = candidate_index(model, candidates,
+                            {s.attrs: compute_marginal(ds, s) for s in candidates})
+    soft, prev_soft = (gram_marginals(forward(m), scale, index.layout)
+                       for m in (model, prev_model))
+    return soft, prev_soft, index
 
 
 def uniform_synth(cards, n, seed):

@@ -16,14 +16,16 @@ import pytest
 
 from margnet.cli import main as cli_main
 from margnet.domain import Dataset, auto_numeric_domain, encode, gen_gaussian_dataset
-from margnet.generator import fold_targets, forward, init_generator, soft_marginal
+from margnet.generator import (fold_targets, forward, gram_layout, gram_marginals, init_generator,
+                               soft_marginal)
 from margnet.marginals import Marginal, compute_marginal, fidelity_error, marginal_spec
 from margnet.privacy import dp_to_zcdp_rho, exponential_mechanism, gaussian_mechanism, zcdp_to_dp_epsilon
 from margnet import synthesis
 from margnet.bounds import selected_lower_bound, selected_upper_bound, unselected_bound
 from margnet.synthesis import Measurement, SynthConfig, run_margnet
 
-from conftest import brute_force_marginal, categorical_domain, loss_and_grad_on_copy, random_dataset
+from conftest import (brute_force_marginal, categorical_domain, loss_and_grad_on_copy,
+                      random_dataset, unselected_inputs)
 
 warnings.filterwarnings("ignore", message="zCDP->DP conversion")
 
@@ -254,13 +256,14 @@ def test_criterion_7a_selected_upper_bound_coverage():
     n_groups = 3
     rng = np.random.default_rng(707)
     trials, violations = 500, 0
+    soft = gram_marginals(forward(model), 500.0, gram_layout(model, [s.attrs for s in specs]))
     for _ in range(trials):
         ms = []
         for s in specs:
             for rho_m in rho_ms[s.attrs]:
                 noisy = exact[s.attrs].counts + rng.normal(0, 1 / math.sqrt(2 * rho_m), s.n_cells)
                 ms.append(Measurement(spec=s, noisy=Marginal(s, noisy), rho_m=rho_m, sigma=1.0))
-        rep = selected_upper_bound(ms, model, scale=500.0, delta=delta_i, exact=exact)
+        rep = selected_upper_bound(ms, soft, delta=delta_i, exact=exact)
         if rep.total_observed > rep.total_bound:
             violations += 1
     allowed = delta_i * n_groups * trials + 3 * math.sqrt(trials)
@@ -282,8 +285,8 @@ def test_criterion_7b_unselected_bound_coverage():
         res = run_margnet(ds, cfg)
         if not res.trace.rounds:
             continue
-        rep = unselected_bound(res.trace, res.model, res.prev_model, ds,
-                               scale=res.trace.n_estimate, delta=delta)
+        rep = unselected_bound(res.trace, *unselected_inputs(ds, res.model, res.prev_model,
+                                                             res.trace.n_estimate), delta=delta)
         if not rep.entries:
             continue
         unselected_total += len(rep.entries)
@@ -308,8 +311,8 @@ def test_unselected_bound_coverage_mixed_cardinalities():
         res = run_margnet(ds, cfg)
         if not res.trace.rounds:
             continue
-        rep = unselected_bound(res.trace, res.model, res.prev_model, ds,
-                               scale=res.trace.n_estimate, delta=delta)
+        rep = unselected_bound(res.trace, *unselected_inputs(ds, res.model, res.prev_model,
+                                                             res.trace.n_estimate), delta=delta)
         entries += len(rep.entries)
         violations += sum(e.observed > e.bound for e in rep.entries)
     # each entry fails with probability at most delta: its binomial mean + 3 sd

@@ -8,6 +8,7 @@ import scipy.stats
 
 import margnet.bounds
 from margnet.bounds import (
+    CHI2_INVERSE_TOL,
     _gammainc,
     chi2_cdf,
     chi2_inverse_cdf,
@@ -17,11 +18,11 @@ from margnet.bounds import (
     unselected_bound,
 )
 from margnet.domain import Dataset
-from margnet.generator import forward, init_generator, soft_marginal
+from margnet.generator import forward, gram_layout, gram_marginals, init_generator, soft_marginal
 from margnet.marginals import Marginal, compute_marginal, l1_distance, marginal_spec
 from margnet.synthesis import Measurement, RoundRecord, SelectionTrace
 
-from conftest import categorical_domain, random_dataset
+from conftest import categorical_domain, random_dataset, unselected_inputs
 
 
 # -------------------------------------------------------------- chi-squared
@@ -105,6 +106,34 @@ def test_chi2_inverse_matches_scipy_ppf_up_to_large_dof():
             assert chi2_inverse_cdf(p, dof) == pytest.approx(want, rel=1e-9, abs=1e-8)
 
 
+def loop_chi2_inverse_cdf(p, dof):
+    """chi2_inverse_cdf as it bisected in a loop of its own, kept as an oracle."""
+    hi = float(max(dof, 1))
+    while chi2_cdf(hi, dof) < p:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > CHI2_INVERSE_TOL:
+        mid = (lo + hi) / 2.0
+        if chi2_cdf(mid, dof) < p:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+@pytest.mark.parametrize("dof", [1, 2, 5, 30, 100, 1000, 10**4, 10**5])
+def test_chi2_inverse_equals_its_own_loop_to_the_bit(dof):
+    for p in (0.5, 0.9, 0.95, 0.99, 1 - 1e-4, 1 - 1e-6):
+        assert chi2_inverse_cdf(p, dof) == loop_chi2_inverse_cdf(p, dof), p
+
+
+def test_chi2_inverse_ends_where_doubles_are_wider_than_its_tolerance():
+    # the quantile is near 1e8, where adjacent doubles lie 1.5e-8 apart: the
+    # width stop alone is never met, the adjacent-doubles stop ends the search
+    got = chi2_inverse_cdf(0.95, 10**8)
+    assert got == pytest.approx(scipy.stats.chi2.ppf(0.95, 10**8), rel=1e-9)
+
+
 # -------------------------------------------------------------- lower bound
 
 def as_marginal(mat):
@@ -164,6 +193,11 @@ def zero_exact(ms):
     return {m.spec.attrs: Marginal(m.spec, np.zeros(m.spec.n_cells)) for m in ms}
 
 
+def soft_at(model, scale, specs):
+    """`model`'s soft marginals at the layout of `specs`, as `check` reads them."""
+    return gram_marginals(forward(model), scale, gram_layout(model, [s.attrs for s in specs]))
+
+
 def test_combine_single_measurement_sigma():
     m = mk_measurement((2, 2), (0, 1), [1, 2, 3, 4], rho_m=0.5)
     counts, sigma_bar = combine_measurements([m])
@@ -183,12 +217,13 @@ def test_upper_bound_structure_and_delta_check():
     dom = categorical_domain([2, 2])
     model = init_generator(dom.cards, [8], 4, 4, seed=0)
     ms = [mk_measurement(dom.cards, (0, 1), [5, 5, 5, 5], rho_m=0.5)]
-    rep = selected_upper_bound(ms, model, scale=20.0, delta=0.05, exact=zero_exact(ms))
+    soft = soft_at(model, 20.0, [m.spec for m in ms])
+    rep = selected_upper_bound(ms, soft, delta=0.05, exact=zero_exact(ms))
     assert len(rep.entries) == 1
     assert rep.entries[0].bound > 0
     assert rep.entries[0].slack == rep.entries[0].bound - rep.entries[0].observed
     with pytest.raises(ValueError, match=r"delta must be in \(0, 1\), got 2\.0"):
-        selected_upper_bound(ms, model, scale=20.0, delta=2.0, exact=zero_exact(ms))
+        selected_upper_bound(ms, soft, delta=2.0, exact=zero_exact(ms))
 
 
 def test_upper_bound_computes_each_quantile_once(monkeypatch):
@@ -207,7 +242,8 @@ def test_upper_bound_computes_each_quantile_once(monkeypatch):
           mk_measurement(dom.cards, (0, 2), [3] * 6, rho_m=0.5),
           mk_measurement(dom.cards, (1, 2), [3] * 6, rho_m=0.5),
           mk_measurement(dom.cards, (0, 1), [4, 6, 5, 5], rho_m=0.5, round_=2)]
-    selected_upper_bound(ms, model, scale=20.0, delta=0.05, exact=zero_exact(ms))
+    selected_upper_bound(ms, soft_at(model, 20.0, [m.spec for m in ms]), delta=0.05,
+                         exact=zero_exact(ms))
     assert sorted(calls) == [(0.95, 4), (0.95, 6)]
 
 
@@ -225,10 +261,11 @@ def test_upper_bound_small_monte_carlo():
     delta = 0.2
     violations = 0
     trials = 100
+    soft = soft_at(model, 200.0, [spec])
     for _ in range(trials):
         noisy = exact[spec.attrs].counts + rng.normal(0, 1 / math.sqrt(2 * rho_m), spec.n_cells)
         ms = [Measurement(spec=spec, noisy=Marginal(spec, noisy), rho_m=rho_m, sigma=1.0)]
-        rep = selected_upper_bound(ms, model, scale=200.0, delta=delta, exact=exact)
+        rep = selected_upper_bound(ms, soft, delta=delta, exact=exact)
         if rep.total_observed > rep.total_bound:
             violations += 1
     assert violations <= delta * trials + 3 * math.sqrt(trials)
@@ -261,7 +298,7 @@ def test_unselected_middle_term_cancels_and_isolation():
     trace = mk_trace(ds.cards, (0, 1), rho_s=0.01, rho_m=0.09)
     # delta = |C| makes the log term vanish; perfect fit + zero drift leave
     # only the middle term, which cancels for equal cardinalities
-    rep = unselected_bound(trace, model, model, ds, scale=float(n), delta=3.0)
+    rep = unselected_bound(trace, *unselected_inputs(ds, model, model, float(n)), delta=3.0)
     assert {e.attrs for e in rep.entries} == {(0, 2), (1, 2)}
     for e in rep.entries:
         assert e.bound == pytest.approx(0.0, abs=1e-9)
@@ -274,7 +311,7 @@ def test_unselected_bound_formula():
     rho_s = 0.02
     delta = 0.05
     trace = mk_trace(ds.cards, (0, 1), rho_s=rho_s, rho_m=0.18)
-    rep = unselected_bound(trace, model, model, ds, scale=float(n), delta=delta)
+    rep = unselected_bound(trace, *unselected_inputs(ds, model, model, float(n)), delta=delta)
     expect = math.log(3 / delta) / math.sqrt(2 * rho_s)  # only the tail term survives
     for e in rep.entries:
         assert e.bound == pytest.approx(expect, rel=1e-12)
@@ -283,7 +320,7 @@ def test_unselected_bound_formula():
 def test_unselected_no_rounds():
     dom, ds, model = uniform_setup()
     with pytest.raises(ValueError, match="the trace records no selection rounds"):
-        unselected_bound(SelectionTrace(), model, model, ds, scale=10.0, delta=0.05)
+        unselected_bound(SelectionTrace(), *unselected_inputs(ds, model, model, 10.0), delta=0.05)
 
 
 def test_bounds_read_from_gram_match_per_spec_marginals():
@@ -295,7 +332,8 @@ def test_bounds_read_from_gram_match_per_spec_marginals():
     prev = init_generator(dom.cards, [10], 4, 9, seed=6)
     scale, delta = 300.0, 0.1
     trace = mk_trace(ds.cards, (0, 2), rho_s=0.02, rho_m=0.18)
-    rep = unselected_bound(trace, model, prev, ds, scale=scale, delta=delta)
+    soft, prev_soft, index = unselected_inputs(ds, model, prev, scale)
+    rep = unselected_bound(trace, soft, prev_soft, index, delta=delta)
     theta = marginal_spec(ds, (0, 2))
     theta_err = l1_distance(soft_marginal(prev, forward(prev), theta, scale), compute_marginal(ds, theta))
     assert len(rep.entries) == 5
@@ -316,7 +354,7 @@ def test_bounds_read_from_gram_match_per_spec_marginals():
         ms.append(Measurement(spec=spec, noisy=Marginal(spec, rng.normal(10, 3, spec.n_cells)),
                               rho_m=float(rng.uniform(0.1, 1.0)), sigma=1.0))
     exact = {a: compute_marginal(ds, marginal_spec(ds, a)) for a in [(0, 2), (1, 3)]}
-    up = selected_upper_bound(ms, model, scale, delta=delta, exact=exact)
+    up = selected_upper_bound(ms, soft, delta=delta, exact=exact)
     for e in up.entries:
         spec = marginal_spec(ds, e.attrs)
         combined, sigma_bar = combine_measurements([m for m in ms if m.spec.attrs == e.attrs])

@@ -15,7 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import margnet
+from margnet.bounds import (SCORE_SENSITIVITY, BoundEntry, BoundReport, chi2_inverse_cdf,
+                            combine_measurements, selected_lower_bound)
 from margnet.cli import main
+from margnet.domain import Domain, encode, load_csv
+from margnet.generator import forward, gram_layout, gram_marginals, load_checkpoint
+from margnet.marginals import compute_marginal, l1_distance, selection_candidates
+from margnet.privacy import expected_noise_l1
+from margnet.synthesis import trace_from_json_dict
 
 
 def run_cli(*argv):
@@ -398,6 +405,106 @@ def test_check_reports_each_candidate_once(gauss_files, tmp_path, request, run):
     d = len(json.loads(Path(domain).read_text())["attributes"])
     assert listed == list(itertools.combinations(range(d), 2))
     assert rep["selected_upper"]["per_marginal"] and rep["unselected"]["per_marginal"]
+
+
+def test_check_trace_pair_outside_the_candidates_exits_2(mixed_run, tmp_path, capsys,
+                                                         monkeypatch):
+    # with the cap at 95 cells, the 96-cell pair (2, 4) is no selection candidate
+    csv, domain, trace_path, ckpt = mixed_run
+    monkeypatch.setattr(margnet.marginals, "MAX_CANDIDATE_CELLS", 95)
+    trace = json.load(open(trace_path))
+    last = trace["rounds"][-1]
+    last["attrs"], last["counts"] = [2, 4], [0.0] * 96
+    bad, report = tmp_path / "bad.trace.json", tmp_path / "bounds.json"
+    bad.write_text(json.dumps(trace))
+    assert run_cli("check", "--trace", str(bad), "--checkpoint", ckpt, "--data", csv,
+                   "--domain", domain, "--out", str(report)) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed trace: round {last['round']} measures [2, 4], which is not a "
+        "selection candidate\n")
+    assert not report.exists()
+
+
+def old_check_report(csv, domain_path, trace_path, ckpt, delta):
+    """`check`'s report text as it was built before the bounds shared one
+    candidate layout: a layout and a forward pass per bound, and a gather and
+    an `l1_distance` per unmeasured marginal. Kept as an oracle."""
+    def soft_marginals(model, specs):
+        layout = gram_layout(model, [s.attrs for s in specs])
+        return gram_marginals(forward(model), trace.n_estimate, layout)
+
+    domain = Domain.load(domain_path)
+    ds = encode(load_csv(csv, domain), domain)
+    model, prev_model = load_checkpoint(ckpt)
+    trace = trace_from_json_dict(json.load(open(trace_path)), domain.cards)
+    measurements = [r.measurement for r in trace.rounds]
+    order = list(dict.fromkeys(m.spec for m in measurements))
+    exact = {s.attrs: compute_marginal(ds, s) for s in order}
+    lower = selected_lower_bound(list(exact.values()), model.batch_size)
+
+    soft = soft_marginals(model, order)
+    upper = BoundReport(deltas=[delta] * len(order))
+    for spec in order:
+        combined, sigma_bar = combine_measurements(
+            [m for m in measurements if m.spec.attrs == spec.attrs])
+        est = soft.marginal(spec).counts
+        tail = sigma_bar ** 2 * chi2_inverse_cdf(1.0 - delta, spec.n_cells)
+        diff = exact[spec.attrs].counts - est
+        upper.entries.append(BoundEntry(spec.attrs, float((diff * diff).sum()),
+                                        2.0 * (float(((combined - est) ** 2).sum()) + tail)))
+
+    final = trace.rounds[-1]
+    theta = final.measurement.spec
+    candidates = selection_candidates(ds.cards)
+    measured = {r.attrs for r in trace.rounds}
+    unmeasured = [s for s in candidates if s.attrs not in measured]
+    soft_final = soft_marginals(model, unmeasured)
+    soft_prev = soft_marginals(prev_model, unmeasured + [theta])
+    theta_err = l1_distance(soft_prev.marginal(theta), compute_marginal(ds, theta))
+    unsel = BoundReport(deltas=[delta])
+    for spec in unmeasured:
+        b_ik = (theta_err + expected_noise_l1(spec.n_cells - theta.n_cells, final.rho_m)
+                + SCORE_SENSITIVITY * math.log(len(candidates) / delta)
+                / math.sqrt(2.0 * final.rho_s))
+        est = soft_final.marginal(spec)
+        drift = l1_distance(soft_prev.marginal(spec), est)
+        unsel.entries.append(BoundEntry(spec.attrs, l1_distance(est, compute_marginal(ds, spec)),
+                                        b_ik + drift))
+
+    observed = upper.total_observed
+    report = {
+        "selected_lower": {"bound": lower, "observed": observed, "gap": observed - lower,
+                           "batch_size": model.batch_size},
+        "selected_upper": upper.to_json_dict(),
+        "unselected": unsel.to_json_dict(),
+    }
+    return json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("run", ["finished_run", "mixed_run"])
+def test_check_reads_one_layout_in_two_forward_passes(gauss_files, tmp_path, request,
+                                                      monkeypatch, run):
+    if run == "finished_run":
+        csv, domain, trace, ckpt = *gauss_files, *request.getfixturevalue(run)
+    else:
+        csv, domain, trace, ckpt = request.getfixturevalue(run)
+    want = old_check_report(csv, domain, trace, ckpt, 0.05)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(margnet.generator, "gram_layout",
+                        counting("gram_layout", margnet.generator.gram_layout))
+    monkeypatch.setattr(margnet.cli, "forward", counting("forward", margnet.cli.forward))
+    report = tmp_path / "bounds.json"
+    assert run_cli("check", "--trace", trace, "--checkpoint", ckpt, "--data", csv,
+                   "--domain", domain, "--out", str(report)) == 0
+    assert sorted(calls) == ["forward", "forward", "gram_layout"]
+    assert report.read_text() == want
 
 
 TRACE_FIELDS = [("n_estimate",)] + [

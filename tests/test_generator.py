@@ -16,18 +16,19 @@ from margnet.generator import (
     fold_targets,
     forward,
     gram_layout,
+    gram_marginals,
     init_generator,
     load_checkpoint,
     loss_and_grad,
     sample_hard,
     save_checkpoint,
     soft_marginal,
-    soft_marginals,
 )
-from margnet.marginals import Marginal, compute_marginal, marginal_spec
+from margnet.marginals import (Marginal, compute_marginal, l1_distance, marginal_spec,
+                               selection_candidates)
 from margnet.synthesis import Measurement, train
 
-from conftest import loss_and_grad_on_copy
+from conftest import loss_and_grad_on_copy, random_dataset
 
 
 # DENSE_SLACK settings that force each layout of G: one square block, or one
@@ -147,17 +148,19 @@ def spread_values(rng, shape, dtype):
 
 
 def test_segment_plan_views_only_long_runs():
-    # a run of n attributes of card k is a view when n >= max(8, k); the
-    # other columns form one reduceat stretch per gap between views
+    # a run of n attributes of card k is a view when n >= max(8, k) and
+    # n * k <= 1024; the other columns form one reduceat stretch per gap
+    # between views
     plan = generator.segment_plan((10,) + (2,) * 12 + (3, 3) + (2,) * 8)
     assert [(p.cols, p.view) for p in plan] == [
         (slice(0, 10), None), (slice(10, 34), (12, 2)), (slice(34, 40), None),
         (slice(40, 56), (8, 2))]
     assert plan[2].offsets.tolist() == [0, 3] and plan[2].columns.tolist() == [0] * 3 + [1] * 3
-    for cards in [(10,) * 9, (41,) * 8 + (3,), (2, 3) * 30]:
+    for cards in [(10,) * 9, (41,) * 8 + (3,), (2, 3) * 30, (32,) * 64, (100,) * 100]:
         (part,) = generator.segment_plan(cards)
         assert part.view is None and part.offsets.tolist() == list(segment_offsets(cards))
     assert [p.view for p in generator.segment_plan((10,) * 10 + (1,) * 8)] == [(10, 10), (8, 1)]
+    assert [p.view for p in generator.segment_plan((32,) * 32)] == [(32, 32)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -222,17 +225,43 @@ def test_soft_marginal_marginalizes_exactly():
 def test_soft_marginals_blocks_match_per_spec(layout_slack, pairs):
     m = tiny_model(cards=(3, 1, 4, 2), hidden=(10,), batch=13, seed=6)
     specs = [marginal_spec(m.cards, attrs) for attrs in [(a,) for a in range(4)] + pairs]
-    soft = soft_marginals(m, 37.0, specs)
     probs = forward(m)
+    soft = gram_marginals(probs, 37.0, gram_layout(m, pairs))
     for spec in specs:
         assert np.allclose(soft.marginal(spec).counts, soft_marginal(m, probs, spec, 37.0).counts,
                            rtol=1e-12, atol=1e-12)
 
 
-def test_soft_marginals_reject_three_way():
-    m = tiny_model(cards=(2, 2, 2))
-    with pytest.raises(ValueError, match="support order 1 and 2 only"):
-        soft_marginals(m, 1.0, [marginal_spec(m.cards, (0, 1, 2))])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_candidate_l1_equals_per_spec_l1_to_the_bit(layout_slack, dtype):
+    # mixed cards give 21 cell-count groups, some past the 128 cells where
+    # numpy's pairwise sum starts to split; the oracle is a gather and an
+    # `l1_distance` per candidate
+    cards = (3, 1, 4, 2, 5, 3, 20, 13)
+    m = tiny_model(cards=cards, hidden=(16,), batch=13, seed=5, dtype=dtype)
+    other = tiny_model(cards=cards, hidden=(16,), batch=13, seed=6, dtype=dtype)
+    ds = random_dataset(cards, 500, seed=13)
+    candidates = selection_candidates(cards)
+    exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
+    index = generator.candidate_index(m, candidates, exact)
+    assert len(index.groups) == 21
+    soft = gram_marginals(forward(m), 500.0, index.layout)
+    soft_other = gram_marginals(forward(other), 500.0, index.layout)
+    assert generator.candidate_l1(soft, index).tolist() == [
+        l1_distance(soft.marginal(s), exact[s.attrs]) for s in candidates]
+    assert generator.candidate_l1(soft, index, soft_other).tolist() == [
+        l1_distance(soft.marginal(s), soft_other.marginal(s)) for s in candidates]
+
+
+def test_candidate_l1_needs_the_other_marginals_at_the_index_layout():
+    m = tiny_model(cards=(2, 3, 2))
+    candidates = selection_candidates(m.cards)
+    exact = {s.attrs: Marginal(s, np.zeros(s.n_cells)) for s in candidates}
+    index = generator.candidate_index(m, candidates, exact)
+    soft = gram_marginals(forward(m), 5.0, index.layout)
+    elsewhere = gram_marginals(forward(m), 5.0, gram_layout(m, [s.attrs for s in candidates]))
+    with pytest.raises(ValueError, match="not at the candidates' layout"):
+        generator.candidate_l1(soft, index, elsewhere)
 
 
 def test_gram_layout_one_block_for_compact_pairs():
@@ -948,7 +977,7 @@ def test_sample_hard_float32_matches_soft_marginals():
     m = tiny_model(cards=(3, 4, 7), hidden=(16,), batch=8, seed=23, dtype=np.float32)
     n = 100_000
     ds = sample_hard(m, forward(m), n, seed=6)
-    soft = soft_marginals(m, 1.0, [marginal_spec(m.cards, (a,)) for a in range(3)])
+    soft = gram_marginals(forward(m), 1.0, gram_layout(m, []))
     for a in range(3):
         spec = marginal_spec(m.cards, (a,))
         emp = compute_marginal(ds, spec).counts / n

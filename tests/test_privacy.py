@@ -11,6 +11,7 @@ from margnet.privacy import (
     NoiseParams,
     RHO_RTOL,
     _best_log_delta,
+    _log_delta,
     dp_to_zcdp_rho,
     exponential_mechanism,
     gaussian_mechanism,
@@ -310,3 +311,77 @@ def test_minimiser_within_one_ulp_of_one(eps):
     want = (a - 1) * (a * 1e11 - eps) + a * math.log1p(-1 / a) - math.log(a - 1)
     assert math.isfinite(want)
     assert _best_log_delta(1e11, eps) == want
+
+
+# ------------------------------------------------------------ one bisection
+
+# The searches as each wrote its own loop before they shared `bisect`, kept
+# as oracles.
+
+def loop_best_log_delta(rho, eps):
+    def rising(a):
+        return (2.0 * a - 1.0) * rho - eps + math.log1p(-1.0 / a) >= 0.0
+
+    lo, hi = 1.0, 2.0
+    while not rising(hi):
+        lo, hi = hi, hi * 2.0
+    while True:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            return _log_delta(rho, eps, hi)
+        if rising(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+def loop_zcdp_to_dp_epsilon(rho, delta):
+    log_target = math.log(delta)
+    lo = rho
+    hi = rho + 4.0 * math.sqrt(rho * math.log(1.0 / delta))
+    if loop_best_log_delta(rho, lo) <= log_target:
+        return lo
+    while True:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            return hi
+        if loop_best_log_delta(rho, mid) <= log_target:
+            hi = mid
+        else:
+            lo = mid
+
+
+def loop_dp_to_zcdp_rho(epsilon, delta):
+    log_target = math.log(delta)
+
+    def feasible(rho):
+        return loop_best_log_delta(rho, epsilon) <= log_target
+
+    hi = max(epsilon, 1e-3)
+    while feasible(hi):
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > RHO_RTOL * hi:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+BISECT_EPSILONS = (1e-4, 1e-3, 0.02, 0.3, 1.0, 4.0, 20.0, 300.0)
+BISECT_DELTAS = (1e-12, 1e-9, 1e-5, 1e-2, 0.3, 0.99)
+
+
+@pytest.mark.parametrize("delta", BISECT_DELTAS)
+def test_conversions_equal_their_own_loops_to_the_bit(delta):
+    for eps in BISECT_EPSILONS:
+        rho = dp_to_zcdp_rho(eps, delta)
+        assert rho == loop_dp_to_zcdp_rho(eps, delta), eps
+        assert _best_log_delta(rho, eps) == loop_best_log_delta(rho, eps), eps
+        # back from rho, and from a rho that is no conversion's output
+        for r in (rho, eps / 7.0):
+            assert zcdp_to_dp_epsilon(r, delta) == loop_zcdp_to_dp_epsilon(r, delta), (eps, r)

@@ -9,14 +9,14 @@ import pytest
 from margnet.domain import Dataset
 from margnet.errors import InsufficientBudget
 from margnet import generator, synthesis
-from margnet.generator import TrainContext, forward, gram_marginals, init_generator
+from margnet.generator import (TrainContext, candidate_index, forward, gram_layout,
+                               gram_marginals, init_generator)
 from margnet.marginals import (Marginal, compute_marginal, l1_distance, marginal_spec,
                                selection_candidates, tvd)
 from margnet.privacy import Accountant
 from margnet.synthesis import (
     Measurement,
     SynthConfig,
-    candidate_index,
     candidate_scores,
     compute_weights,
     run_margnet,
@@ -173,7 +173,7 @@ def scores_of(model, scale, exact, candidates, rho_m):
 def per_spec_scores(model, scale, exact, candidates, rho_m):
     """The per-spec loop that one gather per cell count replaced, kept as an
     oracle: a block read, an `l1_distance` and the noise term per candidate."""
-    soft = generator.soft_marginals(model, scale, candidates)
+    soft = gram_marginals(forward(model), scale, gram_layout(model, [s.attrs for s in candidates]))
     return np.array([l1_distance(soft.marginal(s), exact[s.attrs])
                      - s.n_cells / math.sqrt(math.pi * rho_m) for s in candidates])
 
@@ -258,7 +258,9 @@ def test_candidate_scores_need_the_index_layout():
     ds = random_dataset(dom.cards, 50, seed=15)
     index = candidate_index(model, candidates, {s.attrs: compute_marginal(ds, s) for s in candidates})
     with pytest.raises(ValueError):
-        candidate_scores(generator.soft_marginals(model, 50.0, candidates), index, 0.1)
+        candidate_scores(gram_marginals(forward(model), 50.0,
+                                        gram_layout(model, [s.attrs for s in candidates])),
+                         index, 0.1)
 
 
 # ---------------------------------------------------------------- full runs
