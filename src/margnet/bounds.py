@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import CandidateIndex, SoftMarginals, candidate_l1
-from .marginals import Marginal
+from .marginals import Marginal, l1_distance
 from .privacy import SCORE_SENSITIVITY, bisect, expected_noise_l1
 
 
@@ -223,8 +223,7 @@ def unselected_bound(trace, soft: SoftMarginals, prev_soft: SoftMarginals,
         raise ValueError("the trace records no selection rounds")
     final = trace.rounds[-1]
     theta = final.measurement.spec
-    position = index.specs.index(theta)
-    theta_err = float(candidate_l1(prev_soft, index)[position])
+    theta_err = l1_distance(prev_soft.marginal(theta), index.exact[theta.attrs])
     observed = candidate_l1(soft, index)
     drift = candidate_l1(prev_soft, index, soft)
     tail = SCORE_SENSITIVITY * math.log(len(index.specs) / delta) / math.sqrt(2.0 * final.rho_s)

@@ -36,7 +36,7 @@ from .domain import (
 from .errors import CheckpointError, InsufficientBudget
 from .evaluation import evaluate
 from .generator import candidate_index, forward, gram_marginals, load_checkpoint, save_checkpoint
-from .marginals import compute_marginal, selection_candidates
+from .marginals import selection_candidates
 from .privacy import dp_to_zcdp_rho, zcdp_to_dp_epsilon
 from .synthesis import SynthConfig, run_margnet, trace_from_json_dict
 
@@ -212,20 +212,20 @@ def cmd_check(args) -> None:
         raise ValueError(f"malformed trace: {e}") from None
 
     candidates = selection_candidates(ds.cards)
-    exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
+    pairs = {s.attrs for s in candidates}
     for r in trace.rounds:
-        if r.attrs not in exact:
+        if r.attrs not in pairs:
             raise ValueError(f"malformed trace: round {r.measurement.round} measures "
                              f"{list(r.attrs)}, which is not a selection candidate")
     # every bound reads the two models' soft marginals at the candidates' layout
-    index = candidate_index(model, candidates, exact)
+    index = candidate_index(model, ds, candidates)
     soft = gram_marginals(forward(model), trace.n_estimate, index.layout)
     prev_soft = gram_marginals(forward(prev_model), trace.n_estimate, index.layout)
     measurements = [r.measurement for r in trace.rounds]
     # the selected marginals, in the order they were first measured
-    selected = [exact[a] for a in dict.fromkeys(m.spec.attrs for m in measurements)]
+    selected = [index.exact[a] for a in dict.fromkeys(m.spec.attrs for m in measurements)]
     lower = bounds_mod.selected_lower_bound(selected, model.batch_size)
-    upper = bounds_mod.selected_upper_bound(measurements, soft, args.delta, exact)
+    upper = bounds_mod.selected_upper_bound(measurements, soft, args.delta, index.exact)
     unsel = bounds_mod.unselected_bound(trace, soft, prev_soft, index, args.delta)
     observed_selected = upper.total_observed
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .domain import Dataset, code_dtype
 from .errors import CheckpointError
-from .marginals import Marginal, MarginalSpec
+from .marginals import Marginal, MarginalSpec, compute_marginal, selection_candidates
 
 CHECKPOINT_MAGIC = b"MGNETCK1"
 CHECKPOINT_VERSION = 2
@@ -60,18 +60,16 @@ DENSE_SLACK = 8
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-# A run of n consecutive attributes of one card k is reduced on a (b, n, k)
-# view, one ufunc call per column slice, when n >= max(VIEW_MIN_RUN, k) and
-# n * k <= VIEW_MAX_COLS; other columns keep reduceat + take. On 2 cores (numpy
-# 2.4.6, float32, b = 256) a softmax plus its backward segment sum took, in us
-# on views / reduceat: 24 x 10 bins 454 / 1107, 40 x 16 1244 / 2583, 24 x 24
-# 1228 / 1918, 32 x 32 2368 / 3287, 64 x 32 7773 / 6365, 50 x 50 5746 / 6071,
-# 100 x 100 32959 / 21744. Views cut g24-wide `synth_s` by 7%; on every run
-# they made `synth --iters 10` 11-21% slower on mixed 12- to 20-attribute
-# tables, where runs of 2 and 3 bins win only from n = 8 and 8 x 41 bins lose
-# (1.38-1.48x), hence the k term.
+# A run of n consecutive attributes sharing one card k is reduced on a (b, n, k)
+# view, one ufunc call per column slice, when n >= max(VIEW_MIN_RUN, k); the
+# other columns keep reduceat + take. On 2 cores (numpy 2.4.6, float32,
+# b = 256) views cut g24-wide's `synth_s` by 7%, and views on every run made
+# `synth --iters 10` 11-21% slower on mixed tables, where runs of 2 and 3 bins
+# win only from n = 8 and 8 x 41 bins lose (1.38-1.48x), hence the k term. Per
+# layer (softmax plus backward sum, us, views / reduceat): 24 x 10 454 / 1107,
+# 32 x 32 2368 / 3287, 50 x 50 5746 / 6071, 64 x 32 7773 / 6365, 100 x 100
+# 32959 / 21744; no cap on n * k has been measured end to end.
 VIEW_MIN_RUN = 8
-VIEW_MAX_COLS = 1024
 
 SAMPLE_BLOCK_ROWS = 4096  # output rows sample_hard gathers at once: its temporaries are O(block * k)
 
@@ -166,9 +164,9 @@ class SegmentPart(NamedTuple):
 
 def segment_plan(cards) -> tuple[SegmentPart, ...]:
     """How the segments of `cards` are reduced: each run of consecutive
-    equal-card attributes that passes the VIEW_MIN_RUN and VIEW_MAX_COLS rule
-    is one view, and each maximal stretch of the other columns one reduceat.
-    A layout with no such run is one reduceat over all its columns."""
+    equal-card attributes that passes the VIEW_MIN_RUN rule is one view, and
+    each maximal stretch of the other columns one reduceat. A layout with no
+    such run is one reduceat over all its columns."""
     parts, stretch = [], []  # stretch: the cards of the columns not yet planned
 
     def close_stretch(end):
@@ -181,7 +179,7 @@ def segment_plan(cards) -> tuple[SegmentPart, ...]:
     end = 0
     for k, run in itertools.groupby(int(c) for c in cards):
         n = len(list(run))
-        if n >= max(VIEW_MIN_RUN, k) and n * k <= VIEW_MAX_COLS:
+        if n >= max(VIEW_MIN_RUN, k):
             close_stretch(end)
             parts.append(SegmentPart(slice(end, end + n * k), (n, k)))
         else:
@@ -495,27 +493,35 @@ def gram_marginals(probs: np.ndarray, scale: float, layout: GramLayout) -> SoftM
 
 @dataclass
 class CandidateIndex:
-    """Where the two-way `specs`' cells sit in the flat cell vector of
-    `layout`, grouped by cell count: per group the cell count, the specs'
-    positions, a (k, n_cells) gather index and the exact counts in the same
-    shape."""
+    """The two-way `specs` over the flat cell vector of `layout`, grouped by
+    cell count: per group the cell count, the specs' positions, a (k, n_cells)
+    gather index and the exact counts, whose rows `exact` (attrs -> Marginal)
+    views."""
 
     layout: GramLayout
     specs: list[MarginalSpec]
+    exact: dict
     groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 
 
-def candidate_index(model: GeneratorModel, candidates: list[MarginalSpec],
-                    exact: dict) -> CandidateIndex:
-    """`candidates` over one `gram_layout`; `exact` maps attrs to `Marginal`s."""
-    layout = gram_layout(model, [s.attrs for s in candidates])
+def candidate_index(model: GeneratorModel, ds: Dataset, specs=None) -> CandidateIndex:
+    """`specs` (every selection candidate of `ds` by default) over one
+    `gram_layout`, with their exact counts in `ds`, each counted once."""
+    specs = selection_candidates(ds.cards) if specs is None else list(specs)
+    layout = gram_layout(model, [s.attrs for s in specs])
     by_cells: dict = {}
-    for i, spec in enumerate(candidates):
+    for i, spec in enumerate(specs):
         by_cells.setdefault(spec.n_cells, []).append(i)
-    groups = [(n, np.array(group), np.stack([layout.cells[candidates[i].attrs] for i in group]),
-               np.stack([exact[candidates[i].attrs].counts for i in group]))
-              for n, group in by_cells.items()]
-    return CandidateIndex(layout, list(candidates), groups)
+    # layout.cells and exact view rows of the group arrays: each is held once
+    exact, groups = {}, []
+    for n, group in by_cells.items():
+        gather = np.stack([layout.cells[specs[i].attrs] for i in group])
+        counts = np.empty((len(group), n))
+        for i, cells, row in zip(group, gather, counts):
+            row[:] = compute_marginal(ds, specs[i]).counts
+            layout.cells[specs[i].attrs], exact[specs[i].attrs] = cells, Marginal(specs[i], row)
+        groups.append((n, np.array(group), gather, counts))
+    return CandidateIndex(layout, specs, exact, groups)
 
 
 def candidate_l1(soft: SoftMarginals, index: CandidateIndex,
@@ -528,8 +534,9 @@ def candidate_l1(soft: SoftMarginals, index: CandidateIndex,
         raise ValueError("soft marginals are not at the candidates' layout")
     l1 = np.empty(len(index.specs))
     for _, positions, gather, exact in index.groups:
-        ref = exact if other is None else other.cells[gather].astype(np.float64)
-        l1[positions] = np.abs(soft.cells[gather].astype(np.float64) - ref).sum(axis=1)
+        diff = soft.cells[gather].astype(np.float64)
+        diff -= exact if other is None else other.cells[gather]
+        l1[positions] = np.abs(diff, out=diff).sum(axis=1)
     return l1
 
 

@@ -37,8 +37,7 @@ from .generator import (
     loss_and_grad,
     sample_hard,
 )
-from .marginals import (Marginal, MarginalSpec, compute_marginal, l1_distance, marginal_spec,
-                        selection_candidates)
+from .marginals import Marginal, MarginalSpec, compute_marginal, l1_distance, marginal_spec
 from .privacy import (SCORE_SENSITIVITY, Accountant, NoiseParams, expected_noise_l1,
                       exponential_mechanism, gaussian_mechanism)
 
@@ -342,15 +341,13 @@ def run_margnet(ds: Dataset, config: SynthConfig) -> SynthResult:
     fixed = config.fixed_rounds is not None
     if fixed:
         rho_s, rho_m = split_budget(rounds_budget * (1.0 - _BUDGET_SLACK), config.fixed_rounds)
-    candidates = selection_candidates(ds.cards)
-    exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
-    index = candidate_index(model, candidates, exact)
+    index = candidate_index(model, ds)
     spent = 0.0
     tol = _BUDGET_SLACK * rounds_budget
     prev_model = model.copy()
     soft = gram_marginals(ctx.probs, n_estimate, index.layout)
     k = 0
-    while candidates and ((k < config.fixed_rounds) if fixed else (spent < rounds_budget - tol)):
+    while index.specs and ((k < config.fixed_rounds) if fixed else (spent < rounds_budget - tol)):
         k += 1
         # a round the remaining budget cannot cover gets all of it instead,
         # less a sliver so float rounding in the running sums cannot overspend
@@ -361,10 +358,10 @@ def run_margnet(ds: Dataset, config: SynthConfig) -> SynthResult:
         scores = candidate_scores(soft, index, rho_m)
         idx = exponential_mechanism(scores, SCORE_SENSITIVITY, rho_s, rng_select)
         acct.spend(rho_s, f"select:round:{k}")
-        chosen = candidates[idx]
+        chosen = index.specs[idx]
 
         est_before = soft.marginal(chosen)
-        noisy = gaussian_mechanism(exact[chosen.attrs].counts, rho_m, rng_measure)
+        noisy = gaussian_mechanism(index.exact[chosen.attrs].counts, rho_m, rng_measure)
         acct.spend(rho_m, f"measure:round:{k}")
         measurements.append(Measurement(spec=chosen, noisy=Marginal(chosen, noisy),
                                         rho_m=rho_m, sigma=NoiseParams(rho_m).sigma, round=k))

@@ -5,7 +5,6 @@ import pytest
 
 from margnet.domain import AttributeMeta, Dataset, Domain
 from margnet.generator import TrainContext, candidate_index, forward, gram_marginals, loss_and_grad
-from margnet.marginals import compute_marginal, selection_candidates
 
 
 def categorical_domain(cards, prefix="a"):
@@ -45,9 +44,7 @@ def loss_and_grad_on_copy(model, targets):
 def unselected_inputs(ds, model, prev_model, scale):
     """(soft, prev_soft, index) of `unselected_bound`, as `check` builds them:
     both models' soft marginals at the layout of every selection candidate."""
-    candidates = selection_candidates(ds.cards)
-    index = candidate_index(model, candidates,
-                            {s.attrs: compute_marginal(ds, s) for s in candidates})
+    index = candidate_index(model, ds)
     soft, prev_soft = (gram_marginals(forward(m), scale, index.layout)
                        for m in (model, prev_model))
     return soft, prev_soft, index

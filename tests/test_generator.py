@@ -148,19 +148,17 @@ def spread_values(rng, shape, dtype):
 
 
 def test_segment_plan_views_only_long_runs():
-    # a run of n attributes of card k is a view when n >= max(8, k) and
-    # n * k <= 1024; the other columns form one reduceat stretch per gap
-    # between views
+    # a run of n attributes of card k is a view when n >= max(8, k); the
+    # other columns form one reduceat stretch per gap between views
     plan = generator.segment_plan((10,) + (2,) * 12 + (3, 3) + (2,) * 8)
     assert [(p.cols, p.view) for p in plan] == [
         (slice(0, 10), None), (slice(10, 34), (12, 2)), (slice(34, 40), None),
         (slice(40, 56), (8, 2))]
     assert plan[2].offsets.tolist() == [0, 3] and plan[2].columns.tolist() == [0] * 3 + [1] * 3
-    for cards in [(10,) * 9, (41,) * 8 + (3,), (2, 3) * 30, (32,) * 64, (100,) * 100]:
+    for cards in [(10,) * 9, (41,) * 8 + (3,), (2, 3) * 30]:
         (part,) = generator.segment_plan(cards)
         assert part.view is None and part.offsets.tolist() == list(segment_offsets(cards))
     assert [p.view for p in generator.segment_plan((10,) * 10 + (1,) * 8)] == [(10, 10), (8, 1)]
-    assert [p.view for p in generator.segment_plan((32,) * 32)] == [(32, 32)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -243,8 +241,10 @@ def test_candidate_l1_equals_per_spec_l1_to_the_bit(layout_slack, dtype):
     ds = random_dataset(cards, 500, seed=13)
     candidates = selection_candidates(cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
-    index = generator.candidate_index(m, candidates, exact)
-    assert len(index.groups) == 21
+    index = generator.candidate_index(m, ds)
+    assert index.specs == candidates and len(index.groups) == 21
+    assert all(index.exact[s.attrs].counts.tolist() == exact[s.attrs].counts.tolist()
+               for s in candidates)
     soft = gram_marginals(forward(m), 500.0, index.layout)
     soft_other = gram_marginals(forward(other), 500.0, index.layout)
     assert generator.candidate_l1(soft, index).tolist() == [
@@ -255,11 +255,9 @@ def test_candidate_l1_equals_per_spec_l1_to_the_bit(layout_slack, dtype):
 
 def test_candidate_l1_needs_the_other_marginals_at_the_index_layout():
     m = tiny_model(cards=(2, 3, 2))
-    candidates = selection_candidates(m.cards)
-    exact = {s.attrs: Marginal(s, np.zeros(s.n_cells)) for s in candidates}
-    index = generator.candidate_index(m, candidates, exact)
+    index = generator.candidate_index(m, random_dataset(m.cards, 5, seed=2))
     soft = gram_marginals(forward(m), 5.0, index.layout)
-    elsewhere = gram_marginals(forward(m), 5.0, gram_layout(m, [s.attrs for s in candidates]))
+    elsewhere = gram_marginals(forward(m), 5.0, gram_layout(m, [s.attrs for s in index.specs]))
     with pytest.raises(ValueError, match="not at the candidates' layout"):
         generator.candidate_l1(soft, index, elsewhere)
 

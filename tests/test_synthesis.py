@@ -165,8 +165,7 @@ def test_warmup_noise_free_training_converges(noise_free):
 
 # ---------------------------------------------------------------- scoring
 
-def scores_of(model, scale, exact, candidates, rho_m):
-    index = candidate_index(model, candidates, exact)
+def scores_of(model, scale, index, rho_m):
     return candidate_scores(gram_marginals(forward(model), scale, index.layout), index, rho_m)
 
 
@@ -185,8 +184,10 @@ def test_candidate_scores_perfect_fit():
     spec = marginal_spec(ds, (0, 1))
     # make the "exact" marginal equal the model's soft marginal
     soft = soft_marginal(model, forward(model), spec, 100.0)
+    index = candidate_index(model, ds, [spec])
+    index.exact[spec.attrs].counts[:] = soft.counts  # a row of the index's exact counts
     rho_m = 0.25
-    scores = scores_of(model, 100.0, {spec.attrs: soft}, [spec], rho_m)
+    scores = scores_of(model, 100.0, index, rho_m)
     assert scores[0] == pytest.approx(-spec.n_cells / math.sqrt(math.pi * rho_m))
 
 
@@ -197,7 +198,7 @@ def test_candidate_scores_arithmetic():
     spec = marginal_spec(ds, (0, 1))
     exact = {spec.attrs: compute_marginal(ds, spec)}
     rho_m = 1.0 / math.pi  # noise term becomes exactly n_i
-    scores = scores_of(model, 50.0, exact, [spec], rho_m)
+    scores = scores_of(model, 50.0, candidate_index(model, ds, [spec]), rho_m)
     gap = l1_distance(soft_marginal(model, forward(model), spec, 50.0), exact[spec.attrs])
     assert scores[0] == pytest.approx(gap - 4.0)
 
@@ -210,7 +211,7 @@ def test_candidate_scores_match_per_spec_soft_marginals():
     candidates = selection_candidates(dom.cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
     rho_m, scale = 0.07, 400.0
-    scores = scores_of(model, scale, exact, candidates, rho_m)
+    scores = scores_of(model, scale, candidate_index(model, ds), rho_m)
     probs = forward(model)
     want = [l1_distance(soft_marginal(model, probs, s, scale), exact[s.attrs])
             - s.n_cells / math.sqrt(math.pi * rho_m) for s in candidates]
@@ -231,10 +232,10 @@ def test_candidate_scores_equal_per_spec_l1_to_the_bit(monkeypatch, dense_slack,
     model = init_generator(dom.cards, [16], 5, 13, seed=5, dtype=dtype)
     candidates = selection_candidates(dom.cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
-    index = candidate_index(model, candidates, exact)
+    index = candidate_index(model, ds)
     assert len(index.groups) == len({s.n_cells for s in candidates}) == 21
     assert len(index.layout.blocks) == (1 if dense_slack is None else 7)
-    scores = scores_of(model, 500.0, exact, candidates, 0.03)
+    scores = scores_of(model, 500.0, index, 0.03)
     assert scores.tolist() == per_spec_scores(model, 500.0, exact, candidates, 0.03).tolist()
 
 
@@ -245,9 +246,9 @@ def test_candidate_scores_on_a_sparse_layout():
     model = init_generator(dom.cards, [16], 5, 9, seed=6, dtype=np.float32)
     candidates = [marginal_spec(dom.cards, p) for p in [(0, 7), (0, 9), (2, 5), (3, 8), (6, 9)]]
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
-    index = candidate_index(model, candidates, exact)
+    index = candidate_index(model, ds, candidates)
     assert len(index.layout.blocks) == 4
-    scores = scores_of(model, 300.0, exact, candidates, 0.2)
+    scores = scores_of(model, 300.0, index, 0.2)
     assert scores.tolist() == per_spec_scores(model, 300.0, exact, candidates, 0.2).tolist()
 
 
@@ -256,7 +257,7 @@ def test_candidate_scores_need_the_index_layout():
     model = init_generator(dom.cards, [8], 4, 8, seed=7)
     candidates = selection_candidates(dom.cards)
     ds = random_dataset(dom.cards, 50, seed=15)
-    index = candidate_index(model, candidates, {s.attrs: compute_marginal(ds, s) for s in candidates})
+    index = candidate_index(model, ds)
     with pytest.raises(ValueError):
         candidate_scores(gram_marginals(forward(model), 50.0,
                                         gram_layout(model, [s.attrs for s in candidates])),
