@@ -36,7 +36,7 @@ from .domain import (
 from .errors import CheckpointError, InsufficientBudget
 from .evaluation import evaluate
 from .generator import candidate_index, forward, gram_marginals, load_checkpoint, save_checkpoint
-from .marginals import selection_candidates
+from .marginals import compute_marginal, selection_candidates
 from .privacy import dp_to_zcdp_rho, zcdp_to_dp_epsilon
 from .synthesis import SynthConfig, run_margnet, trace_from_json_dict
 
@@ -161,6 +161,7 @@ def cmd_synth(args) -> None:
 
 
 def cmd_eval(args) -> None:
+    """Report utility; reads the real table without noise, outside the privacy guarantee."""
     out = args.out or f"{args.synth}.eval.json"
     _check_paths({"--real": args.real, "--synth": args.synth, "--domain": args.domain},
                  {"--out": out})
@@ -196,6 +197,7 @@ def cmd_convert(args) -> None:
 
 
 def cmd_check(args) -> None:
+    """Report the bounds; reads the real table without noise, outside the privacy guarantee."""
     out = args.out or f"{args.trace}.bounds.json"
     _check_paths({"--trace": args.trace, "--checkpoint": args.checkpoint, "--data": args.data,
                   "--domain": args.domain}, {"--out": out})
@@ -211,14 +213,13 @@ def cmd_check(args) -> None:
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed trace: {e}") from None
 
-    candidates = selection_candidates(ds.cards)
-    pairs = {s.attrs for s in candidates}
+    candidates = {s.attrs: s for s in selection_candidates(ds.cards)}
     for r in trace.rounds:
-        if r.attrs not in pairs:
+        if r.attrs not in candidates:
             raise ValueError(f"malformed trace: round {r.measurement.round} measures "
                              f"{list(r.attrs)}, which is not a selection candidate")
     # every bound reads the two models' soft marginals at the candidates' layout
-    index = candidate_index(model, ds, candidates)
+    index = candidate_index(model, [compute_marginal(ds, s) for s in candidates.values()])
     soft = gram_marginals(forward(model), trace.n_estimate, index.layout)
     prev_soft = gram_marginals(forward(prev_model), trace.n_estimate, index.layout)
     measurements = [r.measurement for r in trace.rounds]

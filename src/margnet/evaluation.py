@@ -41,7 +41,7 @@ class EvalReport:
 
 def evaluate(real_ds: Dataset, synth_ds: Dataset, n_queries: int = 300, seed: int = 0,
              config: dict | None = None) -> EvalReport:
-    """Compute both metrics for one dataset pair."""
+    """Both metrics for one pair; they read the real table without noise, outside the guarantee."""
     return EvalReport(
         fidelity_error=fidelity_error(real_ds, synth_ds),
         query_error=query_error(real_ds, synth_ds, n_queries, seed),

@@ -44,7 +44,7 @@ import numpy as np
 
 from .domain import Dataset, code_dtype
 from .errors import CheckpointError
-from .marginals import Marginal, MarginalSpec, compute_marginal, selection_candidates
+from .marginals import Marginal, MarginalSpec
 
 CHECKPOINT_MAGIC = b"MGNETCK1"
 CHECKPOINT_VERSION = 2
@@ -504,24 +504,23 @@ class CandidateIndex:
     groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 
 
-def candidate_index(model: GeneratorModel, ds: Dataset, specs=None) -> CandidateIndex:
-    """`specs` (every selection candidate of `ds` by default) over one
-    `gram_layout`, with their exact counts in `ds`, each counted once."""
-    specs = selection_candidates(ds.cards) if specs is None else list(specs)
+def candidate_index(model: GeneratorModel, exact: list[Marginal]) -> CandidateIndex:
+    """The specs of `exact`, marginals the caller has counted, over one
+    `gram_layout`, with their counts copied into the groups."""
+    specs = [m.spec for m in exact]
     layout = gram_layout(model, [s.attrs for s in specs])
     by_cells: dict = {}
     for i, spec in enumerate(specs):
         by_cells.setdefault(spec.n_cells, []).append(i)
-    # layout.cells and exact view rows of the group arrays: each is held once
-    exact, groups = {}, []
+    # layout.cells and by_attrs view rows of the group arrays: each is held once
+    by_attrs, groups = {}, []
     for n, group in by_cells.items():
         gather = np.stack([layout.cells[specs[i].attrs] for i in group])
-        counts = np.empty((len(group), n))
+        counts = np.stack([exact[i].counts for i in group])
         for i, cells, row in zip(group, gather, counts):
-            row[:] = compute_marginal(ds, specs[i]).counts
-            layout.cells[specs[i].attrs], exact[specs[i].attrs] = cells, Marginal(specs[i], row)
+            layout.cells[specs[i].attrs], by_attrs[specs[i].attrs] = cells, Marginal(specs[i], row)
         groups.append((n, np.array(group), gather, counts))
-    return CandidateIndex(layout, specs, exact, groups)
+    return CandidateIndex(layout, specs, by_attrs, groups)
 
 
 def candidate_l1(soft: SoftMarginals, index: CandidateIndex,

@@ -58,9 +58,6 @@ class Marginal:
         if self.counts.shape[0] != self.spec.n_cells:
             raise ValueError("count vector length does not match the spec's cell count")
 
-    def to_json_dict(self) -> dict:
-        return {"attrs": list(self.spec.attrs), "counts": [float(c) for c in self.counts]}
-
 
 def compute_marginal(ds: Dataset, spec: MarginalSpec) -> Marginal:
     """Exact frequency counts of the dataset projected onto spec.attrs."""

@@ -9,7 +9,7 @@ a first-time-selected marginal improves the model by less than the expected
 noise level, and the last round absorbs whatever budget the warm-up left.
 Fixed-round mode (no doubling, equal budget per round) is the ablation of
 that schedule. Sampling draws from the final forward pass, which the
-training context already holds.
+training context already holds. `PrivateTable` alone reads the real table.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .generator import (
     loss_and_grad,
     sample_hard,
 )
-from .marginals import Marginal, MarginalSpec, compute_marginal, l1_distance, marginal_spec
+from .marginals import (Marginal, MarginalSpec, compute_marginal, l1_distance, marginal_spec,
+                        selection_candidates)
 from .privacy import (SCORE_SENSITIVITY, Accountant, NoiseParams, expected_noise_l1,
                       exponential_mechanism, gaussian_mechanism)
 
@@ -116,7 +117,6 @@ class RoundRecord:
 
     measurement: Measurement
     rho_s: float
-    score: float
     improvement: float
     noise_floor: float
     doubled: bool
@@ -132,8 +132,8 @@ class RoundRecord:
     def to_json_dict(self) -> dict:
         m = self.measurement.to_json_dict()
         return {"round": self.measurement.round, "attrs": m.pop("attrs"), "rho_s": self.rho_s,
-                "score": self.score, **m, "improvement": self.improvement,
-                "noise_floor": self.noise_floor, "doubled": self.doubled}
+                **m, "improvement": self.improvement, "noise_floor": self.noise_floor,
+                "doubled": self.doubled}
 
 
 TRACE_FORMAT = "margnet-trace-v2"
@@ -197,7 +197,7 @@ def trace_from_json_dict(obj: dict, cards) -> SelectionTrace:
         if type(e["doubled"]) is not bool:
             raise ValueError(f"doubled of round {k} must be a bool, got {e['doubled']!r}")
         rounds.append(RoundRecord(_measurement(e, cards, 2, k), _positive("rho_s", e["rho_s"]),
-                                  e["score"], e["improvement"], e["noise_floor"], e["doubled"]))
+                                  e["improvement"], e["noise_floor"], e["doubled"]))
     return SelectionTrace(
         warmup=[_measurement(e, cards, 1) for e in obj["warmup"]],
         rounds=rounds,
@@ -265,26 +265,50 @@ def candidate_scores(soft: SoftMarginals, index: CandidateIndex, rho_m: float) -
     return scores
 
 
-def warmup(ds: Dataset, model: GeneratorModel, ctx: TrainContext, acct: Accountant,
-           rho_m: float, config: SynthConfig, rng_measure) -> tuple[list[Measurement], float]:
+class PrivateTable:
+    """The run's one reader of the real table: each method that reads it charges
+    `acct` and returns only a mechanism's output. `cards`, `layout`, `specs` are public."""
+
+    def __init__(self, ds: Dataset, model: GeneratorModel, rho_budget: float):
+        self._ds, self.cards, self.acct = ds, ds.cards, Accountant(rho_budget=rho_budget)
+        exact = [compute_marginal(ds, s) for s in selection_candidates(ds.cards)]
+        self._index = candidate_index(model, exact)
+        self.layout, self.specs = self._index.layout, self._index.specs
+
+    def measure(self, spec: MarginalSpec, rho_m: float, rng, round_: int = 0) -> Measurement:
+        """`spec`'s counts through the Gaussian mechanism at rho_m, charged to
+        round `round_` (0: the warm-up, which measures one-way marginals)."""
+        exact = self._index.exact.get(spec.attrs) or compute_marginal(self._ds, spec)
+        noisy = gaussian_mechanism(exact.counts, rho_m, rng)
+        self.acct.spend(rho_m, f"measure:round:{round_}" if round_
+                        else f"warmup:one-way:{spec.attrs[0]}")
+        return Measurement(spec=spec, noisy=Marginal(spec, noisy), rho_m=rho_m,
+                           sigma=NoiseParams(rho_m).sigma, round=round_)
+
+    def select(self, soft: SoftMarginals, rho_s: float, rho_m: float, rng,
+               round_: int) -> MarginalSpec:
+        """The exponential mechanism at rho_s over the candidates' scores at
+        rho_m, charged to round `round_`. Only the chosen spec leaves."""
+        scores = candidate_scores(soft, self._index, rho_m)
+        idx = exponential_mechanism(scores, SCORE_SENSITIVITY, rho_s, rng)
+        self.acct.spend(rho_s, f"select:round:{round_}")
+        return self.specs[idx]
+
+
+def warmup(data: PrivateTable, model: GeneratorModel, ctx: TrainContext, rho_m: float,
+           config: SynthConfig, rng_measure) -> tuple[list[Measurement], float]:
     """Measure every one-way marginal, estimate the record count, fit the model.
 
     Returns (measurements, n_estimate). Charges d * rho_m to the accountant;
     raises InsufficientBudget up front if that does not fit.
     """
-    d = ds.d
-    if d * rho_m > acct.remaining:
-        raise InsufficientBudget(
-            f"warm-up needs {d * rho_m:.6g} but only {acct.remaining:.6g} remains"
-        )
-    sigma = NoiseParams(rho_m).sigma
-    measurements = []
-    for a in range(d):
-        spec = marginal_spec(ds, (a,))
-        noisy = gaussian_mechanism(compute_marginal(ds, spec).counts, rho_m, rng_measure)
-        acct.spend(rho_m, f"warmup:one-way:{a}")
-        measurements.append(Measurement(spec=spec, noisy=Marginal(spec, noisy),
-                                        rho_m=rho_m, sigma=sigma, round=0))
+    d = len(data.cards)
+    if d * rho_m > data.acct.remaining:
+        raise InsufficientBudget(f"warm-up needs {d * rho_m:.6g} but only "
+                                 f"{data.acct.remaining:.6g} remains")
+    measurements = [data.measure(marginal_spec(data.cards, (a,)), rho_m, rng_measure)
+                    for a in range(d)]
+    # post-processing of the noisy counts, so the estimate costs no budget
     n_estimate = max(1.0, float(np.median([m.noisy.counts.sum() for m in measurements])))
     compute_weights(measurements, d)
     train(model, ctx, measurements, n_estimate, config.train_iters, config.lr)
@@ -323,31 +347,30 @@ def run_margnet(ds: Dataset, config: SynthConfig) -> SynthResult:
     tail = kids[4].generate_state(2)
     sample_seed, decode_seed = int(tail[0]), int(tail[1])
 
-    acct = Accountant(rho_budget=rho)
     model = init_generator(ds.cards, list(config.hidden), config.latent_dim,
                            config.batch_size, rng_init_seed, dtype=TRAIN_DTYPE)
+    data = PrivateTable(ds, model, rho)  # counting the candidates draws no randomness
     trace = SelectionTrace(rho_budget=rho, config=config.to_json_dict(d))
 
     # one context serves every training pass, scoring read and the sampling
     # draw; the weights leave it once sampling ends, so it is freed before
     # decoding
     ctx = TrainContext(model)
-    measurements, n_estimate = warmup(ds, model, ctx, acct, rho_m, config, rng_measure)
+    measurements, n_estimate = warmup(data, model, ctx, rho_m, config, rng_measure)
     trace.warmup = list(measurements)
     trace.n_estimate = n_estimate
 
     # the rounds' budget is what the warm-up left: rho - d * rho_m
-    rounds_budget = acct.remaining
+    rounds_budget = data.acct.remaining
     fixed = config.fixed_rounds is not None
     if fixed:
         rho_s, rho_m = split_budget(rounds_budget * (1.0 - _BUDGET_SLACK), config.fixed_rounds)
-    index = candidate_index(model, ds)
     spent = 0.0
     tol = _BUDGET_SLACK * rounds_budget
     prev_model = model.copy()
-    soft = gram_marginals(ctx.probs, n_estimate, index.layout)
+    soft = gram_marginals(ctx.probs, n_estimate, data.layout)
     k = 0
-    while index.specs and ((k < config.fixed_rounds) if fixed else (spent < rounds_budget - tol)):
+    while data.specs and ((k < config.fixed_rounds) if fixed else (spent < rounds_budget - tol)):
         k += 1
         # a round the remaining budget cannot cover gets all of it instead,
         # less a sliver so float rounding in the running sums cannot overspend
@@ -355,31 +378,22 @@ def run_margnet(ds: Dataset, config: SynthConfig) -> SynthResult:
             rho_s, rho_m = split_budget((rounds_budget - spent) * (1.0 - _BUDGET_SLACK), 1.0)
         prev_model = model.copy()
 
-        scores = candidate_scores(soft, index, rho_m)
-        idx = exponential_mechanism(scores, SCORE_SENSITIVITY, rho_s, rng_select)
-        acct.spend(rho_s, f"select:round:{k}")
-        chosen = index.specs[idx]
-
+        chosen = data.select(soft, rho_s, rho_m, rng_select, k)
         est_before = soft.marginal(chosen)
-        noisy = gaussian_mechanism(index.exact[chosen.attrs].counts, rho_m, rng_measure)
-        acct.spend(rho_m, f"measure:round:{k}")
-        measurements.append(Measurement(spec=chosen, noisy=Marginal(chosen, noisy),
-                                        rho_m=rho_m, sigma=NoiseParams(rho_m).sigma, round=k))
+        measurements.append(data.measure(chosen, rho_m, rng_measure, k))
         compute_weights(measurements, d)
         train(model, ctx, measurements, n_estimate, config.train_iters, config.lr)
         spent += rho_s + rho_m
 
         # the trained model's marginals: this round's improvement, next
         # round's scores
-        soft = gram_marginals(ctx.probs, n_estimate, index.layout)
+        soft = gram_marginals(ctx.probs, n_estimate, data.layout)
         improvement = l1_distance(soft.marginal(chosen), est_before)
         noise_floor = expected_noise_l1(chosen.n_cells, rho_m)
         doubled = (not fixed and improvement < noise_floor
                    and all(r.attrs != chosen.attrs for r in trace.rounds))
-        trace.rounds.append(RoundRecord(
-            measurement=measurements[-1], rho_s=rho_s, score=float(scores[idx]),
-            improvement=improvement, noise_floor=noise_floor, doubled=doubled,
-        ))
+        trace.rounds.append(RoundRecord(measurements[-1], rho_s, improvement, noise_floor,
+                                        doubled))
         if doubled:
             rho_s *= 2.0
             rho_m *= 2.0
@@ -392,8 +406,7 @@ def run_margnet(ds: Dataset, config: SynthConfig) -> SynthResult:
     model = model.copy()
     del ctx
 
-    trace.ledger = list(acct.ledger)
-    return SynthResult(
-        synth=synth, trace=trace, model=model, prev_model=prev_model,
-        accountant=acct, wall_clock_seconds=time.perf_counter() - t0, decode_seed=decode_seed,
-    )
+    trace.ledger = list(data.acct.ledger)
+    return SynthResult(synth=synth, trace=trace, model=model, prev_model=prev_model,
+                       accountant=data.acct, wall_clock_seconds=time.perf_counter() - t0,
+                       decode_seed=decode_seed)

@@ -5,6 +5,7 @@ import pytest
 
 from margnet.domain import AttributeMeta, Dataset, Domain
 from margnet.generator import TrainContext, candidate_index, forward, gram_marginals, loss_and_grad
+from margnet.marginals import compute_marginal, selection_candidates
 
 
 def categorical_domain(cards, prefix="a"):
@@ -41,10 +42,17 @@ def loss_and_grad_on_copy(model, targets):
     return loss_and_grad(m, targets, TrainContext(m))
 
 
+def exact_index(model, ds, specs=None):
+    """`candidate_index` over `specs`, every selection candidate of `ds` by
+    default, with their exact counts in `ds`, as `check` counts them."""
+    specs = selection_candidates(ds.cards) if specs is None else specs
+    return candidate_index(model, [compute_marginal(ds, s) for s in specs])
+
+
 def unselected_inputs(ds, model, prev_model, scale):
     """(soft, prev_soft, index) of `unselected_bound`, as `check` builds them:
     both models' soft marginals at the layout of every selection candidate."""
-    index = candidate_index(model, ds)
+    index = exact_index(model, ds)
     soft, prev_soft = (gram_marginals(forward(m), scale, index.layout)
                        for m in (model, prev_model))
     return soft, prev_soft, index

@@ -288,7 +288,7 @@ def uniform_setup(card=3, copies=4):
 def mk_trace(cards, attrs, rho_s, rho_m):
     n_cells = math.prod(cards[a] for a in attrs)
     m = mk_measurement(cards, attrs, [0.0] * n_cells, rho_m)
-    return SelectionTrace(rounds=[RoundRecord(measurement=m, rho_s=rho_s, score=0.0,
+    return SelectionTrace(rounds=[RoundRecord(measurement=m, rho_s=rho_s,
                                               improvement=0.0, noise_floor=0.0, doubled=False)])
 
 

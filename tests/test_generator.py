@@ -28,7 +28,7 @@ from margnet.marginals import (Marginal, compute_marginal, l1_distance, marginal
                                selection_candidates)
 from margnet.synthesis import Measurement, train
 
-from conftest import loss_and_grad_on_copy, random_dataset
+from conftest import exact_index, loss_and_grad_on_copy, random_dataset
 
 
 # DENSE_SLACK settings that force each layout of G: one square block, or one
@@ -241,7 +241,7 @@ def test_candidate_l1_equals_per_spec_l1_to_the_bit(layout_slack, dtype):
     ds = random_dataset(cards, 500, seed=13)
     candidates = selection_candidates(cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
-    index = generator.candidate_index(m, ds)
+    index = exact_index(m, ds)
     assert index.specs == candidates and len(index.groups) == 21
     assert all(index.exact[s.attrs].counts.tolist() == exact[s.attrs].counts.tolist()
                for s in candidates)
@@ -255,7 +255,7 @@ def test_candidate_l1_equals_per_spec_l1_to_the_bit(layout_slack, dtype):
 
 def test_candidate_l1_needs_the_other_marginals_at_the_index_layout():
     m = tiny_model(cards=(2, 3, 2))
-    index = generator.candidate_index(m, random_dataset(m.cards, 5, seed=2))
+    index = exact_index(m, random_dataset(m.cards, 5, seed=2))
     soft = gram_marginals(forward(m), 5.0, index.layout)
     elsewhere = gram_marginals(forward(m), 5.0, gram_layout(m, [s.attrs for s in index.specs]))
     with pytest.raises(ValueError, match="not at the candidates' layout"):

@@ -261,15 +261,6 @@ def test_query_error_needs_three_attrs():
         query_error(ds, ds, 5, seed=0)
 
 
-def test_marginal_json_shape():
-    ds = random_dataset((2, 3), 50, seed=1)
-    m = compute_marginal(ds, marginal_spec(ds, (0, 1)))
-    obj = m.to_json_dict()
-    assert set(obj) == {"attrs", "counts"}
-    assert obj["attrs"] == [0, 1]
-    assert obj["counts"] == m.counts.tolist()
-
-
 def test_selection_candidates_order_and_cell_cap():
     assert [s.attrs for s in selection_candidates((2, 3, 4))] == [(0, 1), (0, 2), (1, 2)]
     # the pair (0, 1) has 4000 * 3000 = 12M cells, above the 10M cap

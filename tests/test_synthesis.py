@@ -1,21 +1,22 @@
+import inspect
 import json
 import math
 import sys
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from margnet.domain import Dataset
+from margnet.domain import Dataset, decode, write_csv
 from margnet.errors import InsufficientBudget
 from margnet import generator, synthesis
-from margnet.generator import (TrainContext, candidate_index, forward, gram_layout,
-                               gram_marginals, init_generator)
-from margnet.marginals import (Marginal, compute_marginal, l1_distance, marginal_spec,
-                               selection_candidates, tvd)
-from margnet.privacy import Accountant
+from margnet.generator import TrainContext, forward, gram_layout, gram_marginals, init_generator
+from margnet.marginals import (Marginal, MarginalSpec, compute_marginal, l1_distance,
+                               marginal_spec, selection_candidates, tvd)
 from margnet.synthesis import (
     Measurement,
+    PrivateTable,
     SynthConfig,
     candidate_scores,
     compute_weights,
@@ -26,7 +27,7 @@ from margnet.synthesis import (
 )
 from margnet.generator import soft_marginal
 
-from conftest import categorical_domain, random_dataset
+from conftest import categorical_domain, exact_index, random_dataset
 
 
 def tiny_config(**kw):
@@ -117,11 +118,12 @@ def test_weights_spec_selected_twice_amplified_at_its_last_measurement_only():
 def test_warmup_charges_d_rho_m():
     dom = categorical_domain([2, 3, 2])
     ds = random_dataset(dom.cards, 200, seed=3)
-    acct = Accountant(rho_budget=1.0)
     cfg = tiny_config(train_iters=2)
     model = init_generator(dom.cards, [8], 4, 8, seed=0)
+    data = PrivateTable(ds, model, 1.0)
+    acct = data.acct
     rng = np.random.default_rng(0)
-    warmup(ds, model, TrainContext(model), acct, 0.01, cfg, rng)
+    warmup(data, model, TrainContext(model), 0.01, cfg, rng)
     assert acct.rho_used == pytest.approx(0.03)
     assert [lab for lab, _ in acct.ledger] == [f"warmup:one-way:{i}" for i in range(3)]
 
@@ -129,11 +131,12 @@ def test_warmup_charges_d_rho_m():
 def test_warmup_insufficient_budget_before_noise():
     dom = categorical_domain([2, 3, 2])
     ds = random_dataset(dom.cards, 200, seed=3)
-    acct = Accountant(rho_budget=0.02)
     model = init_generator(dom.cards, [8], 4, 8, seed=0)
+    data = PrivateTable(ds, model, 0.02)
+    acct = data.acct
     rng = np.random.default_rng(0)
     with pytest.raises(InsufficientBudget):
-        warmup(ds, model, TrainContext(model), acct, 0.01, tiny_config(), rng)
+        warmup(data, model, TrainContext(model), 0.01, tiny_config(), rng)
     assert acct.rho_used == 0.0
     assert acct.ledger == []
 
@@ -150,11 +153,10 @@ def test_warmup_noise_free_training_converges(noise_free):
     rng = np.random.default_rng(8)
     rows = np.stack([rng.integers(0, 3, 400), rng.integers(0, 3, 400)], axis=1)
     ds = Dataset(rows=rows, cards=dom.cards)
-    acct = Accountant(rho_budget=1.0)
     cfg = tiny_config(train_iters=300, lr=1e-2)
     model = init_generator(dom.cards, [16], 8, 32, seed=1)
     rng_m = np.random.default_rng(1)
-    _, n_est = warmup(ds, model, TrainContext(model), acct, 0.01, cfg, rng_m)
+    _, n_est = warmup(PrivateTable(ds, model, 1.0), model, TrainContext(model), 0.01, cfg, rng_m)
     assert n_est == 400.0  # noise-free sums are exact
     probs = forward(model)
     for a in range(2):
@@ -184,7 +186,7 @@ def test_candidate_scores_perfect_fit():
     spec = marginal_spec(ds, (0, 1))
     # make the "exact" marginal equal the model's soft marginal
     soft = soft_marginal(model, forward(model), spec, 100.0)
-    index = candidate_index(model, ds, [spec])
+    index = exact_index(model, ds, [spec])
     index.exact[spec.attrs].counts[:] = soft.counts  # a row of the index's exact counts
     rho_m = 0.25
     scores = scores_of(model, 100.0, index, rho_m)
@@ -198,7 +200,7 @@ def test_candidate_scores_arithmetic():
     spec = marginal_spec(ds, (0, 1))
     exact = {spec.attrs: compute_marginal(ds, spec)}
     rho_m = 1.0 / math.pi  # noise term becomes exactly n_i
-    scores = scores_of(model, 50.0, candidate_index(model, ds, [spec]), rho_m)
+    scores = scores_of(model, 50.0, exact_index(model, ds, [spec]), rho_m)
     gap = l1_distance(soft_marginal(model, forward(model), spec, 50.0), exact[spec.attrs])
     assert scores[0] == pytest.approx(gap - 4.0)
 
@@ -211,7 +213,7 @@ def test_candidate_scores_match_per_spec_soft_marginals():
     candidates = selection_candidates(dom.cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
     rho_m, scale = 0.07, 400.0
-    scores = scores_of(model, scale, candidate_index(model, ds), rho_m)
+    scores = scores_of(model, scale, exact_index(model, ds), rho_m)
     probs = forward(model)
     want = [l1_distance(soft_marginal(model, probs, s, scale), exact[s.attrs])
             - s.n_cells / math.sqrt(math.pi * rho_m) for s in candidates]
@@ -232,7 +234,7 @@ def test_candidate_scores_equal_per_spec_l1_to_the_bit(monkeypatch, dense_slack,
     model = init_generator(dom.cards, [16], 5, 13, seed=5, dtype=dtype)
     candidates = selection_candidates(dom.cards)
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
-    index = candidate_index(model, ds)
+    index = exact_index(model, ds)
     assert len(index.groups) == len({s.n_cells for s in candidates}) == 21
     assert len(index.layout.blocks) == (1 if dense_slack is None else 7)
     scores = scores_of(model, 500.0, index, 0.03)
@@ -246,7 +248,7 @@ def test_candidate_scores_on_a_sparse_layout():
     model = init_generator(dom.cards, [16], 5, 9, seed=6, dtype=np.float32)
     candidates = [marginal_spec(dom.cards, p) for p in [(0, 7), (0, 9), (2, 5), (3, 8), (6, 9)]]
     exact = {s.attrs: compute_marginal(ds, s) for s in candidates}
-    index = candidate_index(model, ds, candidates)
+    index = exact_index(model, ds, candidates)
     assert len(index.layout.blocks) == 4
     scores = scores_of(model, 300.0, index, 0.2)
     assert scores.tolist() == per_spec_scores(model, 300.0, exact, candidates, 0.2).tolist()
@@ -257,7 +259,7 @@ def test_candidate_scores_need_the_index_layout():
     model = init_generator(dom.cards, [8], 4, 8, seed=7)
     candidates = selection_candidates(dom.cards)
     ds = random_dataset(dom.cards, 50, seed=15)
-    index = candidate_index(model, ds)
+    index = exact_index(model, ds)
     with pytest.raises(ValueError):
         candidate_scores(gram_marginals(forward(model), 50.0,
                                         gram_layout(model, [s.attrs for s in candidates])),
@@ -361,8 +363,7 @@ def test_run_trains_in_float32_and_measures_in_float64():
         assert all(p.dtype == np.float32 for pair in model.layers for p in pair)
     assert all(m.noisy.counts.dtype == np.float64
                for m in res.trace.warmup + [r.measurement for r in res.trace.rounds])
-    assert all(type(r.score) is float and type(r.improvement) is float
-               for r in res.trace.rounds)
+    assert all(type(r.improvement) is float for r in res.trace.rounds)
 
 
 def count_forward_calls(monkeypatch) -> list:
@@ -435,32 +436,50 @@ def test_trace_reader_inverts_writer(cards, fixed_rounds):
     assert trace_from_json_dict(obj, dom.cards).to_json_dict() == obj
 
 
+def test_trace_reader_ignores_the_score_of_older_v2_traces():
+    # v2 traces written before the score left the trace carry one per round
+    dom = categorical_domain([3, 2, 3])
+    res = run_margnet(random_dataset(dom.cards, 400, seed=13), tiny_config(seed=22))
+    obj = json.loads(json.dumps(res.trace.to_json_dict()))
+    older = json.loads(json.dumps(obj))
+    for entry in older["rounds"]:
+        entry["score"] = 1.5
+    assert older["rounds"]
+    assert trace_from_json_dict(older, dom.cards).to_json_dict() == obj
+
+
 def test_round_record_holds_its_measurement_once():
     dom = categorical_domain([3, 2, 3])
     ds = random_dataset(dom.cards, 400, seed=13)
     res = run_margnet(ds, tiny_config(seed=22))
     for k, (rec, entry) in enumerate(zip(res.trace.rounds, res.trace.to_json_dict()["rounds"]), 1):
         assert rec.measurement.round == entry["round"] == k
-        assert list(entry) == ["round", "attrs", "rho_s", "score", "rho_m", "sigma", "counts",
+        assert list(entry) == ["round", "attrs", "rho_s", "rho_m", "sigma", "counts",
                                "improvement", "noise_floor", "doubled"]
     assert all("round" not in entry for entry in res.trace.to_json_dict()["warmup"])
 
 
-def test_em_scores_use_pre_round_model():
-    # the recorded score of the final round must be reproducible from the
+def test_em_scores_use_pre_round_model(monkeypatch):
+    # the final round's score of its choice must be reproducible from the
     # persisted pre-round model state (G^{K-1}), i.e. scores are computed
     # before that round's measurement and training
+    scored = []
+    real = synthesis.candidate_scores
+    monkeypatch.setattr(synthesis, "candidate_scores",
+                        lambda *a: scored.append(real(*a)) or scored[-1])
     dom = categorical_domain([3, 3, 3])
     ds = random_dataset(dom.cards, 600, seed=14)
     cfg = tiny_config(seed=30, rho_total=0.06, c=9.0)
     res = run_margnet(ds, cfg)
     assert len(res.trace.rounds) >= 1
+    assert len(scored) == len(res.trace.rounds)
     final = res.trace.rounds[-1]
+    score = scored[-1][[s.attrs for s in selection_candidates(dom.cards)].index(final.attrs)]
     spec = marginal_spec(ds, final.attrs)
     est = soft_marginal(res.prev_model, forward(res.prev_model), spec, res.trace.n_estimate)
     gap = l1_distance(est, compute_marginal(ds, spec))
     recomputed = gap - spec.n_cells / math.sqrt(math.pi * final.rho_m)
-    assert recomputed == pytest.approx(final.score, rel=1e-12)
+    assert recomputed == pytest.approx(score, rel=1e-12)
 
 
 # --------------------------------------------------------------- fixed mode
@@ -506,3 +525,76 @@ def test_multiset_reselection_allowed():
     assert len(res.trace.rounds) == 6  # single candidate selected 6 times
     assert all(r.measurement.spec.attrs == (0, 1) for r in res.trace.rounds)
     assert len({id(r.measurement) for r in res.trace.rounds}) == 6
+
+
+# --------------------------------------------------------- private boundary
+
+_PRIVATE_CODE = {f.__code__ for f in vars(PrivateTable).values()
+                 if isinstance(f, types.FunctionType)}
+
+
+class GuardedDataset(Dataset):
+    """A Dataset whose codes, once `guard` is set, read only while a
+    `PrivateTable` method is on the call stack."""
+
+    guard = False
+
+    @property
+    def rows(self):
+        frame = sys._getframe(1)
+        while self.guard and frame.f_code not in _PRIVATE_CODE:
+            frame = frame.f_back
+            if frame is None:
+                raise AssertionError("the real table's codes were read outside PrivateTable")
+        return self.__dict__["rows"]
+
+    @rows.setter
+    def rows(self, value):
+        self.__dict__["rows"] = value
+
+
+@pytest.mark.parametrize("fixed_rounds", [None, 3], ids=["adaptive", "fixed-3"])
+def test_run_reads_the_table_only_through_private_table(tmp_path, fixed_rounds):
+    dom = categorical_domain([3, 2, 4, 2])
+    plain = random_dataset(dom.cards, 500, seed=19)
+    guarded = GuardedDataset(rows=plain.rows, cards=plain.cards)
+    guarded.guard = True
+    with pytest.raises(AssertionError, match="outside PrivateTable"):
+        guarded.n_records
+    cfg = tiny_config(seed=31, fixed_rounds=fixed_rounds)
+    outputs = []
+    for k, ds in enumerate((plain, guarded)):
+        res = run_margnet(ds, cfg)
+        write_csv(tmp_path / f"{k}.csv", decode(res.synth, dom, res.decode_seed))
+        outputs.append(((tmp_path / f"{k}.csv").read_bytes(),
+                        json.dumps(res.trace.to_json_dict())))
+    assert json.loads(outputs[0][1])["rounds"]
+    assert outputs[1] == outputs[0]
+
+
+def test_each_release_adds_one_labelled_ledger_entry(monkeypatch):
+    # every ledger entry comes from one measure or select call, which adds
+    # exactly that entry under the label its round gives
+    calls = []
+    for name in ("measure", "select"):
+        def wrapped(self, *a, _real=getattr(PrivateTable, name), **kw):
+            bound = inspect.signature(_real).bind(self, *a, **kw)
+            bound.apply_defaults()
+            before = len(self.acct.ledger)
+            out = _real(self, *a, **kw)
+            calls.append((_real.__name__, bound.arguments, out, self.acct.ledger[before:]))
+            return out
+        monkeypatch.setattr(PrivateTable, name, wrapped)
+    dom = categorical_domain([3, 2, 3])
+    res = run_margnet(random_dataset(dom.cards, 400, seed=20), tiny_config(seed=32))
+    assert res.trace.rounds
+    assert [e for *_, entries in calls for e in entries] == res.accountant.ledger
+    for name, args, out, entries in calls:
+        k = args["round_"]
+        if name == "select":
+            assert type(out) is MarginalSpec
+            assert entries == [(f"select:round:{k}", args["rho_s"])]
+        else:
+            label = f"measure:round:{k}" if k else f"warmup:one-way:{args['spec'].attrs[0]}"
+            assert entries == [(label, args["rho_m"])] and out.round == k
+    assert [n for n, *_ in calls] == ["measure"] * 3 + ["select", "measure"] * len(res.trace.rounds)
