@@ -219,7 +219,8 @@ def cmd_check(args) -> None:
             raise ValueError(f"malformed trace: round {r.measurement.round} measures "
                              f"{list(r.attrs)}, which is not a selection candidate")
     # every bound reads the two models' soft marginals at the candidates' layout
-    index = candidate_index(model, [compute_marginal(ds, s) for s in candidates.values()])
+    specs = list(candidates.values())
+    index = candidate_index(model, specs, (compute_marginal(ds, s).counts for s in specs))
     soft = gram_marginals(forward(model), trace.n_estimate, index.layout)
     prev_soft = gram_marginals(forward(prev_model), trace.n_estimate, index.layout)
     measurements = [r.measurement for r in trace.rounds]

@@ -21,6 +21,7 @@ import numpy as np
 
 RARE_LABEL = "__other__"
 WRITE_BLOCK_ROWS = 2048  # rows write_csv formats per batch, so no table-sized list of cells exists
+CSV_DIGITS = 10  # significant digits write_csv prints a number with, unless its column needs more
 AUTO_DOMAIN_PAD = 0.01  # auto_numeric_domain pads [min, max] by this share of the span
 
 
@@ -192,10 +193,13 @@ class Dataset:
 @dataclass
 class RawTable:
     """Un-encoded columns, ordered to match a domain: a numeric column is a
-    contiguous float64 ndarray, a categorical one a list of str."""
+    contiguous float64 ndarray, a categorical one a list of str. `digits`,
+    when set, holds the significant digits write_csv prints each numeric
+    column with (CSV_DIGITS otherwise; see `decode`)."""
 
     header: list[str]
     columns: list[np.ndarray | list[str]] = field(default_factory=list)
+    digits: list[int] | None = None
 
     @property
     def n_rows(self) -> int:
@@ -217,6 +221,23 @@ def bin_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     k = len(edges) - 1
     idx = np.floor(k * (np.asarray(values, dtype=float) - lo) / (hi - lo)).astype(np.int64)
     return np.clip(idx, 0, k - 1)
+
+
+def _print_band(edges: np.ndarray, digits: int) -> float:
+    """How near a bin edge of `edges` a value in their range must lie before
+    its `%.{digits}g` text could re-encode into the next bin: ten units in
+    the last printed digit at the range's largest magnitude, at least twenty
+    times the text's rounding, plus 64 ulps there for the binning's own."""
+    m = max(abs(edges[0]), abs(edges[-1]))
+    return 10.0 ** (math.floor(math.log10(m)) - digits + 2) + 64 * float(np.spacing(m))
+
+
+def csv_digits(edges: np.ndarray) -> int:
+    """The fewest significant digits, from CSV_DIGITS, whose `_print_band`
+    leaves every bin's midpoint outside, so a midpoint's text re-encodes into
+    its bin; 17 at most, whose text is the value itself."""
+    half = float(np.diff(edges).min()) / 2
+    return next((d for d in range(CSV_DIGITS, 17) if _print_band(edges, d) < half), 17)
 
 
 def load_csv(path, domain: Domain) -> RawTable:
@@ -319,8 +340,9 @@ def write_csv(path, table: RawTable) -> None:
     """Write a table in the dialect load_csv reads, `\r\n`-terminated.
 
     A column whose first cell is a string is written as labels (quoted where
-    needed), any other column as numbers in `%.10g` format. Rows are formatted
-    `WRITE_BLOCK_ROWS` at a time.
+    needed), any other column as numbers in `%.10g` format, or with the
+    table's `digits` for that column. Rows are formatted `WRITE_BLOCK_ROWS`
+    at a time.
     """
     columns, cells = [], []  # per column: its values, and for labels each one's cell text
     for col in table.columns:
@@ -329,7 +351,8 @@ def write_csv(path, table: RawTable) -> None:
         cells.append(None if is_num else {label: _csv_cell(label) for label in set(col)})
     if len(cells) == 1 and cells[0] is not None:
         cells[0][""] = '""'  # a lone empty cell would read back as a blank line
-    fmt = ",".join("%.10g" if cell is None else "%s" for cell in cells) + "\r\n"
+    digits = table.digits or [CSV_DIGITS] * len(cells)
+    fmt = ",".join(f"%.{d}g" if cell is None else "%s" for cell, d in zip(cells, digits)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f).writerow(table.header)
         for start in range(0, table.n_rows, WRITE_BLOCK_ROWS):
@@ -363,25 +386,36 @@ def encode(raw: RawTable, domain: Domain) -> Dataset:
 def decode(synth: Dataset, domain: Domain, seed: int) -> RawTable:
     """Map encoded indices back to labels / real values.
 
-    Numeric bins decode to a uniform random value inside the bin. Values are
-    nudged to the bin midpoint in the rare float-rounding case where the drawn
-    value would re-encode into the neighbouring bin, so encode(decode(ds)) == ds.
+    Numeric bins decode to a uniform random value inside the bin, printed by
+    write_csv with `csv_digits` of the bin edges. A value is nudged to its
+    bin's midpoint in the rare case where it, or its printed text, would
+    re-encode into the neighbouring bin, so encode(decode(ds)) == ds both in
+    memory and through the CSV. Only values within `_print_band` of an edge
+    have their text checked.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    columns = []
+    columns, digits = [], []
     for j, meta in enumerate(domain.attributes):
         idx = synth.rows[:, j]
         if meta.kind == "categorical":
             columns.append(np.array(meta.category_labels, dtype=object)[idx].tolist())
+            digits.append(CSV_DIGITS)
         else:
-            lo = meta.bin_edges[idx]
-            hi = meta.bin_edges[1:][idx]  # not idx + 1, which wraps in the code dtype
+            edges = meta.bin_edges
+            lo = edges[idx]
+            hi = edges[1:][idx]  # not idx + 1, which wraps in the code dtype
             vals = lo + rng.random(len(idx)) * (hi - lo)
-            bad = bin_values(vals, meta.bin_edges) != idx
+            bad = bin_values(vals, edges) != idx
+            digits.append(csv_digits(edges))
+            band = _print_band(edges, digits[-1])
+            near = np.flatnonzero(np.minimum(vals - lo, hi - vals) <= band)
+            if near.size:
+                printed = [float(f"{v:.{digits[-1]}g}") for v in vals[near].tolist()]
+                bad[near] |= bin_values(printed, edges) != idx[near]
             if np.any(bad):
                 vals[bad] = (lo[bad] + hi[bad]) / 2.0
             columns.append(vals)
-    return RawTable(header=domain.names, columns=columns)
+    return RawTable(header=domain.names, columns=columns, digits=digits)
 
 
 def gen_gaussian_dataset(dims: int, n_rows: int, corr: float, seed: int) -> RawTable:

@@ -71,6 +71,10 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # 32959 / 21744; no cap on n * k has been measured end to end.
 VIEW_MIN_RUN = 8
 
+# cells candidate_l1 reads at once, so its float64 temporary stays at 512 KiB
+# however many candidates share a cell count
+L1_CHUNK_CELLS = 65536
+
 SAMPLE_BLOCK_ROWS = 4096  # output rows sample_hard gathers at once: its temporaries are O(block * k)
 
 
@@ -264,14 +268,12 @@ def _per_segment(ufunc, x: np.ndarray, op, a: np.ndarray, out: np.ndarray, plan)
         op(a[:, part.cols], r, out=out[:, part.cols])
 
 
-def _segment_softmax(logits: np.ndarray, plan, out=None) -> np.ndarray:
-    """Softmax over each row's segments of the segment plan `plan`, into
-    `out` (not `logits`)."""
-    out = np.empty_like(logits) if out is None else out
-    _per_segment(np.maximum, logits, np.subtract, logits, out, plan)
-    np.exp(out, out=out)
-    _per_segment(np.add, out, np.divide, out, out, plan)
-    return out
+def _segment_softmax(x: np.ndarray, plan) -> np.ndarray:
+    """Softmax over each row's segments of the segment plan `plan`, in place in `x`."""
+    _per_segment(np.maximum, x, np.subtract, x, x, plan)
+    np.exp(x, out=x)
+    _per_segment(np.add, x, np.divide, x, x, plan)
+    return x
 
 
 # Every buffer of a TrainContext starts a multiple of this many elements into
@@ -298,11 +300,11 @@ class TrainContext:
     Five blocks laid out alike come first: the parameters (the bound model's
     `layers` become views of this block), the gradient, Adam's first and
     second moments and a scratch block, so one Adam step is a few ufunc
-    calls over whole blocks. Then each layer's output and backward buffer,
-    the softmax output and a work buffer. `forward`, `loss_and_grad` and
-    `adam_step` write into them with `out=`, keeping the arithmetic of each
-    element and the order of each reduction, so results are the same to the
-    bit as with fresh arrays.
+    calls over whole blocks. Then each layer's output (the last becomes P in
+    place) and backward buffer and a work buffer. `forward`, `loss_and_grad`
+    and `adam_step` write into them with `out=`, keeping the arithmetic of
+    each element and the order of each reduction, so results are the same to
+    the bit as with fresh arrays.
 
     The buffers hold the forward pass of the current weights from
     construction on, so a step and a read of the soft marginals share it.
@@ -315,7 +317,7 @@ class TrainContext:
         b = model.batch_size
         param_shapes = [s for W, bias in model.layers for s in (W.shape, bias.shape)]
         widths = [W.shape[1] for W, _ in model.layers]
-        buf_shapes = [(b, w) for w in widths] * 2 + [(b, widths[-1]), (b * max(widths),)]
+        buf_shapes = [(b, w) for w in widths] * 2 + [(b * max(widths),)]
         n = _offsets(param_shapes)[-1]
         self._buf = np.zeros(_offsets(buf_shapes, 5 * n)[-1], model.dtype)
         self.params, self.grad, self.m, self.v, self.scratch = (
@@ -329,9 +331,9 @@ class TrainContext:
             b_view[...] = bias
         bufs = _views(self._buf, buf_shapes, 5 * n)
         n_layers = len(widths)
-        self.outputs = bufs[:n_layers]  # each layer's output; the last is the logits
+        self.outputs = bufs[:n_layers]  # each layer's output; the last is the logits, then P
         self.backward = bufs[n_layers:2 * n_layers]  # the loss's gradient wrt each output
-        self.probs, self._work = bufs[-2:]
+        self.probs, self._work = self.outputs[-1], bufs[-1]
         self.t = 0
         model.layers = self.layers
         forward(model, self)
@@ -355,15 +357,14 @@ def _check_bound(model: GeneratorModel, ctx: TrainContext) -> None:
 
 def forward(model: GeneratorModel, ctx: TrainContext | None = None) -> np.ndarray:
     """The soft batch P (batch_size, sum(cards)) from the frozen latent Z.
-    Through a context, every layer's output stays in its buffers for the
-    backward pass, and P is its softmax buffer, overwritten by the next pass;
-    without one, every array is fresh."""
+    The softmax overwrites the logits. Through a context, every layer's
+    output stays in its buffers for the backward pass, and P is the last
+    one, overwritten by the next pass; without one, every array is fresh."""
     if ctx is None:
         outputs = [np.empty((model.batch_size, W.shape[1]), model.dtype) for W, _ in model.layers]
-        probs = np.empty_like(outputs[-1])
     else:
         _check_bound(model, ctx)
-        outputs, probs = ctx.outputs, ctx.probs
+        outputs = ctx.outputs
     h = model.Z
     last = len(model.layers) - 1
     for l, ((W, b), out) in enumerate(zip(model.layers, outputs)):
@@ -371,7 +372,7 @@ def forward(model: GeneratorModel, ctx: TrainContext | None = None) -> np.ndarra
         h += b
         if l < last:
             np.maximum(h, 0.0, out=h)
-    return _segment_softmax(h, model.segments, out=probs)
+    return _segment_softmax(h, model.segments)
 
 
 def soft_marginal(model: GeneratorModel, probs: np.ndarray, spec: MarginalSpec,
@@ -453,22 +454,25 @@ def gram_layout(model: GeneratorModel, pairs) -> GramLayout:
         rows, n_rows, row_starts = _columns(cards, offsets, row_attrs)
         cols, n_cols, col_starts = (rows, n_rows, row_starts) if col_attrs is row_attrs \
             else _columns(cards, offsets, col_attrs)
-        grid = np.arange(start, start + n_rows * n_cols).reshape(n_rows, n_cols)
-        for a, c in owned:
-            cells[(a, c)] = grid[_segment(cards, row_starts, a),
-                                 _segment(cards, col_starts, c)].ravel()
+        for a, c in owned:  # row-major positions in the block, whose grid is never formed
+            at_rows = np.arange(row_starts[a], row_starts[a] + cards[a])
+            at_cols = np.arange(col_starts[c], col_starts[c] + cards[c])
+            cells[(a, c)] = (start + n_cols * at_rows[:, None] + at_cols).ravel()
         blocks.append(GramBlock(rows, cols, (n_rows, n_cols), start))
-        start += grid.size
+        start += n_rows * n_cols
     return GramLayout(blocks, cells, start)
 
 
-def _gram_blocks(probs: np.ndarray, layout: GramLayout, c: float):
-    """Per block of `layout`: the block, its row and column slabs of P, and
-    c P_rows^T P_cols."""
-    for blk in layout.blocks:
+def gram_cells(probs: np.ndarray, layout: GramLayout, scale: float, out: np.ndarray) -> np.ndarray:
+    """`layout`'s flat cell vector over the soft batch `probs`, written into `out`: each part into
+    its view, then one scaling by c = scale / b, so each cell is a fresh c * (P_rows^T P_cols)."""
+    g1, *grams = layout.parts(out)
+    np.sum(probs, axis=0, out=g1)
+    for blk, gram in zip(layout.blocks, grams):
         p_rows = probs[:, blk.rows]
-        p_cols = p_rows if blk.cols is blk.rows else probs[:, blk.cols]
-        yield blk, p_rows, p_cols, c * (p_rows.T @ p_cols)
+        np.matmul(p_rows.T, p_rows if blk.cols is blk.rows else probs[:, blk.cols], out=gram)
+    out *= scale / probs.shape[0]
+    return out
 
 
 @dataclass
@@ -486,9 +490,8 @@ class SoftMarginals:
 
 def gram_marginals(probs: np.ndarray, scale: float, layout: GramLayout) -> SoftMarginals:
     """The flat cell vector of `layout` over the soft batch `probs`."""
-    c = scale / probs.shape[0]
-    grams = [gram.ravel() for *_, gram in _gram_blocks(probs, layout, c)]
-    return SoftMarginals(layout, np.concatenate([c * probs.sum(axis=0), *grams]))
+    cells = np.empty(layout.size, probs.dtype)
+    return SoftMarginals(layout, gram_cells(probs, layout, scale, cells))
 
 
 @dataclass
@@ -504,38 +507,50 @@ class CandidateIndex:
     groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 
 
-def candidate_index(model: GeneratorModel, exact: list[Marginal]) -> CandidateIndex:
-    """The specs of `exact`, marginals the caller has counted, over one
-    `gram_layout`, with their counts copied into the groups."""
-    specs = [m.spec for m in exact]
+def candidate_index(model: GeneratorModel, specs, counts) -> CandidateIndex:
+    """The two-way `specs` over one `gram_layout`. `counts` yields each spec's
+    exact counts, in spec order, as the caller counts them; each is copied
+    into its row of its group as it comes, so no two of them need be held."""
+    specs = list(specs)
     layout = gram_layout(model, [s.attrs for s in specs])
     by_cells: dict = {}
     for i, spec in enumerate(specs):
         by_cells.setdefault(spec.n_cells, []).append(i)
-    # layout.cells and by_attrs view rows of the group arrays: each is held once
-    by_attrs, groups = {}, []
+    # layout.cells and exact view rows of the group arrays, so each is held
+    # once; a group's counts are allocated once the layout's own copies of its
+    # cells are gone
+    exact, groups, rows = {}, [], [None] * len(specs)
     for n, group in by_cells.items():
-        gather = np.stack([layout.cells[specs[i].attrs] for i in group])
-        counts = np.stack([exact[i].counts for i in group])
-        for i, cells, row in zip(group, gather, counts):
-            layout.cells[specs[i].attrs], by_attrs[specs[i].attrs] = cells, Marginal(specs[i], row)
-        groups.append((n, np.array(group), gather, counts))
-    return CandidateIndex(layout, specs, by_attrs, groups)
+        gather = np.empty((len(group), n), np.intp)
+        for i, cells in zip(group, gather):
+            cells[...] = layout.cells[specs[i].attrs]
+            layout.cells[specs[i].attrs] = cells
+        group_counts = np.empty((len(group), n))
+        for i, row in zip(group, group_counts):
+            exact[specs[i].attrs], rows[i] = Marginal(specs[i], row), row
+        groups.append((n, np.array(group), gather, group_counts))
+    for row, spec_counts in zip(rows, counts, strict=True):
+        row[...] = spec_counts
+    return CandidateIndex(layout, specs, exact, groups)
 
 
 def candidate_l1(soft: SoftMarginals, index: CandidateIndex,
                  other: SoftMarginals | None = None) -> np.ndarray:
     """Per candidate i, ||M_i(soft) - M_i||_1 against the exact counts, or
     against `other`'s marginal when it is given; both soft vectors must be at
-    `index.layout`. Each cell-count group is one gather and one float64 row
+    `index.layout`. Each cell-count group is read in chunks of at most
+    L1_CHUNK_CELLS cells (whole rows), each one gather and one float64 row
     sum, whose sums equal `l1_distance` per candidate to the bit."""
     if any(s.layout is not index.layout for s in (soft, other) if s is not None):
         raise ValueError("soft marginals are not at the candidates' layout")
     l1 = np.empty(len(index.specs))
-    for _, positions, gather, exact in index.groups:
-        diff = soft.cells[gather].astype(np.float64)
-        diff -= exact if other is None else other.cells[gather]
-        l1[positions] = np.abs(diff, out=diff).sum(axis=1)
+    for n, positions, gather, exact in index.groups:
+        step = max(1, L1_CHUNK_CELLS // n)
+        for start in range(0, len(positions), step):
+            rows = slice(start, start + step)
+            diff = soft.cells[gather[rows]].astype(np.float64, copy=False)
+            diff -= exact[rows] if other is None else other.cells[gather[rows]]
+            l1[positions[rows]] = np.abs(diff, out=diff).sum(axis=1)
     return l1
 
 
@@ -554,10 +569,13 @@ class MarginalTargets:
     weight: np.ndarray  # a spec's cells hold its W, every other cell 0
     mean: np.ndarray  # a spec's cells hold its ybar, every other cell 0
     const: float = 0.0
-    parts: list = field(init=False, repr=False)  # views: g1's (w1, t1), each block's (W2, T2)
+    err: np.ndarray = field(init=False, repr=False)  # a step's work vectors: the error,
+    resid: np.ndarray = field(init=False, repr=False)  # the residual weight * error,
+    work_parts: list = field(init=False, repr=False)  # and their views per part, made once
 
     def __post_init__(self):
-        self.parts = list(zip(self.layout.parts(self.weight), self.layout.parts(self.mean)))
+        self.err, self.resid = np.empty_like(self.weight), np.empty_like(self.weight)
+        self.work_parts = list(zip(self.layout.parts(self.err), self.layout.parts(self.resid)))
 
 
 def fold_targets(model: GeneratorModel, targets, scale: float) -> MarginalTargets:
@@ -588,25 +606,23 @@ def loss_and_grad(model: GeneratorModel, targets: MarginalTargets, ctx: TrainCon
     """
     _check_bound(model, ctx)
     probs = ctx.probs
-    b = probs.shape[0]
-    c = targets.scale / b
-    (weight1, mean1), *block_targets = targets.parts
-    err1 = c * probs.sum(axis=0) - mean1
-    resid1 = weight1 * err1
-    loss = targets.const + float((resid1 * err1).sum(dtype=np.float64))
+    err = gram_cells(probs, targets.layout, targets.scale, targets.err)
+    err -= targets.mean
+    np.multiply(targets.weight, err, out=targets.resid)
+    err *= targets.resid  # each cell's term of the loss
+    (terms1, resid1), *block_parts = targets.work_parts
+    loss = targets.const + float(terms1.sum(dtype=np.float64))
     dprobs = ctx.backward[-1]
     dprobs[...] = resid1
-    blocks = _gram_blocks(probs, targets.layout, c)
-    for (blk, p_rows, p_cols, gram), (weight, mean) in zip(blocks, block_targets):
-        err = gram - mean
-        resid = weight * err
-        loss += float((resid * err).sum(dtype=np.float64))
+    for blk, (terms, resid) in zip(targets.layout.blocks, block_parts):
+        loss += float(terms.sum(dtype=np.float64))
+        p_rows = probs[:, blk.rows]
         if blk.cols is blk.rows:
             dprobs[:, blk.rows] += p_rows @ (resid + resid.T)
         else:
-            dprobs[:, blk.rows] += p_cols @ resid.T
+            dprobs[:, blk.rows] += probs[:, blk.cols] @ resid.T
             dprobs[:, blk.cols] += p_rows @ resid
-    dprobs *= 2.0 * c
+    dprobs *= 2.0 * targets.scale / probs.shape[0]
 
     # softmax backward per segment: dz = p * (g - sum(g * p))
     work = ctx.work(model.out_width)

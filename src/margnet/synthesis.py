@@ -32,6 +32,7 @@ from .generator import (
     candidate_l1,
     fold_targets,
     forward,
+    gram_cells,
     gram_marginals,
     init_generator,
     loss_and_grad,
@@ -271,8 +272,8 @@ class PrivateTable:
 
     def __init__(self, ds: Dataset, model: GeneratorModel, rho_budget: float):
         self._ds, self.cards, self.acct = ds, ds.cards, Accountant(rho_budget=rho_budget)
-        exact = [compute_marginal(ds, s) for s in selection_candidates(ds.cards)]
-        self._index = candidate_index(model, exact)
+        specs = selection_candidates(ds.cards)
+        self._index = candidate_index(model, specs, (compute_marginal(ds, s).counts for s in specs))
         self.layout, self.specs = self._index.layout, self._index.specs
 
     def measure(self, spec: MarginalSpec, rho_m: float, rng, round_: int = 0) -> Measurement:
@@ -385,9 +386,9 @@ def run_margnet(ds: Dataset, config: SynthConfig) -> SynthResult:
         train(model, ctx, measurements, n_estimate, config.train_iters, config.lr)
         spent += rho_s + rho_m
 
-        # the trained model's marginals: this round's improvement, next
-        # round's scores
-        soft = gram_marginals(ctx.probs, n_estimate, data.layout)
+        # the trained model's marginals, written over the last round's: this
+        # round's improvement, next round's scores
+        gram_cells(ctx.probs, data.layout, n_estimate, soft.cells)
         improvement = l1_distance(soft.marginal(chosen), est_before)
         noise_floor = expected_noise_l1(chosen.n_cells, rho_m)
         doubled = (not fixed and improvement < noise_floor

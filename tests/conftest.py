@@ -46,7 +46,7 @@ def exact_index(model, ds, specs=None):
     """`candidate_index` over `specs`, every selection candidate of `ds` by
     default, with their exact counts in `ds`, as `check` counts them."""
     specs = selection_candidates(ds.cards) if specs is None else specs
-    return candidate_index(model, [compute_marginal(ds, s) for s in specs])
+    return candidate_index(model, specs, (compute_marginal(ds, s).counts for s in specs))
 
 
 def unselected_inputs(ds, model, prev_model, scale):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from margnet.domain import (
+    CSV_DIGITS,
     AttributeMeta,
     Dataset,
     Domain,
@@ -17,6 +18,7 @@ from margnet.domain import (
     WRITE_BLOCK_ROWS,
     auto_numeric_domain,
     bin_values,
+    csv_digits,
     decode,
     encode,
     gen_gaussian_dataset,
@@ -475,6 +477,47 @@ def test_csv_write_read_round_trip(tmp_path):
     write_csv(p, table)
     back = encode(load_csv(p, dom), dom)
     assert np.array_equal(back.rows, ds.rows)
+
+
+def csv_round_trip(tmp_path, ds, dom, seed):
+    """ds through decode, write_csv, load_csv and encode."""
+    p = tmp_path / "round.csv"
+    write_csv(p, decode(ds, dom, seed))
+    return encode(load_csv(p, dom), dom)
+
+
+def test_csv_round_trip_keeps_the_bins_of_a_narrow_domain_far_from_zero(tmp_path):
+    # bins 0.1 wide at 1e9: in `%.10g` the cells print as 1000000000 or
+    # 1000000001 and land in bins 0 and 9 only; the column prints with 13 digits
+    dom = Domain([numeric_meta("x", 1e9, 1000000001, 10)])
+    ds = Dataset(rows=np.random.default_rng(3).integers(0, 10, size=(1000, 1)), cards=(10,))
+    assert csv_digits(dom.attributes[0].bin_edges) == 13
+    assert np.array_equal(csv_round_trip(tmp_path, ds, dom, seed=1).rows, ds.rows)
+
+
+def test_csv_round_trip_keeps_a_value_drawn_next_to_an_edge(tmp_path, monkeypatch):
+    # bin 2 of [0, 1] ends at 0.3: a draw of 0.2999999999999 stays in the bin
+    # in memory but prints as 0.3, which is bin 3
+    class EdgeDraws:
+        def __init__(self, _bits):
+            pass
+
+        def random(self, n):
+            return np.full(n, 1 - 1e-12)
+
+    dom = Domain([numeric_meta("x", 0.0, 1.0, 10)])
+    ds = Dataset(rows=np.array([[2], [5]]), cards=(10,))
+    monkeypatch.setattr(np.random, "Generator", EdgeDraws)
+    assert bin_values(decode(ds, dom, seed=0).columns[0], dom.attributes[0].bin_edges).tolist() \
+        == [2, 5]
+    assert np.array_equal(csv_round_trip(tmp_path, ds, dom, seed=0).rows, ds.rows)
+
+
+@pytest.mark.parametrize("dims, rows, bins", [(10, 16_000, 10), (24, 8000, 10), (3, 2000, 257)])
+def test_gen_gauss_domains_print_with_ten_digits(dims, rows, bins):
+    # the tables the benchmark and CI synthesize keep the `%.10g` format
+    dom = auto_numeric_domain(gen_gaussian_dataset(dims, rows, 0.8, seed=1), bins)
+    assert {csv_digits(a.bin_edges) for a in dom.attributes} == {CSV_DIGITS}
 
 
 def test_load_and_encode_memory_stays_near_the_arrays(tmp_path):

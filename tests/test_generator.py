@@ -101,7 +101,7 @@ def test_segment_softmax_mixed_cardinalities_on_simplex():
     cards = (1, 3, 1, 5, 2)
     offsets = tuple(int(o) for o in np.cumsum((0,) + cards[:-1]))
     logits = np.random.default_rng(3).normal(0, 30, size=(9, sum(cards)))
-    probs = _segment_softmax(logits, generator.segment_plan(cards))
+    probs = _segment_softmax(logits.copy(), generator.segment_plan(cards))
     for off, c in zip(offsets, cards):
         seg = probs[:, off:off + c]
         assert np.all(seg >= 0)
@@ -253,6 +253,65 @@ def test_candidate_l1_equals_per_spec_l1_to_the_bit(layout_slack, dtype):
         l1_distance(soft.marginal(s), soft_other.marginal(s)) for s in candidates]
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 40, 200])
+def test_candidate_l1_chunks_keep_every_sum(monkeypatch, chunk):
+    # chunks of one row, of a few rows with a short last chunk, and of rows
+    # wider than the chunk: every candidate's sum is still `l1_distance`'s
+    monkeypatch.setattr(generator, "L1_CHUNK_CELLS", chunk)
+    cards = (3, 1, 4, 2, 5, 3, 20, 13)
+    m = tiny_model(cards=cards, hidden=(16,), batch=13, seed=5, dtype=np.float32)
+    other = tiny_model(cards=cards, hidden=(16,), batch=13, seed=6, dtype=np.float32)
+    ds = random_dataset(cards, 500, seed=13)
+    index = exact_index(m, ds)
+    soft, soft_other = (gram_marginals(forward(g), 500.0, index.layout) for g in (m, other))
+    assert generator.candidate_l1(soft, index).tolist() == [
+        l1_distance(soft.marginal(s), index.exact[s.attrs]) for s in index.specs]
+    assert generator.candidate_l1(soft, index, soft_other).tolist() == [
+        l1_distance(soft.marginal(s), soft_other.marginal(s)) for s in index.specs]
+
+
+def test_candidate_index_and_l1_memory_stay_near_the_counts():
+    # 40 attributes of 32 bins: 780 candidates of 1024 cells, 6.4 MB of
+    # counts and 6.4 MB of gather index in one group. Building the index
+    # holds little past them, and candidate_l1 reads the group in chunks.
+    cards = (32,) * 40
+    m = tiny_model(cards=cards, hidden=(16,), batch=8, seed=3, dtype=np.float32)
+    ds = random_dataset(cards, 300, seed=4)
+    specs = selection_candidates(cards)
+    tracemalloc.start()
+    try:
+        index = generator.candidate_index(m, specs, (compute_marginal(ds, s).counts for s in specs))
+        _, index_peak = tracemalloc.get_traced_memory()
+        soft = gram_marginals(forward(m), 300.0, index.layout)
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        generator.candidate_l1(soft, index)
+        _, l1_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(gather.nbytes + counts.nbytes for *_, gather, counts in index.groups)
+    assert held == 780 * 1024 * 16
+    assert index_peak < 1.1 * held
+    assert l1_peak - before < 4 * 8 * generator.L1_CHUNK_CELLS
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gram_marginals_equal_per_block_products(layout_slack, dtype):
+    # the in-place writer gives each cell the bits of c * (P_rows^T P_cols),
+    # formed block by block and concatenated after g1 = c * P's column sums
+    m = tiny_model(cards=(3, 1, 4, 2, 5), hidden=(10,), batch=13, seed=8, dtype=dtype)
+    layout = gram_layout(m, [(0, 1), (0, 3), (1, 4), (2, 3), (2, 4)])
+    probs = forward(m)
+    c = 37.0 / probs.shape[0]
+    blocks = []
+    for blk in layout.blocks:
+        p_rows = probs[:, blk.rows]
+        p_cols = p_rows if blk.cols is blk.rows else probs[:, blk.cols]
+        blocks.append((c * (p_rows.T @ p_cols)).ravel())
+    want = np.concatenate([c * probs.sum(axis=0), *blocks])
+    assert same_bits(gram_marginals(probs, 37.0, layout).cells, want)
+
+
 def test_candidate_l1_needs_the_other_marginals_at_the_index_layout():
     m = tiny_model(cards=(2, 3, 2))
     index = exact_index(m, random_dataset(m.cards, 5, seed=2))
@@ -276,7 +335,7 @@ def test_gram_layout_block_rows_hold_only_requested_cells():
     assert [blk.shape for blk in layout.blocks] == [(500, 9), (2, 7), (3, 4)]
     targets = make_targets(m.cards, [(0, 2)], [np.ones(1500)])
     folded = fold_targets(m, targets, 1.0)
-    assert [w.shape for w, _ in folded.parts[1:]] == [(500, 3)]
+    assert [w.shape for w in folded.layout.parts(folded.weight)[1:]] == [(500, 3)]
 
 
 def test_soft_marginal_rejects_three_way():
@@ -567,9 +626,10 @@ def fresh_array_loss_and_grad(model, targets):
     resid1 = weight1 * err1
     loss = targets.const + float((resid1 * err1).sum(dtype=np.float64))
     dprobs = np.repeat(resid1[None, :], b, axis=0)
-    blocks = generator._gram_blocks(probs, targets.layout, c)
-    for (blk, p_rows, p_cols, gram), weight, mean in zip(blocks, weight2, mean2):
-        err = gram - mean
+    for blk, weight, mean in zip(targets.layout.blocks, weight2, mean2):
+        p_rows = probs[:, blk.rows]
+        p_cols = p_rows if blk.cols is blk.rows else probs[:, blk.cols]
+        err = c * (p_rows.T @ p_cols) - mean
         resid = weight * err
         loss += float((resid * err).sum(dtype=np.float64))
         if blk.cols is blk.rows:
