@@ -210,7 +210,7 @@ def cmd_check(args) -> None:
                          f"{domain.cards}")
     try:
         trace = trace_from_json_dict(json.loads(trace_bytes.decode("utf-8")), domain.cards)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise ValueError(f"malformed trace: {e}") from None
 
     candidates = {s.attrs: s for s in selection_candidates(ds.cards)}

@@ -119,7 +119,7 @@ class Domain:
         with open(path, "r", encoding="utf-8") as f:
             try:
                 return cls.from_json_dict(json.load(f))
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, RecursionError) as e:
                 raise ValueError(f"malformed domain file: {e}") from None
 
     def save(self, path) -> None:
@@ -219,8 +219,9 @@ def bin_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Map values to bin indices; out-of-range values clamp into the edge bins."""
     lo, hi = edges[0], edges[-1]
     k = len(edges) - 1
-    idx = np.floor(k * (np.asarray(values, dtype=float) - lo) / (hi - lo)).astype(np.int64)
-    return np.clip(idx, 0, k - 1)
+    # clamp before the cast: a float past int64's range has no int64 to cast to
+    idx = np.floor(k * (np.asarray(values, dtype=float) - lo) / (hi - lo))
+    return np.clip(idx, 0, k - 1).astype(np.int64)
 
 
 def _print_band(edges: np.ndarray, digits: int) -> float:

@@ -760,7 +760,7 @@ def load_checkpoint(path):
                 raise CheckpointError(f"corrupt checkpoint header: its length {hlen} runs "
                                       f"past the end of the {size}-byte file")
             header = json.loads(f.read(hlen).decode("utf-8"))
-        except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (struct.error, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from None
         if not isinstance(header, dict):
             raise CheckpointError("corrupt checkpoint header: not a JSON object")

@@ -146,7 +146,8 @@ def query_error(real_ds: Dataset, synth_ds: Dataset, n_queries: int, seed: int) 
     n_real = max(real_ds.n_records, 1)
     n_synth = max(synth_ds.n_records, 1)
     err = {}
-    for p in np.unique(picks):  # a spec drawn more than once is counted once
+    # a spec drawn more than once is counted once; a set, as numpy's unique imports numpy.ma
+    for p in set(picks.tolist()):
         spec = marginal_spec(real_ds, all_specs[p])
         fr = compute_marginal(real_ds, spec).counts / n_real
         fs = compute_marginal(synth_ds, spec).counts / n_synth

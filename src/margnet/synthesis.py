@@ -309,8 +309,12 @@ def warmup(data: PrivateTable, model: GeneratorModel, ctx: TrainContext, rho_m: 
                                  f"{data.acct.remaining:.6g} remains")
     measurements = [data.measure(marginal_spec(data.cards, (a,)), rho_m, rng_measure)
                     for a in range(d)]
-    # post-processing of the noisy counts, so the estimate costs no budget
-    n_estimate = max(1.0, float(np.median([m.noisy.counts.sum() for m in measurements])))
+    # post-processing of the noisy counts, so the estimate costs no budget. The
+    # median is numpy's to the bit, taken here since numpy's imports numpy.ma
+    totals = sorted(float(m.noisy.counts.sum()) for m in measurements)
+    mid = len(totals) // 2
+    median = totals[mid] if len(totals) % 2 else (totals[mid - 1] + totals[mid]) / 2
+    n_estimate = max(1.0, median)
     compute_weights(measurements, d)
     train(model, ctx, measurements, n_estimate, config.train_iters, config.lr)
     return measurements, n_estimate

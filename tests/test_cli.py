@@ -29,6 +29,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+class RawJSON(str):
+    """A bad input's file text, written as it is rather than through json.dumps."""
+
+
+def _json_text(obj):
+    return obj if isinstance(obj, RawJSON) else json.dumps(obj)
+
+
+# json's decoder ends 100000 nested lists in a RecursionError, not a JSONDecodeError
+DEEP_JSON = RawJSON("[" * 100000 + "]" * 100000)
+
+
 SMALL_SYNTH_FLAGS = ["--iters", "10", "--batch", "16", "--hidden", "16",
                      "--latent", "8", "--c", "12"]
 
@@ -56,6 +68,32 @@ def test_import_loads_no_scipy(module):
     done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # np.median and np.unique import numpy.ma on first use; no command needs it
+    code = f"""
+import sys
+from margnet.cli import main
+d = {str(tmp_path)!r} + "/"
+small = {SMALL_SYNTH_FLAGS!r}
+for argv in [
+    ["gen-gauss", "--dims", "4", "--rows", "300", "--corr", "0.8", "--out", d + "g.csv",
+     "--seed", "1"],
+    ["synth", "--data", d + "g.csv", "--domain", d + "g.domain.json", "--epsilon", "1.0",
+     "--out", d + "s.csv", "--seed", "1", *small, "--iters", "1"],
+    ["eval", "--real", d + "g.csv", "--synth", d + "s.csv", "--domain", d + "g.domain.json",
+     "--seed", "1"],
+    ["check", "--trace", d + "s.csv.trace.json", "--checkpoint", d + "s.csv.ckpt",
+     "--data", d + "g.csv", "--domain", d + "g.domain.json"],
+    ["convert", "--epsilon", "1.0", "--delta", "1e-5"],
+]:
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_gen_gauss_writes_table_and_domain(gauss_files):
@@ -347,6 +385,7 @@ MALFORMED_TRACES = {
     "rounds-out-of-order": _swap_first_rounds,
     "round-number-true": _first_round("round", True),
     "doubled-int": _last_round("doubled", 0),
+    "nested-100000": lambda t: DEEP_JSON,
 }
 
 
@@ -355,7 +394,7 @@ def _check_with_trace(gauss_files, finished_run, tmp_path, trace_obj):
     csv, domain = gauss_files
     _, ckpt = finished_run
     bad = tmp_path / "bad.trace.json"
-    bad.write_text(json.dumps(trace_obj))  # writes NaN and Infinity, as json.loads reads them
+    bad.write_text(_json_text(trace_obj))  # writes NaN and Infinity, as json.loads reads them
     report = tmp_path / "bounds.json"
     return run_cli("check", "--trace", str(bad), "--checkpoint", ckpt,
                    "--data", csv, "--domain", domain, "--out", str(report)), report
@@ -545,16 +584,17 @@ def test_check_rejects_any_bad_trace_field(gauss_files, finished_run, tmp_path, 
     (lambda h: {**h, "hidden": "x"}, "hidden must be a non-empty list of positive ints"),
     (lambda h: {**h, "dtype": "float16"}, "dtype must be one of float32, float64"),
     (lambda h: {k: v for k, v in h.items() if k != "dtype"}, "checkpoint header lacks dtype"),
+    (lambda h: DEEP_JSON, "corrupt checkpoint header: maximum recursion depth exceeded"),
 ], ids=["missing-key", "not-an-object", "batch-size-str", "latent-dim-negative",
         "cards-float", "hidden-empty", "hidden-zero", "hidden-float", "hidden-str",
-        "dtype-float16", "dtype-missing"])
+        "dtype-float16", "dtype-missing", "nested-100000"])
 def test_check_malformed_checkpoint_header_exits_1(gauss_files, finished_run, tmp_path,
                                                    capsys, mangle, message):
     csv, domain = gauss_files
     trace_path, ckpt = finished_run
     data = open(ckpt, "rb").read()
     (hlen,) = struct.unpack("<Q", data[8:16])
-    blob = json.dumps(mangle(json.loads(data[16:16 + hlen]))).encode()
+    blob = _json_text(mangle(json.loads(data[16:16 + hlen]))).encode()
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen:])
     report = tmp_path / "bounds.json"
@@ -648,6 +688,7 @@ BAD_DOMAINS = {
     "name-int": _numeric(name=0),
     # a label is a CSV cell too: null must not become the label "None"
     "value-null": {"attributes": [{"name": "x0", "type": "categorical", "values": ["a", None]}]},
+    "nested-100000": DEEP_JSON,
 }
 
 
@@ -701,7 +742,7 @@ def test_bad_input_exits_2_with_one_line(gauss_files, finished_run, tmp_path, ca
 
     def domain_file(obj):
         path = tmp_path / "bad.domain.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(_json_text(obj))
         return str(path)
 
     f = SimpleNamespace(csv=csv, domain=domain, csv2=csv2, domain2=str(tmp_path / "two.domain.json"),

@@ -291,6 +291,13 @@ def test_bin_boundary_clamp():
     assert bin_values(np.array([99.0]), edges)[0] == 1
 
 
+@pytest.mark.filterwarnings("error")  # a cast warning would be one more stderr line
+def test_bin_clamp_past_the_int64_range_is_silent():
+    # -5.677696061e60 is a finite CSV cell, and k * (v - lo) / (hi - lo) has no int64
+    edges = uniform_bin_edges(-2.9, 3.4, 10)
+    assert bin_values(np.array([-5.677696061e60, 1e300, 0.0]), edges).tolist() == [0, 9, 4]
+
+
 def test_degenerate_range():
     with pytest.raises(ValueError, match=r"need min < max, got \[5, 5\]"):
         uniform_bin_edges(5, 5, 3)

@@ -128,6 +128,20 @@ def test_warmup_charges_d_rho_m():
     assert [lab for lab, _ in acct.ledger] == [f"warmup:one-way:{i}" for i in range(3)]
 
 
+@pytest.mark.parametrize("cards", [(2, 3, 2), (2, 3, 2, 4)], ids=["odd-d", "even-d"])
+def test_warmup_estimate_is_np_median_of_the_totals(cards):
+    # the warm-up's median must keep np.median's bits, in particular the mean
+    # of the two middle totals when d is even
+    ds = random_dataset(cards, 200, seed=3)
+    cfg = tiny_config(train_iters=1)
+    for seed in range(5):
+        model = init_generator(cards, [8], 4, 8, seed=0)
+        rng = np.random.default_rng(seed)
+        measurements, n_est = warmup(PrivateTable(ds, model, 1.0), model, TrainContext(model),
+                                     0.001, cfg, rng)
+        assert n_est == float(np.median([m.noisy.counts.sum() for m in measurements]))
+
+
 def test_warmup_insufficient_budget_before_noise():
     dom = categorical_domain([2, 3, 2])
     ds = random_dataset(dom.cards, 200, seed=3)
