@@ -210,6 +210,8 @@ def uniform_bin_edges(lo: float, hi: float, k: int) -> np.ndarray:
     """Equal-width bin edges: k bins over [lo, hi], k+1 edges."""
     if not lo < hi:
         raise ValueError(f"need min < max, got [{lo}, {hi}]")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"need max - min within the float64 range, got [{lo}, {hi}]")
     if k < 1:
         raise ValueError("need at least one bin")
     return np.linspace(lo, hi, k + 1)

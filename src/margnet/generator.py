@@ -23,18 +23,20 @@ Only the returned loss is summed in float64. Marginals leave the generator as
 float64 `Marginal`s, and checkpoints store every array little-endian in the
 model's dtype, which the header records.
 
-Training runs through a `TrainContext`: one allocation holding the weights
-(the model's layers become views of it), the gradient, Adam's state and every
-buffer of a step, filled in place. Its buffers always hold the forward pass
-of its current weights: the constructor runs one, and whoever changes the
-weights runs the next. `forward` without a context allocates.
+A model's weights are one flat vector, `params`: each layer's W, then its b,
+layer after layer, the order checkpoints store them in; its `layers` are views
+of it. Training runs through a `TrainContext`: one allocation holding the
+gradient (laid out like `params`), Adam's state and every buffer of a step,
+filled in place, while Adam updates the model's `params` in place. Its buffers
+always hold the forward pass of the current weights: the constructor runs
+one, and whoever changes the weights runs the next. `forward` without a
+context allocates.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -85,13 +87,16 @@ def _segment(cards, offsets, attr: int) -> slice:
 
 @dataclass
 class GeneratorModel:
-    layers: list  # [(W, b), ...]; last layer's width == sum(cards)
+    params: np.ndarray  # every layer's W, then its b, flat (see `_layer_views`)
+    hidden: tuple[int, ...]
     cards: tuple[int, ...]
     Z: np.ndarray  # (batch_size, latent_dim), frozen
+    layers: tuple = field(init=False, repr=False, compare=False)  # ((W, b), ...), views of params
     seg_offsets: tuple = field(init=False, repr=False, compare=False)  # attributes' first columns
     segments: tuple = field(init=False, repr=False, compare=False)  # segment_plan(cards)
 
     def __post_init__(self):
+        self.layers = _layer_views(self.params, self.latent_dim, self.hidden, self.cards)
         self.seg_offsets = tuple(itertools.accumulate(self.cards[:-1], initial=0))
         self.segments = segment_plan(self.cards)
 
@@ -108,25 +113,38 @@ class GeneratorModel:
         return self.Z.dtype
 
     @property
-    def hidden(self) -> tuple[int, ...]:
-        return tuple(W.shape[1] for W, _ in self.layers[:-1])
-
-    @property
     def out_width(self) -> int:
         return int(sum(self.cards))
 
     def copy(self) -> "GeneratorModel":
-        return GeneratorModel([(W.copy(), b.copy()) for W, b in self.layers], self.cards, self.Z)
+        return GeneratorModel(self.params.copy(), self.hidden, self.cards, self.Z)
 
     def segment(self, attr: int) -> slice:
         return _segment(self.cards, self.seg_offsets, attr)
 
 
-def _layer_shapes(latent_dim: int, hidden, cards) -> list[tuple[tuple[int, int], tuple[int]]]:
-    """Each layer's ((fan_in, fan_out), (fan_out,)), from latent_dim through
-    the hidden widths to sum(cards)."""
+def _fans(latent_dim: int, hidden, cards) -> list[tuple[int, int]]:
+    """Each layer's (fan_in, fan_out), from latent_dim through the hidden
+    widths to sum(cards)."""
     widths = [latent_dim, *hidden, int(sum(cards))]
-    return [((fan_in, fan_out), (fan_out,)) for fan_in, fan_out in zip(widths[:-1], widths[1:])]
+    return list(zip(widths[:-1], widths[1:]))
+
+
+def _param_count(latent_dim: int, hidden, cards) -> int:
+    """The number of weights of the MLP these widths describe: every W and b."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in _fans(latent_dim, hidden, cards))
+
+
+def _layer_views(flat: np.ndarray, latent_dim: int, hidden, cards) -> tuple:
+    """Each layer's (W, b) as views of `flat` (`_param_count` elements): W
+    (fan_in, fan_out), then b (fan_out,), end to end, layer after layer."""
+    views, at = [], 0
+    for fan_in, fan_out in _fans(latent_dim, hidden, cards):
+        W = flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out)
+        at += fan_in * fan_out
+        views.append((W, flat[at:at + fan_out]))
+        at += fan_out
+    return tuple(views)
 
 
 def init_generator(
@@ -135,7 +153,7 @@ def init_generator(
 ) -> GeneratorModel:
     """He-style scaled-uniform init; Z drawn once from N(0, 1) and frozen.
 
-    Draws in float64 from one stream and then casts Z and every (W, b) to
+    Draws in float64 from one stream and then casts Z and every W into
     `dtype`, so a seed gives the same weights, rounded, in either dtype."""
     if not hidden:
         raise ValueError("need at least one hidden layer")
@@ -146,14 +164,13 @@ def init_generator(
     if min(hidden) < 1:
         raise ValueError("every hidden width must be >= 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    layers = []
-    for (fan_in, fan_out), b_shape in _layer_shapes(latent_dim, hidden, cards):
-        limit = np.sqrt(6.0 / fan_in)
-        W = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype, copy=False)
-        layers.append((W, np.zeros(b_shape, dtype=dtype)))
+    params = np.zeros(_param_count(latent_dim, hidden, cards), dtype)
+    for W, _ in _layer_views(params, latent_dim, hidden, cards):
+        limit = np.sqrt(6.0 / W.shape[0])
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
     Z = rng.standard_normal((batch_size, latent_dim)).astype(dtype, copy=False)
     Z.flags.writeable = False
-    return GeneratorModel(layers, tuple(cards), Z)
+    return GeneratorModel(params, tuple(hidden), tuple(cards), Z)
 
 
 class SegmentPart(NamedTuple):
@@ -276,66 +293,39 @@ def _segment_softmax(x: np.ndarray, plan) -> np.ndarray:
     return x
 
 
-# Every buffer of a TrainContext starts a multiple of this many elements into
-# its allocation, a 64-byte boundary in float32.
-_ALIGN = 16
-
-
-def _offsets(shapes, start: int = 0) -> list[int]:
-    """Where buffers of `shapes` start when laid out back to back from
-    `start`, each on a multiple of _ALIGN; the last entry is where they end."""
-    offsets = [start]
-    for shape in shapes:
-        offsets.append(offsets[-1] + -(-math.prod(shape) // _ALIGN) * _ALIGN)
-    return offsets
-
-
-def _views(buf: np.ndarray, shapes, start: int = 0) -> list[np.ndarray]:
-    return [buf[o:o + math.prod(s)].reshape(s) for o, s in zip(_offsets(shapes, start), shapes)]
-
-
 class TrainContext:
-    """Every array a training run needs, carved from one allocation.
+    """Every array a training run needs besides the weights, carved from one
+    allocation.
 
-    Five blocks laid out alike come first: the parameters (the bound model's
-    `layers` become views of this block), the gradient, Adam's first and
-    second moments and a scratch block, so one Adam step is a few ufunc
-    calls over whole blocks. Then each layer's output (the last becomes P in
-    place) and backward buffer and a work buffer. `forward`, `loss_and_grad`
-    and `adam_step` write into them with `out=`, keeping the arithmetic of
-    each element and the order of each reduction, so results are the same to
-    the bit as with fresh arrays.
+    It keeps the bound model's `params`, which Adam updates in place. Four
+    blocks laid out like them come first: the gradient (`grads` are its
+    per-layer views), Adam's first and second moments and a scratch block, so
+    one Adam step is a few ufunc calls over whole blocks. Then each layer's
+    output (the last becomes P in place) and backward buffer and a work
+    buffer. `forward`, `loss_and_grad` and `adam_step` write into them with
+    `out=`, keeping the arithmetic of each element and the order of each
+    reduction, so results are the same to the bit as with fresh arrays.
 
     The buffers hold the forward pass of the current weights from
     construction on, so a step and a read of the soft marginals share it.
     Whoever changes the weights (an Adam step, an edit in place) runs
-    `forward(model, ctx)` next. Edit a bound model's weights in place only;
-    a replaced array leaves the block.
+    `forward(model, ctx)` next.
     """
 
     def __init__(self, model: GeneratorModel):
-        b = model.batch_size
-        param_shapes = [s for W, bias in model.layers for s in (W.shape, bias.shape)]
-        widths = [W.shape[1] for W, _ in model.layers]
-        buf_shapes = [(b, w) for w in widths] * 2 + [(b * max(widths),)]
-        n = _offsets(param_shapes)[-1]
-        self._buf = np.zeros(_offsets(buf_shapes, 5 * n)[-1], model.dtype)
-        self.params, self.grad, self.m, self.v, self.scratch = (
-            self._buf[k * n:(k + 1) * n] for k in range(5))
-        params = _views(self.params, param_shapes)
-        grads = _views(self.grad, param_shapes)
-        self.layers = list(zip(params[0::2], params[1::2]))
-        self.grads = list(zip(grads[0::2], grads[1::2]))
-        for (W, bias), (W_view, b_view) in zip(model.layers, self.layers):
-            W_view[...] = W
-            b_view[...] = bias
-        bufs = _views(self._buf, buf_shapes, 5 * n)
-        n_layers = len(widths)
+        b, n = model.batch_size, model.params.size
+        widths = [W.shape[1] for W, _ in model.layers] * 2
+        starts = list(itertools.accumulate([b * w for w in widths], initial=4 * n))
+        self._buf = np.zeros(starts[-1] + b * max(widths), model.dtype)
+        self.params = model.params
+        self.grad, self.m, self.v, self.scratch = (self._buf[k * n:(k + 1) * n] for k in range(4))
+        self.grads = _layer_views(self.grad, model.latent_dim, model.hidden, model.cards)
+        bufs = [self._buf[s:s + b * w].reshape(b, w) for s, w in zip(starts, widths)]
+        n_layers = len(model.layers)
         self.outputs = bufs[:n_layers]  # each layer's output; the last is the logits, then P
-        self.backward = bufs[n_layers:2 * n_layers]  # the loss's gradient wrt each output
-        self.probs, self._work = self.outputs[-1], bufs[-1]
+        self.backward = bufs[n_layers:]  # the loss's gradient wrt each output
+        self.probs, self._work = self.outputs[-1], self._buf[starts[-1]:]
         self.t = 0
-        model.layers = self.layers
         forward(model, self)
 
     def work(self, width: int) -> np.ndarray:
@@ -351,7 +341,7 @@ class TrainContext:
 
 
 def _check_bound(model: GeneratorModel, ctx: TrainContext) -> None:
-    if model.layers is not ctx.layers:
+    if model.params is not ctx.params:
         raise ValueError("the model is not bound to this training context")
 
 
@@ -645,7 +635,7 @@ def loss_and_grad(model: GeneratorModel, targets: MarginalTargets, ctx: TrainCon
 
 
 def adam_step(ctx: TrainContext, lr: float) -> None:
-    """One Adam update of the bound model's weights from the context's
+    """One Adam update of the bound model's `params` from the context's
     gradient block, in place: param -= lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS),
     element for element as in that expression, over whole blocks. The scratch
     block and then the spent gradient hold the temporaries. The caller runs
@@ -718,7 +708,7 @@ def save_checkpoint(path, model: GeneratorModel, prev_model: GeneratorModel) -> 
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for arr in [a for m in (model, prev_model) for layer in m.layers for a in layer] + [model.Z]:
+        for arr in (model.params, prev_model.params, model.Z):
             f.write(np.ascontiguousarray(arr, dtype=stored).tobytes())
 
 
@@ -772,20 +762,16 @@ def load_checkpoint(path):
         _check_header(header)
         dtype = np.dtype(header["dtype"])
         latent_dim, batch_size = header["latent_dim"], header["batch_size"]
-        layer_shapes = _layer_shapes(latent_dim, header["hidden"], header["cards"])
-        shapes = [s for layer in layer_shapes for s in layer] * 2 + [(batch_size, latent_dim)]
-        counts = [math.prod(s) for s in shapes]
-        need = dtype.itemsize * sum(counts)
+        hidden, cards = tuple(header["hidden"]), tuple(header["cards"])
+        n = _param_count(latent_dim, hidden, cards)
+        need = dtype.itemsize * (2 * n + batch_size * latent_dim)
         if need != size - f.tell():
             raise CheckpointError(f"checkpoint size mismatch: its arrays need {need} bytes, "
                                   f"{size - f.tell()} follow the header")
         values = np.frombuffer(f.read(need), dtype=dtype.newbyteorder("<")).astype(dtype)
     if not np.isfinite(values).all():
         raise CheckpointError(f"checkpoint holds a value that is not a finite {dtype.name}")
-    arrays = iter(a.reshape(s) for a, s in zip(np.split(values, np.cumsum(counts)[:-1]), shapes))
-    layers = [(next(arrays), next(arrays)) for _ in layer_shapes]
-    prev_layers = [(next(arrays), next(arrays)) for _ in layer_shapes]
-    Z = next(arrays)
+    Z = values[2 * n:].reshape(batch_size, latent_dim)
     Z.flags.writeable = False
-    cards = tuple(header["cards"])
-    return GeneratorModel(layers, cards, Z), GeneratorModel(prev_layers, cards, Z)
+    return (GeneratorModel(values[:n], hidden, cards, Z),
+            GeneratorModel(values[n:2 * n], hidden, cards, Z))

@@ -358,8 +358,8 @@ def run_margnet(ds: Dataset, config: SynthConfig) -> SynthResult:
     trace = SelectionTrace(rho_budget=rho, config=config.to_json_dict(d))
 
     # one context serves every training pass, scoring read and the sampling
-    # draw; the weights leave it once sampling ends, so it is freed before
-    # decoding
+    # draw; the model keeps its trained weights, so the context is freed
+    # before decoding
     ctx = TrainContext(model)
     measurements, n_estimate = warmup(data, model, ctx, rho_m, config, rng_measure)
     trace.warmup = list(measurements)
@@ -408,7 +408,6 @@ def run_margnet(ds: Dataset, config: SynthConfig) -> SynthResult:
     if k:
         train(model, ctx, measurements, n_estimate, config.train_iters, config.lr)
     synth = sample_hard(model, ctx.probs, int(round(n_estimate)), sample_seed)
-    model = model.copy()
     del ctx
 
     trace.ledger = list(data.acct.ledger)

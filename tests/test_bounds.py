@@ -281,7 +281,8 @@ def uniform_setup(card=3, copies=4):
     ds = Dataset(rows=rows, cards=dom.cards)
     model = init_generator(dom.cards, [8], 4, 4, seed=3)
     W, b = model.layers[-1]
-    model.layers[-1] = (np.zeros_like(W), np.zeros_like(b))
+    W[...] = 0
+    b[...] = 0
     return dom, ds, model
 
 

@@ -684,6 +684,8 @@ BAD_DOMAINS = {
     # bins need min < max
     "min-equals-max": _numeric(min=1, max=1),
     "max-below-min": _numeric(min=1, max=0),
+    # max - min overflows float64, though each is finite
+    "span-overflow": _numeric(min=-1e308, max=1e308),
     # a name must match a CSV header cell, which is always a string
     "name-int": _numeric(name=0),
     # a label is a CSV cell too: null must not become the label "None"

@@ -303,6 +303,16 @@ def test_degenerate_range():
         uniform_bin_edges(5, 5, 3)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)),
+                                    (-math.inf, 0.0)])
+def test_overflowing_range_is_rejected_without_a_warning(lo, hi):
+    # np.linspace over a span past float64's range warns before the edges fail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need max - min within the float64 range"):
+            uniform_bin_edges(lo, hi, 3)
+
+
 # ------------------------------------------------------------------- encode
 
 def test_encode_categorical_lookup():

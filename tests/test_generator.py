@@ -82,7 +82,8 @@ def test_z_shape_and_frozen():
 def test_forward_zero_head_is_uniform():
     m = tiny_model(cards=(2, 4))
     W, b = m.layers[-1]
-    m.layers[-1] = (np.zeros_like(W), np.zeros_like(b))
+    W[...] = 0
+    b[...] = 0
     probs = forward(m)
     assert np.allclose(probs[:, m.segment(0)], 0.5)
     assert np.allclose(probs[:, m.segment(1)], 0.25)
@@ -733,14 +734,19 @@ def test_context_holds_the_forward_of_its_weights(layout_slack, monkeypatch, dty
 
 def test_context_keeps_the_weights_and_rejects_other_models():
     m = tiny_model(cards=(3, 2), hidden=(8, 6), seed=24, dtype=np.float32)
-    before = [(W.copy(), b.copy()) for W, b in m.layers]
+    params, before = m.params, m.params.copy()
     ctx = TrainContext(m)
-    assert m.layers is ctx.layers
-    for (W, b), (W0, b0) in zip(m.layers, before):
-        assert same_bits(W, W0) and same_bits(b, b0)
+    assert m.params is ctx.params is params
+    assert same_bits(m.params, before)
     assert same_bits(forward(m, ctx), forward(m))
     with pytest.raises(ValueError):
         forward(m.copy(), ctx)
+    # one Adam step moves the model's own vector, and its layers stay views of it
+    ctx.grad[...] = 1.0
+    adam_step(ctx, lr=1e-2)
+    assert m.params is params and not np.array_equal(m.params, before)
+    assert all(np.shares_memory(a, m.params) for layer in m.layers for a in layer)
+    assert same_bits(np.concatenate([a.ravel() for layer in m.layers for a in layer]), m.params)
 
 
 # ------------------------------------------------------------------ sampling
@@ -748,7 +754,8 @@ def test_context_keeps_the_weights_and_rejects_other_models():
 def test_sample_hard_one_hot_degenerate():
     m = tiny_model(cards=(3, 2), batch=2, seed=11)
     W, b = m.layers[-1]
-    m.layers[-1] = (np.zeros_like(W), np.array([50.0, 0, 0, 0, 50.0]))
+    W[...] = 0
+    b[...] = [50.0, 0, 0, 0, 50.0]
     ds = sample_hard(m, forward(m), 100, seed=0)
     assert np.all(ds.rows[:, 0] == 0)
     assert np.all(ds.rows[:, 1] == 1)
@@ -895,6 +902,21 @@ def test_checkpoint_reader_is_the_writers_inverse(tmp_path, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_stores_each_layer_w_then_b_model_then_prev_then_z(tmp_path, dtype):
+    # the expected bytes come from the per-layer arrays, not from the flat vector
+    m = tiny_model(cards=(2, 3, 4), hidden=(8, 5), latent=6, batch=7, seed=29, dtype=dtype)
+    prev = tiny_model(cards=(2, 3, 4), hidden=(8, 5), latent=6, batch=7, seed=30, dtype=dtype)
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, m, prev)
+    data = p.read_bytes()
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    stored = np.dtype(dtype).newbyteorder("<")
+    want = b"".join(W.astype(stored).tobytes() + b.astype(stored).tobytes()
+                    for model in (m, prev) for W, b in model.layers)
+    assert data[16 + hlen:] == want + m.Z.astype(stored).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_checkpoint_stores_each_array_once_in_the_model_dtype(tmp_path, dtype):
     m = tiny_model(cards=(2, 3, 4), hidden=(8, 5), latent=6, batch=7, seed=27, dtype=dtype)
     p = tmp_path / "model.ckpt"
@@ -981,9 +1003,8 @@ def as_float64(model):
     """The same weights and latent batch as `model`, upcast (exactly) to float64."""
     Z = model.Z.astype(np.float64)
     Z.flags.writeable = False
-    return generator.GeneratorModel(
-        layers=[(W.astype(np.float64), b.astype(np.float64)) for W, b in model.layers],
-        cards=model.cards, Z=Z)
+    return generator.GeneratorModel(params=model.params.astype(np.float64), hidden=model.hidden,
+                                    cards=model.cards, Z=Z)
 
 
 def test_init_float32_is_the_float64_draw_rounded():
